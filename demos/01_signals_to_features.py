@@ -1,14 +1,14 @@
 """From raw sensor tracks to labeled 48-feature rows, one step at a time.
 
 Synthesizes a single 60 s individual dining session, then walks the pipeline:
-resample onto the fixed grids, slice 1 s windows on the 2 Hz cadence, extract
-the six statistics per half and channel, and attach the time-to-bite label.
+resample onto the fixed grids, lay 1 s windows on the 2 Hz cadence, extract
+the six statistics per half and channel for every window at once, and attach
+the time-to-bite label. Rows travel as columns of one WindowTable.
 """
 
-import numpy as np
-
 from bitetiming.features import AXIS_NAMES, HALF_NAMES, STAT_NAMES, feature_names
-from bitetiming.pipeline import extract_labeled_windows, resample_session, session_windows
+from bitetiming.pipeline import extract_labeled_windows
+from bitetiming.signals import IMU_RATE_HZ, MIC_RATE_HZ, resample_linear, slice_windows
 from bitetiming.sim import synthesize_scenario
 
 
@@ -21,25 +21,26 @@ def main() -> None:
     print(f"raw tracks: imu {session.imu_t.size} samples, "
           f"mic {session.mic_t.size} samples (irregularly spaced)")
 
-    imu, mic = resample_session(session)
+    imu = resample_linear(session.imu_t, session.imu_accel, IMU_RATE_HZ)
+    mic = resample_linear(session.mic_t, session.mic_amp, MIC_RATE_HZ)
     print(f"resampled: imu {imu.values.shape} at {imu.rate_hz:.0f} Hz, "
           f"mic {mic.values.shape} at {mic.rate_hz:.0f} Hz")
 
-    windows = session_windows(session)
+    windows = slice_windows(imu, mic)
     print(f"windows: {len(windows)} (1 s long, ending every 0.5 s, "
-          f"first ends at t={windows[0].window_end_t}, "
-          f"last at t={windows[-1].window_end_t})")
+          f"first ends at t={windows.end_t[0]}, "
+          f"last at t={windows.end_t[-1]})")
 
-    rows = extract_labeled_windows(session)
-    print(f"labeled rows: {len(rows)} "
+    table = extract_labeled_windows(session)
+    print(f"labeled rows: {len(table)}, features {table.features.shape} "
           f"(windows after the final bite carry no label and are dropped)\n")
 
-    row = rows[13]
-    print(f"row at t={row.window_end_t:.1f}: time to next bite "
-          f"{row.time_to_bite:.2f} s, user moving: {bool(row.motion_label)}")
+    i = 13
+    print(f"row at t={table.window_end_t[i]:.1f}: time to next bite "
+          f"{table.time_to_bite[i]:.2f} s, user moving: {bool(table.motion_label[i])}")
     print("feature layout is half-major, channel, then statistic:")
     names = feature_names()
-    vec = row.features
+    vec = table.features[i]
     header = " ".join(f"{s:>8}" for s in STAT_NAMES)
     for h, half in enumerate(HALF_NAMES):
         print(f"  {half}: {'':>4}{header}")
@@ -49,7 +50,7 @@ def main() -> None:
             assert names[base] == f"{half}.{axis}.{STAT_NAMES[0]}"
             print(f"      {axis:>4} {vals}")
 
-    labels = np.array([r.time_to_bite for r in rows])
+    labels = table.time_to_bite
     print(f"\nlabel range across the session: {labels.min():.2f} .. "
           f"{labels.max():.2f} s (capped at 10 s during training)")
 

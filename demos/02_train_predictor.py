@@ -12,7 +12,7 @@ import numpy as np
 
 from bitetiming.dataio import load_dataset
 from bitetiming.mlp import TrainConfig, load_model, predict, save_model, train
-from bitetiming.pipeline import extract_dataset_windows, feature_matrix, label_vector
+from bitetiming.pipeline import extract_dataset_windows
 from bitetiming.sim import generate_dataset
 
 
@@ -30,8 +30,8 @@ def main() -> None:
         for e in marks:
             print(f"  epoch {e:>3}: {losses[e]:.3f} s")
 
-        x = feature_matrix(windows)
-        y = np.minimum(label_vector(windows), 10.0)
+        x = windows.features
+        y = np.minimum(windows.time_to_bite, 10.0)
         y_hat = predict(model, x)
         print(f"final fit on the training rows: "
               f"MAE {np.mean(np.abs(y_hat - y)):.3f} s, "

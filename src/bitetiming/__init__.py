@@ -11,11 +11,10 @@ session-to-feature-row plumbing in pipeline.
 
 from .dataio import (
     BiteEvent,
-    LabeledWindow,
     SessionRecord,
     derive_time_to_bite,
     load_dataset,
-    motion_label_at,
+    motion_labels_at,
     read_session,
     write_manifest,
     write_session,
@@ -39,7 +38,6 @@ from .features import (
     FEATURE_ORDER_ID,
     NormalizationStats,
     apply_normalizer,
-    axis_features,
     build_feature_vector,
     fit_normalizer,
 )
@@ -54,7 +52,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .pipeline import extract_dataset_windows, extract_labeled_windows
+from .pipeline import WindowTable, extract_dataset_windows, extract_labeled_windows
 from .policy import (
     COMMIT_DISTANCE_M,
     AssertivenessThreshold,
@@ -65,7 +63,7 @@ from .policy import (
     map_assertiveness,
     waffle_step,
 )
-from .signals import AlignedWindow, UniformSeries, resample_linear, slice_windows, split_low_level
+from .signals import UniformSeries, WindowGrid, resample_linear, slice_windows
 from .sim import (
     OracleLabeler,
     RobotState,

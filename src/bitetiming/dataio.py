@@ -75,23 +75,6 @@ class SessionRecord:
     motion_moving: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class LabeledWindow:
-    """One feature row: an extracted window plus its ground-truth labels.
-
-    ``time_to_bite`` is the uncapped time in seconds from the window end to
-    the next mouth arrival. ``motion_label`` is the robot proceed/stop state
-    at the window end (1 = proceeding), or None when no motion ground truth
-    covers that instant.
-    """
-
-    participant_id: str
-    window_end_t: float
-    features: np.ndarray
-    time_to_bite: float
-    motion_label: int | None
-
-
 def _require_increasing(t: np.ndarray, track: str) -> None:
     bad = np.nonzero(np.diff(t) <= 0)[0]
     if bad.size:
@@ -102,8 +85,18 @@ def _require_increasing(t: np.ndarray, track: str) -> None:
         )
 
 
+def _require_finite(values: np.ndarray, track: str, what: str) -> None:
+    finite = np.all(np.isfinite(values), axis=tuple(range(1, values.ndim)))
+    bad = np.nonzero(~finite)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise TrackValidationError(
+            f"{track} {what} at sample {i} is not finite: {values[i]!r}"
+        )
+
+
 def validate_session(session: SessionRecord) -> None:
-    """Check ordering, range, and norm constraints on every track.
+    """Check finiteness, ordering, range, and norm constraints on every track.
 
     Raises TrackValidationError naming the offending track and sample index.
     """
@@ -111,6 +104,7 @@ def validate_session(session: SessionRecord) -> None:
         raise TrackValidationError(
             f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
         )
+    _require_finite(session.imu_t, "imu", "timestamp")
     if session.imu_t.size:
         _require_increasing(session.imu_t, "imu")
     if session.imu_accel.shape != (session.imu_t.size, 3):
@@ -118,12 +112,14 @@ def validate_session(session: SessionRecord) -> None:
             f"imu accel shape {session.imu_accel.shape} does not match "
             f"{session.imu_t.size} timestamps"
         )
+    _require_finite(session.imu_accel, "imu", "acceleration")
     if session.imu_quat is not None:
         if session.imu_quat.shape != (session.imu_t.size, 4):
             raise TrackValidationError(
                 f"imu quat shape {session.imu_quat.shape} does not match "
                 f"{session.imu_t.size} timestamps"
             )
+        _require_finite(session.imu_quat, "imu", "quaternion")
         norms = np.linalg.norm(session.imu_quat, axis=1)
         bad = np.nonzero(np.abs(norms - 1.0) > QUAT_NORM_TOL)[0]
         if bad.size:
@@ -132,6 +128,7 @@ def validate_session(session: SessionRecord) -> None:
                 f"imu quaternion at sample {i} has norm {norms[i]:.6f}, "
                 f"expected 1 within {QUAT_NORM_TOL}"
             )
+    _require_finite(session.mic_t, "mic", "timestamp")
     if session.mic_t.size:
         _require_increasing(session.mic_t, "mic")
     if session.mic_amp.shape != session.mic_t.shape:
@@ -139,6 +136,7 @@ def validate_session(session: SessionRecord) -> None:
             f"mic amp shape {session.mic_amp.shape} does not match "
             f"{session.mic_t.size} timestamps"
         )
+    _require_finite(session.mic_amp, "mic", "amplitude")
     bad = np.nonzero(np.abs(session.mic_amp) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
@@ -153,6 +151,7 @@ def validate_session(session: SessionRecord) -> None:
                 f"bite {i} starts staging at {cur.staging_arrival_t} before "
                 f"bite {i - 1} completes at {prev.bite_complete_t}"
             )
+    _require_finite(session.motion_t, "motion", "timestamp")
     if session.motion_t.size:
         _require_increasing(session.motion_t, "motion")
     if session.motion_moving.shape != session.motion_t.shape:
@@ -374,8 +373,8 @@ def write_manifest(session_paths: list[str | Path], path: str | Path) -> None:
 def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     """Load every session listed in a manifest.
 
-    Sessions are returned sorted by (participant, scenario, path) so dataset
-    order never depends on manifest order.
+    Sessions are returned sorted by (participant, scenario) so dataset order
+    never depends on manifest order.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -396,31 +395,29 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     return sessions
 
 
-def derive_time_to_bite(session: SessionRecord, window_end_t: float) -> float | None:
-    """Seconds from ``window_end_t`` to the next mouth arrival.
+def derive_time_to_bite(session: SessionRecord, window_end_t: np.ndarray) -> np.ndarray:
+    """Seconds from each window end to the next mouth arrival at or after it.
 
-    Returns None when no bite arrives at or after the window end; windows
-    after the final bite carry no regression label.
+    NaN where no bite arrives at or after the window end; windows after the
+    final bite carry no regression label.
     """
-    upcoming = [
-        b.feeding_arrival_t
-        for b in session.bites
-        if b.feeding_arrival_t >= window_end_t
-    ]
-    if not upcoming:
-        return None
-    return min(upcoming) - window_end_t
+    window_end_t = np.asarray(window_end_t, dtype=np.float64)
+    # NaN sorts last, so a window with no upcoming arrival lands on it.
+    arrivals = np.sort([b.feeding_arrival_t for b in session.bites] + [np.nan])
+    return arrivals[np.searchsorted(arrivals, window_end_t)] - window_end_t
 
 
-def motion_label_at(session: SessionRecord, t: float) -> int | None:
-    """Zero-order-hold motion label at time ``t``.
+def motion_labels_at(
+    session: SessionRecord, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold motion labels at the instants ``t``.
 
-    The label of the most recent motion sample with sample time <= t applies;
-    before the first sample there is no label.
+    The label of the most recent motion sample with sample time <= t applies.
+    Returns (labels, known). Before the first motion sample there is no
+    label: ``known`` is False there and the label reads 0.
     """
-    if session.motion_t.size == 0:
-        return None
-    idx = int(np.searchsorted(session.motion_t, t, side="right")) - 1
-    if idx < 0:
-        return None
-    return int(session.motion_moving[idx])
+    idx = np.searchsorted(session.motion_t, t, side="right") - 1
+    known = idx >= 0
+    labels = np.zeros(idx.shape, dtype=np.int64)
+    labels[known] = session.motion_moving[idx[known]]
+    return labels, known

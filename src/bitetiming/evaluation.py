@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import LabeledWindow, SessionRecord
+from .dataio import SessionRecord
 from .errors import InsufficientDataError
 from .mlp import (
     DEFAULT_HIDDEN_DIMS,
@@ -33,7 +33,7 @@ from .mlp import (
     predict,
     train,
 )
-from .pipeline import extract_labeled_windows
+from .pipeline import WindowTable, extract_dataset_windows
 from .policy import DEFAULT_TAU, TAU_GRID
 
 POSITIVE_CLASS = 1  # moving / proceed
@@ -181,44 +181,61 @@ def _threshold_decisions(y_hat: np.ndarray, tau: float) -> np.ndarray:
     return (np.isfinite(y_hat) & (y_hat <= tau)).astype(np.int64)
 
 
-def evaluate_alignment(
-    model: MlpModel,
-    windows: list[LabeledWindow],
-    tau: float = DEFAULT_TAU,
-    label_cap: float = LABEL_CAP_SECONDS,
-) -> list[AlignmentReport]:
-    """Per-participant alignment of thresholded predictions at one tau.
+def _alignment_by_tau(
+    y_hat: np.ndarray,
+    windows: WindowTable,
+    taus: tuple[float, ...],
+    label_cap: float,
+) -> list[tuple[str, dict[float, AlignmentReport]]]:
+    """Every tau's report per participant, all from one prediction vector.
 
     Windows without a motion label are skipped for the confusion counts but
-    still contribute to the per-participant regression MAE.
+    still contribute to the per-participant regression MAE. Participants with
+    no motion label at all get no reports.
     """
-    reports = []
-    participants = sorted({w.participant_id for w in windows})
-    for pid in participants:
-        rows = [w for w in windows if w.participant_id == pid]
-        y_hat = np.asarray(predict(model, np.stack([w.features for w in rows])))
-        labels = np.array([w.time_to_bite for w in rows])
-        fold_mae = mae_seconds(y_hat, labels, label_cap)
-
-        labeled = [i for i, w in enumerate(rows) if w.motion_label is not None]
-        if not labeled:
+    results = []
+    for pid in np.unique(windows.participant):
+        rows = windows.participant == pid
+        known = windows.motion_known[rows]
+        if not known.any():
             continue
-        moving = np.array([rows[i].motion_label for i in labeled], dtype=np.int64)
-        decided = _threshold_decisions(y_hat[labeled], tau)
-        counts = confusion(decided, moving)
-        reports.append(
-            AlignmentReport(
-                participant_id=pid,
+        fold_mae = mae_seconds(y_hat[rows], windows.time_to_bite[rows], label_cap)
+        decided_y_hat = y_hat[rows][known]
+        moving = windows.motion_label[rows][known]
+        by_tau = {}
+        for tau in taus:
+            counts = confusion(_threshold_decisions(decided_y_hat, tau), moving)
+            by_tau[float(tau)] = AlignmentReport(
+                participant_id=str(pid),
                 tau=float(tau),
-                n_windows=len(labeled),
+                n_windows=int(known.sum()),
                 counts=counts,
                 accuracy=accuracy(counts),
                 mcc=mcc(counts),
                 nmcc=nmcc(counts),
                 mae_seconds=fold_mae,
             )
-        )
-    return reports
+        results.append((str(pid), by_tau))
+    return results
+
+
+def _best_tau(by_tau: dict[float, AlignmentReport]) -> float:
+    """The tau with the highest nMCC; ties go to the smaller tau."""
+    return max(sorted(by_tau), key=lambda tau: by_tau[tau].nmcc)
+
+
+def evaluate_alignment(
+    model: MlpModel,
+    windows: WindowTable,
+    tau: float = DEFAULT_TAU,
+    label_cap: float = LABEL_CAP_SECONDS,
+) -> list[AlignmentReport]:
+    """Per-participant alignment of thresholded predictions at one tau."""
+    y_hat = np.asarray(predict(model, windows.features))
+    return [
+        by_tau[float(tau)]
+        for _, by_tau in _alignment_by_tau(y_hat, windows, (tau,), label_cap)
+    ]
 
 
 @dataclass(frozen=True)
@@ -232,35 +249,17 @@ class SweepResult:
 
 def sweep_thresholds(
     model: MlpModel,
-    windows: list[LabeledWindow],
+    windows: WindowTable,
     taus: tuple[float, ...] = TAU_GRID,
 ) -> list[SweepResult]:
     """Sweep tau per participant, maximizing nMCC; ties go to smaller tau."""
     if not taus:
         raise ValueError("sweep needs at least one tau")
-    per_tau: dict[float, list[AlignmentReport]] = {
-        float(tau): evaluate_alignment(model, windows, tau) for tau in taus
-    }
-    participants = sorted({w.participant_id for w in windows})
-    results = []
-    for pid in participants:
-        by_tau = {}
-        for tau in taus:
-            for report in per_tau[float(tau)]:
-                if report.participant_id == pid:
-                    by_tau[float(tau)] = report
-        if not by_tau:
-            continue
-        best_tau = None
-        best_nmcc = -np.inf
-        for tau in sorted(by_tau):
-            if by_tau[tau].nmcc > best_nmcc:
-                best_nmcc = by_tau[tau].nmcc
-                best_tau = tau
-        results.append(
-            SweepResult(participant_id=pid, best_tau=best_tau, by_tau=by_tau)
-        )
-    return results
+    y_hat = np.asarray(predict(model, windows.features))
+    return [
+        SweepResult(participant_id=pid, best_tau=_best_tau(by_tau), by_tau=by_tau)
+        for pid, by_tau in _alignment_by_tau(y_hat, windows, taus, LABEL_CAP_SECONDS)
+    ]
 
 
 @dataclass
@@ -335,56 +334,51 @@ def run_loso(
     fixed_tau: float = DEFAULT_TAU,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS,
 ) -> LosoEvaluation:
-    """Train and evaluate one model per leave-one-subject-out fold."""
+    """Train and evaluate one model per leave-one-subject-out fold.
+
+    Each fold predicts its held-out rows once; the regression MAE, every
+    tau's alignment report and the best tau all come from that prediction.
+
+    Raises InsufficientDataError naming a participant who has no labeled
+    windows or no motion ground truth.
+    """
     folds = loso_folds(sessions)
-    windows_by_pid: dict[str, list[LabeledWindow]] = {}
-    for session in sessions:
-        windows_by_pid.setdefault(session.participant_id, []).extend(
-            extract_labeled_windows(session)
-        )
+    windows = extract_dataset_windows(sessions)
+    windows = windows.rows(np.argsort(windows.participant, kind="stable"))
 
     results = []
     for fold in folds:
-        train_windows = [
-            w
-            for pid, ws in sorted(windows_by_pid.items())
-            if pid != fold.participant_id
-            for w in ws
-        ]
-        test_windows = windows_by_pid[fold.participant_id]
-        if not test_windows:
+        held_out = windows.participant == fold.participant_id
+        train_rows, test_rows = windows.rows(~held_out), windows.rows(held_out)
+        if not len(test_rows):
             raise InsufficientDataError(
                 f"participant {fold.participant_id} has no labeled windows"
             )
-        model, losses = train(train_windows, cfg, ablation, hidden_dims)
-
-        y_hat = np.asarray(
-            predict(model, np.stack([w.features for w in test_windows]))
-        )
-        test_labels = np.array([w.time_to_bite for w in test_windows])
-        train_labels = np.array([w.time_to_bite for w in train_windows])
-        fold_mae = mae_seconds(y_hat, test_labels, cfg.label_cap_seconds)
-        fold_naive = naive_mean_baseline(
-            train_labels, test_labels, cfg.label_cap_seconds
-        )
-
-        alignment_by_tau = {}
-        for tau in taus:
-            reports = evaluate_alignment(
-                model, test_windows, tau, cfg.label_cap_seconds
+        if not test_rows.motion_known.any():
+            raise InsufficientDataError(
+                f"participant {fold.participant_id} has no motion labels"
             )
-            # Test windows belong to exactly one participant.
-            alignment_by_tau[float(tau)] = reports[0]
-        sweep = sweep_thresholds(model, test_windows, taus)
+        model, losses = train(train_rows, cfg, ablation, hidden_dims)
+
+        y_hat = np.asarray(predict(model, test_rows.features))
+        [(_, alignment_by_tau)] = _alignment_by_tau(
+            y_hat, test_rows, taus, cfg.label_cap_seconds
+        )
         results.append(
             FoldResult(
                 participant_id=fold.participant_id,
-                n_train_rows=len(train_windows),
-                n_test_rows=len(test_windows),
-                mae_seconds=fold_mae,
-                naive_mae_seconds=fold_naive,
+                n_train_rows=len(train_rows),
+                n_test_rows=len(test_rows),
+                mae_seconds=mae_seconds(
+                    y_hat, test_rows.time_to_bite, cfg.label_cap_seconds
+                ),
+                naive_mae_seconds=naive_mean_baseline(
+                    train_rows.time_to_bite,
+                    test_rows.time_to_bite,
+                    cfg.label_cap_seconds,
+                ),
                 alignment_by_tau=alignment_by_tau,
-                best_tau=sweep[0].best_tau,
+                best_tau=_best_tau(alignment_by_tau),
                 model_digest=model_digest(model),
                 final_train_loss=losses[-1],
             )
@@ -407,13 +401,11 @@ def audit_fold(
     corresponding ``FoldResult.model_digest`` only if the fold's model was
     fitted on the training sessions alone.
     """
-    train_windows = []
-    for session in sorted(
+    train_sessions = sorted(
         (s for s in sessions if s.participant_id != participant_id),
         key=lambda s: (s.participant_id, s.scenario),
-    ):
-        train_windows.extend(extract_labeled_windows(session))
-    model, _ = train(train_windows, cfg, ablation, hidden_dims)
+    )
+    model, _ = train(extract_dataset_windows(train_sessions), cfg, ablation, hidden_dims)
     return model_digest(model)
 
 

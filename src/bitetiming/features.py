@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .signals import AlignedWindow, split_low_level
+from .signals import IMU_WINDOW_SAMPLES, MIC_WINDOW_SAMPLES
 
 STAT_NAMES = ("max", "min", "mean", "std", "range", "rms")
 AXIS_NAMES = ("ax", "ay", "az", "mic")
@@ -41,40 +41,65 @@ def feature_names() -> list[str]:
     ]
 
 
-def axis_features(samples: np.ndarray) -> np.ndarray:
-    """Six summary statistics of one axis over one half-window.
+def build_feature_vector(
+    imu: np.ndarray,
+    mic: np.ndarray,
+    imu_stop: np.ndarray,
+    mic_stop: np.ndarray,
+) -> np.ndarray:
+    """The 48-feature rows of many windows over the same sample grids.
 
-    Returns [max, min, mean, population std, range, RMS] as float64.
+    ``imu`` holds the three accelerometer channels at 200 Hz, shape (3, n),
+    and ``mic`` the microphone at 100 Hz, shape (m,). Window k is the 200 IMU
+    samples ending at index ``imu_stop[k]`` and the 100 mic samples ending at
+    ``mic_stop[k]``. Returns an (n_windows, 48) matrix in FEATURE_ORDER_ID
+    layout; the six statistics per half and axis are [max, min, mean,
+    population std, range, RMS].
+
+    Each channel-half is gathered into a (windows, samples) array and reduced
+    along its rows, which gives every row bit for bit the statistics of its
+    half-window reduced alone.
+
+    Raises:
+        InsufficientDataError: a window reaches outside its sample grid.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise InsufficientDataError(
-            f"axis_features needs a non-empty 1-D array, got shape {x.shape}"
+    imu = np.asarray(imu, dtype=np.float64)
+    mic = np.asarray(mic, dtype=np.float64)
+    imu_stop = np.asarray(imu_stop, dtype=np.intp)
+    mic_stop = np.asarray(mic_stop, dtype=np.intp)
+    if imu.ndim != 2 or imu.shape[0] != 3 or mic.ndim != 1:
+        raise ValueError(
+            f"need imu (3, n) and mic (m,), got {imu.shape} and {mic.shape}"
         )
-    x_max = np.max(x)
-    x_min = np.min(x)
-    return np.array(
-        [
-            x_max,
-            x_min,
-            np.mean(x),
-            np.std(x),
-            x_max - x_min,
-            np.sqrt(np.mean(x * x)),
-        ],
-        dtype=np.float64,
-    )
+    if imu_stop.ndim != 1 or imu_stop.shape != mic_stop.shape:
+        raise ValueError(
+            f"stop indices must be matching 1-D arrays, "
+            f"got {imu_stop.shape} and {mic_stop.shape}"
+        )
+    channels = [(x, imu_stop, IMU_WINDOW_SAMPLES) for x in imu]
+    channels.append((mic, mic_stop, MIC_WINDOW_SAMPLES))
+    for x, stop, width in channels:
+        if stop.size and (stop.min() < width - 1 or stop.max() >= x.size):
+            raise InsufficientDataError(
+                f"every window needs {width} samples ending inside a grid of "
+                f"{x.size}, got stop indices {stop.min()}..{stop.max()}"
+            )
 
-
-def build_feature_vector(window: AlignedWindow) -> np.ndarray:
-    """Extract the 48-dimensional feature vector from one aligned window."""
-    first, second = split_low_level(window)
-    parts = []
-    for imu_half, mic_half in (first, second):
-        for axis in range(3):
-            parts.append(axis_features(imu_half[axis]))
-        parts.append(axis_features(mic_half))
-    return np.concatenate(parts)
+    out = np.empty((imu_stop.size, FEATURE_DIM), dtype=np.float64)
+    stats = out.reshape(imu_stop.size, len(HALF_NAMES), len(AXIS_NAMES), len(STAT_NAMES))
+    for h in range(len(HALF_NAMES)):
+        for a, (x, stop, width) in enumerate(channels):
+            half = width // 2
+            block = x[stop[:, None] + np.arange(half * (h - 2) + 1, half * (h - 1) + 1)]
+            x_max = block.max(axis=1)
+            x_min = block.min(axis=1)
+            stats[:, h, a, 0] = x_max
+            stats[:, h, a, 1] = x_min
+            stats[:, h, a, 2] = block.mean(axis=1)
+            stats[:, h, a, 3] = block.std(axis=1)
+            stats[:, h, a, 4] = x_max - x_min
+            stats[:, h, a, 5] = np.sqrt(np.mean(block * block, axis=1))
+    return out
 
 
 def ablation_indices(ablation: str) -> np.ndarray:

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import LabeledWindow
 from .errors import DivergenceError, IntegrityError, SchemaVersionError
 from .features import (
     FEATURE_DIM,
@@ -31,6 +30,7 @@ from .features import (
     apply_normalizer,
     fit_normalizer,
 )
+from .pipeline import WindowTable
 
 MODEL_SCHEMA = "bitetiming-model/1"
 DEFAULT_HIDDEN_DIMS = (128, 64)
@@ -231,12 +231,12 @@ def loss_and_gradients(
 
 
 def train(
-    windows: list[LabeledWindow],
+    windows: WindowTable,
     cfg: TrainConfig,
     ablation: str = "imu+mic",
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS,
 ) -> tuple[MlpModel, list[float]]:
-    """Fit a regressor on labeled windows.
+    """Fit a regressor on the rows of a window table.
 
     Selects the ablation's feature columns, z-scores them with statistics
     fitted on these rows only, caps labels at ``cfg.label_cap_seconds``, and
@@ -246,20 +246,18 @@ def train(
 
     Returns the trained model and the per-epoch mean training MAE.
     """
-    if not windows:
-        raise ValueError("cannot train on an empty window list")
-    columns = ablation_indices(ablation)
-    raw = np.stack([w.features for w in windows])
-    if raw.shape[1] != FEATURE_DIM:
+    if not len(windows):
+        raise ValueError("cannot train on an empty window table")
+    if windows.features.shape[1] != FEATURE_DIM:
         raise ValueError(
-            f"windows carry {raw.shape[1]} features, expected {FEATURE_DIM}"
+            f"windows carry {windows.features.shape[1]} features, expected {FEATURE_DIM}"
         )
-    raw = raw[:, columns]
-    labels = np.array([w.time_to_bite for w in windows], dtype=np.float64)
+    columns = ablation_indices(ablation)
+    raw = windows.features[:, columns]
 
     stats = fit_normalizer(raw)
     x_all = apply_normalizer(stats, raw)
-    y_all = np.minimum(labels, cfg.label_cap_seconds)
+    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
 
     model = init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed)
     model.normalization = stats
@@ -394,6 +392,10 @@ def load_model(path: str | Path) -> MlpModel:
             f"{FEATURE_ORDER_ID!r}"
         )
     cfg = doc.get("train_config")
+    try:
+        train_config = TrainConfig(**cfg) if cfg is not None else None
+    except (TypeError, ValueError) as e:
+        raise IntegrityError(f"{path}: invalid train_config: {e}") from None
     return MlpModel(
         layer_dims=tuple(doc["layer_dims"]),
         weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
@@ -406,7 +408,7 @@ def load_model(path: str | Path) -> MlpModel:
         ),
         feature_order_id=doc["feature_order_id"],
         ablation=doc["ablation"],
-        train_config=TrainConfig(**cfg) if cfg is not None else None,
+        train_config=train_config,
     )
 
 

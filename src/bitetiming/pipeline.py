@@ -1,110 +1,86 @@
 """Session-to-feature-row assembly shared by training, evaluation, and replay.
 
-Resamples a session's raw tracks onto the canonical grids, slices aligned
-windows on the 2 Hz cadence, extracts features, and attaches ground-truth
-labels. Windows after the final bite have no time-to-bite label and are
-dropped here, so every emitted row is trainable.
+Resamples a session's raw tracks onto the canonical grids, lays the windows
+on the 2 Hz cadence, extracts the features of all of them in one pass, and
+attaches ground-truth labels as columns of one ``WindowTable``. Windows after
+the final bite have no time-to-bite label and are dropped here, so every
+table row is trainable.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataio import LabeledWindow, SessionRecord, derive_time_to_bite, motion_label_at
+from .dataio import SessionRecord, derive_time_to_bite, motion_labels_at
+from .errors import InsufficientDataError
 from .features import build_feature_vector
-from .signals import (
-    DEFAULT_HOP_SECONDS,
-    IMU_RATE_HZ,
-    MIC_RATE_HZ,
-    AlignedWindow,
-    resample_linear,
-    slice_windows,
-)
-
-MicTransform = Callable[[np.ndarray], np.ndarray]
+from .signals import IMU_RATE_HZ, MIC_RATE_HZ, resample_linear, slice_windows
 
 
-def resample_session(
-    session: SessionRecord,
-    mic_pre_transform: MicTransform | None = None,
-):
-    """Resample one session's accelerometer and mic tracks onto their grids.
+@dataclass(frozen=True)
+class WindowTable:
+    """Feature rows with their labels, one array per column.
 
-    ``mic_pre_transform``, when given, is applied to the raw microphone
-    amplitudes before interpolation; by default the stored amplitudes are
-    interpolated as-is.
+    ``features`` is (n, 48) in the canonical layout; every other column is
+    (n,). ``time_to_bite`` is the uncapped time in seconds from the window end
+    to the next mouth arrival. ``motion_label`` is the robot proceed/stop
+    state at the window end (1 = proceeding), valid only where
+    ``motion_known`` is True: elsewhere no motion ground truth covers that
+    instant. ``participant`` holds each row's participant id.
     """
+
+    features: np.ndarray
+    window_end_t: np.ndarray
+    time_to_bite: np.ndarray
+    motion_label: np.ndarray
+    motion_known: np.ndarray
+    participant: np.ndarray
+
+    def __len__(self) -> int:
+        return self.window_end_t.size
+
+    def rows(self, index: np.ndarray) -> "WindowTable":
+        """The rows picked by a boolean mask or an index array, in that order."""
+        return WindowTable(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, tables: list["WindowTable"]) -> "WindowTable":
+        if not tables:
+            raise InsufficientDataError("no window tables to concatenate")
+        return cls(
+            *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls))
+        )
+
+
+def session_features(session: SessionRecord) -> tuple[np.ndarray, np.ndarray]:
+    """End times and 48-feature rows of every window the sensors cover."""
     imu = resample_linear(session.imu_t, session.imu_accel, IMU_RATE_HZ)
-    amp = session.mic_amp
-    if mic_pre_transform is not None:
-        amp = np.asarray(mic_pre_transform(amp), dtype=np.float64)
-        if amp.shape != session.mic_amp.shape:
-            raise ValueError(
-                f"mic_pre_transform changed shape {session.mic_amp.shape} "
-                f"to {amp.shape}"
-            )
-    mic = resample_linear(session.mic_t, amp, MIC_RATE_HZ)
-    return imu, mic
+    mic = resample_linear(session.mic_t, session.mic_amp, MIC_RATE_HZ)
+    grid = slice_windows(imu, mic)
+    features = build_feature_vector(imu.values, mic.values[0], grid.imu_stop, grid.mic_stop)
+    return grid.end_t, features
 
 
-def session_windows(
-    session: SessionRecord,
-    hop_seconds: float = DEFAULT_HOP_SECONDS,
-    mic_pre_transform: MicTransform | None = None,
-) -> list[AlignedWindow]:
-    """All aligned windows a session's sensor coverage supports."""
-    imu, mic = resample_session(session, mic_pre_transform)
-    return slice_windows(imu, mic, hop_seconds)
-
-
-def extract_labeled_windows(
-    session: SessionRecord,
-    hop_seconds: float = DEFAULT_HOP_SECONDS,
-    mic_pre_transform: MicTransform | None = None,
-) -> list[LabeledWindow]:
-    """Feature rows with labels for one session.
+def extract_labeled_windows(session: SessionRecord) -> WindowTable:
+    """Labeled feature rows of one session, in window order.
 
     Every row has a finite uncapped time-to-bite; its motion label may be
-    None where no motion ground truth covers the window end.
+    unknown where no motion ground truth covers the window end.
     """
-    rows = []
-    for window in session_windows(session, hop_seconds, mic_pre_transform):
-        time_to_bite = derive_time_to_bite(session, window.window_end_t)
-        if time_to_bite is None:
-            continue
-        rows.append(
-            LabeledWindow(
-                participant_id=session.participant_id,
-                window_end_t=window.window_end_t,
-                features=build_feature_vector(window),
-                time_to_bite=time_to_bite,
-                motion_label=motion_label_at(session, window.window_end_t),
-            )
-        )
-    return rows
+    end_t, features = session_features(session)
+    time_to_bite = derive_time_to_bite(session, end_t)
+    table = WindowTable(
+        features,
+        end_t,
+        time_to_bite,
+        *motion_labels_at(session, end_t),
+        np.full(end_t.size, session.participant_id),
+    )
+    return table.rows(~np.isnan(time_to_bite))
 
 
-def extract_dataset_windows(
-    sessions: list[SessionRecord],
-    hop_seconds: float = DEFAULT_HOP_SECONDS,
-    mic_pre_transform: MicTransform | None = None,
-) -> list[LabeledWindow]:
+def extract_dataset_windows(sessions: list[SessionRecord]) -> WindowTable:
     """Labeled rows for a whole dataset, in session order."""
-    rows: list[LabeledWindow] = []
-    for session in sessions:
-        rows.extend(extract_labeled_windows(session, hop_seconds, mic_pre_transform))
-    return rows
-
-
-def feature_matrix(windows: list[LabeledWindow]) -> np.ndarray:
-    """Stack window features into an (n_rows, 48) matrix."""
-    if not windows:
-        return np.empty((0, 0))
-    return np.stack([w.features for w in windows])
-
-
-def label_vector(windows: list[LabeledWindow]) -> np.ndarray:
-    """Uncapped time-to-bite labels as an (n_rows,) vector."""
-    return np.array([w.time_to_bite for w in windows], dtype=np.float64)
+    return WindowTable.concat([extract_labeled_windows(s) for s in sessions])

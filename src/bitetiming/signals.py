@@ -1,4 +1,4 @@
-"""Uniform resampling of irregular sensor tracks and aligned window slicing.
+"""Uniform resampling of irregular sensor tracks and aligned window grids.
 
 Raw wearable tracks arrive with irregular timestamps. Everything downstream
 works on fixed-rate grids: accelerometer channels at 200 Hz and the throat
@@ -17,7 +17,7 @@ from .errors import CoverageError, InsufficientDataError
 IMU_RATE_HZ = 200.0
 MIC_RATE_HZ = 100.0
 WINDOW_SECONDS = 1.0
-DEFAULT_HOP_SECONDS = 0.5
+HOP_SECONDS = 0.5
 
 IMU_WINDOW_SAMPLES = int(round(IMU_RATE_HZ * WINDOW_SECONDS))
 MIC_WINDOW_SAMPLES = int(round(MIC_RATE_HZ * WINDOW_SECONDS))
@@ -108,38 +108,32 @@ def resample_linear(
 
 
 @dataclass(frozen=True)
-class AlignedWindow:
-    """One second of synchronized sensor data ending at ``window_end_t``.
+class WindowGrid:
+    """Every one-second window a pair of resampled series supports.
 
-    ``imu_accel`` holds the three accelerometer channels at 200 Hz (3 x 200)
-    and ``mic`` the microphone amplitude at 100 Hz (100,). Both cover the
-    identical interval (window_end_t - 1 s, window_end_t].
+    Window k ends at ``end_t[k]`` and covers (end_t[k] - 1 s, end_t[k]]: the
+    200 IMU samples ending at index ``imu_stop[k]`` and the 100 mic samples
+    ending at index ``mic_stop[k]``.
     """
 
-    window_end_t: float
-    imu_accel: np.ndarray
-    mic: np.ndarray
+    end_t: np.ndarray
+    imu_stop: np.ndarray
+    mic_stop: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.imu_accel.shape != (3, IMU_WINDOW_SAMPLES):
-            raise ValueError(
-                f"imu_accel must be (3, {IMU_WINDOW_SAMPLES}), got {self.imu_accel.shape}"
-            )
-        if self.mic.shape != (MIC_WINDOW_SAMPLES,):
-            raise ValueError(
-                f"mic must be ({MIC_WINDOW_SAMPLES},), got {self.mic.shape}"
-            )
+    def __len__(self) -> int:
+        return self.end_t.size
 
 
-def slice_windows(
-    imu: UniformSeries,
-    mic: UniformSeries,
-    hop_seconds: float = DEFAULT_HOP_SECONDS,
-) -> list[AlignedWindow]:
-    """Cut one-second aligned windows from resampled IMU and mic series.
+def _stop_index(end_t: np.ndarray, series: UniformSeries) -> np.ndarray:
+    # np.rint rounds half to even, exactly like the builtin round().
+    return np.rint((end_t - series.start_t) * series.rate_hz).astype(np.intp)
+
+
+def slice_windows(imu: UniformSeries, mic: UniformSeries) -> WindowGrid:
+    """Lay one-second aligned windows over resampled IMU and mic series.
 
     Window end times start one second into the common span of the two series
-    and advance by ``hop_seconds``. Each window takes the trailing 200 IMU and
+    and advance by ``HOP_SECONDS``. Each window takes the trailing 200 IMU and
     100 mic samples, i.e. the grid points inside (end - 1 s, end].
 
     Raises:
@@ -155,8 +149,6 @@ def slice_windows(
             f"mic series must be 1 channel at {MIC_RATE_HZ} Hz, "
             f"got {mic.values.shape[0]} at {mic.rate_hz}"
         )
-    if hop_seconds <= 0:
-        raise ValueError(f"hop_seconds must be positive, got {hop_seconds}")
 
     common_start = max(imu.start_t, mic.start_t)
     common_end = min(imu.end_t, mic.end_t)
@@ -167,35 +159,6 @@ def slice_windows(
             f"one {WINDOW_SECONDS} s window"
         )
 
-    n_windows = int(np.floor((common_end - first_end) / hop_seconds + _TIME_EPS)) + 1
-    windows = []
-    for k in range(n_windows):
-        end_t = first_end + k * hop_seconds
-        imu_stop = int(round((end_t - imu.start_t) * imu.rate_hz))
-        mic_stop = int(round((end_t - mic.start_t) * mic.rate_hz))
-        imu_block = imu.values[:, imu_stop - IMU_WINDOW_SAMPLES + 1 : imu_stop + 1]
-        mic_block = mic.values[0, mic_stop - MIC_WINDOW_SAMPLES + 1 : mic_stop + 1]
-        windows.append(
-            AlignedWindow(
-                window_end_t=end_t,
-                imu_accel=imu_block.copy(),
-                mic=mic_block.copy(),
-            )
-        )
-    return windows
-
-
-def split_low_level(
-    window: AlignedWindow,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Split an aligned window into its two 500 ms halves.
-
-    Returns ((imu_first, mic_first), (imu_second, mic_second)) where the
-    first half holds IMU samples [0, 100) and mic samples [0, 50).
-    Concatenating the halves reconstructs the window exactly.
-    """
-    imu_half = IMU_WINDOW_SAMPLES // 2
-    mic_half = MIC_WINDOW_SAMPLES // 2
-    first = (window.imu_accel[:, :imu_half], window.mic[:mic_half])
-    second = (window.imu_accel[:, imu_half:], window.mic[mic_half:])
-    return first, second
+    n_windows = int(np.floor((common_end - first_end) / HOP_SECONDS + _TIME_EPS)) + 1
+    end_t = first_end + np.arange(n_windows) * HOP_SECONDS
+    return WindowGrid(end_t, _stop_index(end_t, imu), _stop_index(end_t, mic))

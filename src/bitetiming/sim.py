@@ -38,9 +38,9 @@ from .dataio import (
     write_session,
 )
 from .errors import ParseError, ProtocolError, SchemaVersionError
-from .pipeline import session_windows
-from .policy import Command, TickInputs
-from .features import build_feature_vector
+from .mlp import predict
+from .pipeline import session_features
+from .policy import Command, MouthOpenPolicy, TickInputs
 
 LOG_SCHEMA = "waffle-log/1"
 
@@ -752,8 +752,6 @@ class SessionLog:
 
 def model_predictor(model):
     """Adapt a trained regressor to run_session's predictor interface."""
-    from .mlp import predict
-
     return lambda feature_row, window_end_t: float(predict(model, feature_row))
 
 
@@ -777,10 +775,6 @@ def run_session(
     cfg = cfg or TrajectoryConfig()
     if getattr(policy, "needs_predictions", False) and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
-    if isinstance(policy, type(None)):
-        raise ValueError("policy must not be None")
-    from .policy import MouthOpenPolicy
-
     if isinstance(policy, MouthOpenPolicy) and oracle is None:
         raise ValueError("the mouth-open policy needs the source's oracle")
 
@@ -788,11 +782,14 @@ def run_session(
     if duration is None:
         duration = sensor_end
 
-    features_by_key: dict[int, np.ndarray] = {}
     if predictor is not None:
-        for window in session_windows(source):
-            key = int(round(window.window_end_t / cfg.control_dt_s))
-            features_by_key[key] = build_feature_vector(window)
+        # Row of the window ending on each tick index; -1 where none does. A
+        # later window wins a tick that two windows round to.
+        end_t, features = session_features(source)
+        ticks = np.rint(end_t / cfg.control_dt_s).astype(np.intp)
+        last = np.append(ticks[1:] != ticks[:-1], True)
+        row_of_tick = np.full(ticks[-1] + 1, -1, dtype=np.intp)
+        row_of_tick[ticks[last]] = np.nonzero(last)[0]
 
     policy.reset()
     state = initial_robot_state(cfg)
@@ -808,9 +805,10 @@ def run_session(
         y_hat = None
         gap = False
         if predictor is not None:
-            row = features_by_key.get(int(round(t / cfg.control_dt_s)))
-            if row is not None:
-                y_hat = float(predictor(row, t))
+            tick = int(round(t / cfg.control_dt_s))
+            row = row_of_tick[tick] if tick < row_of_tick.size else -1
+            if row >= 0:
+                y_hat = float(predictor(features[row], t))
             else:
                 gap = getattr(policy, "needs_predictions", False)
         at_staging = state.phase is Phase.AT_STAGING

@@ -4,15 +4,36 @@ import math
 
 import numpy as np
 
-from bitetiming.signals import AlignedWindow
+from bitetiming.features import build_feature_vector
+from bitetiming.pipeline import WindowTable
 
 
-def make_window(rng, end_t=1.0, scale=1.0):
-    """Random aligned window with well-spread channel values."""
-    return AlignedWindow(
-        window_end_t=end_t,
-        imu_accel=rng.normal(0.0, scale, (3, 200)),
-        mic=rng.uniform(-1.0, 1.0, 100),
+def make_window(rng, scale=1.0):
+    """Random one-second window: (3, 200) accelerometer and (100,) mic samples."""
+    return rng.normal(0.0, scale, (3, 200)), rng.uniform(-1.0, 1.0, 100)
+
+
+def window_features(imu, mic):
+    """The kernel's 48 features of a single window that fills its grids."""
+    return build_feature_vector(imu, mic, [imu.shape[1] - 1], [mic.size - 1])[0]
+
+
+def window_table(features, labels, participants="p01", motion=None):
+    """A WindowTable from feature rows and time-to-bite labels.
+
+    ``participants`` is one id for every row or one per row; ``motion`` holds
+    one 0, 1 or None (no ground truth) per row, and defaults to all None.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    motion = [None] * n if motion is None else list(motion)
+    return WindowTable(
+        features=features,
+        window_end_t=1.0 + 0.5 * np.arange(n),
+        time_to_bite=np.asarray(labels, dtype=np.float64),
+        motion_label=np.array([m or 0 for m in motion], dtype=np.int64),
+        motion_known=np.array([m is not None for m in motion], dtype=bool),
+        participant=np.broadcast_to(np.asarray(participants), (n,)).copy(),
     )
 
 
@@ -33,11 +54,11 @@ def brute_force_stats(samples):
     return [x_max, x_min, mean, math.sqrt(var), x_max - x_min, rms]
 
 
-def brute_force_features(window):
+def brute_force_features(imu, mic):
     """All 48 features in half-major, axis, stat order, written from scratch."""
     out = []
     for imu_cols, mic_cols in ((slice(0, 100), slice(0, 50)), (slice(100, 200), slice(50, 100))):
         for axis in range(3):
-            out.extend(brute_force_stats(window.imu_accel[axis, imu_cols]))
-        out.extend(brute_force_stats(window.mic[mic_cols]))
+            out.extend(brute_force_stats(imu[axis, imu_cols]))
+        out.extend(brute_force_stats(mic[mic_cols]))
     return np.array(out)

@@ -1,6 +1,7 @@
 """End-to-end command-line flows, run in process."""
 
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -260,3 +261,39 @@ def test_simulate_rejects_tau_and_level_together(tmp_path, capsys):
     )
     assert rc == 1
     assert "not both" in capsys.readouterr().err
+
+
+def test_eval_names_a_participant_without_motion_labels(dataset_dir, tmp_path, capsys):
+    # p02's sessions lose their motion track; LOSO cannot score that fold.
+    doc = json.loads((dataset_dir / "manifest.json").read_text())
+    data = tmp_path / "data"
+    data.mkdir()
+    for rel in doc["sessions"]:
+        lines = (dataset_dir / rel).read_text().splitlines()
+        if rel.startswith("p02"):
+            lines = [line for line in lines if '"track":"motion"' not in line]
+        (data / rel).write_text("\n".join(lines) + "\n")
+    (data / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r"), "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "p02" in err[0]
+
+
+def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(model_path), "--epochs", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["train_config"]["momentum"] = 0.5
+    del doc["checksum"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and str(model_path) in err[0] and "train_config" in err[0]

@@ -10,7 +10,7 @@ from bitetiming.dataio import (
     SessionRecord,
     derive_time_to_bite,
     load_dataset,
-    motion_label_at,
+    motion_labels_at,
     read_session,
     write_manifest,
     write_session,
@@ -153,6 +153,38 @@ def test_validation_mic_range_and_motion_values(tmp_path):
         write_session(session, tmp_path / "b.jsonl")
 
 
+@pytest.mark.parametrize(
+    "column, index, value, message",
+    [
+        ("imu_t", (2,), np.nan, "imu timestamp at sample 2"),
+        ("imu_accel", (3, 1), np.inf, "imu acceleration at sample 3"),
+        ("imu_quat", (1, 0), np.nan, "imu quaternion at sample 1"),
+        ("mic_t", (1,), -np.inf, "mic timestamp at sample 1"),
+        ("mic_amp", (0,), np.nan, "mic amplitude at sample 0"),
+        ("motion_t", (2,), np.nan, "motion timestamp at sample 2"),
+    ],
+)
+def test_validation_rejects_non_finite(tmp_path, column, index, value, message):
+    session = small_session(with_quat=True)
+    values = getattr(session, column).astype(np.float64)
+    values[index] = value
+    setattr(session, column, values)
+    with pytest.raises(TrackValidationError, match=message):
+        write_session(session, tmp_path / "nf.jsonl")
+
+
+def test_read_session_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.jsonl"
+    write_session(small_session(with_quat=False), path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])  # the third imu line
+    rec["ax"] = float("nan")
+    lines[3] = json.dumps(rec)  # written as NaN, which json.loads accepts
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrackValidationError, match="imu acceleration at sample 2"):
+        read_session(path)
+
+
 def test_validation_quat_norm(tmp_path):
     session = small_session(with_quat=True)
     session.imu_quat = session.imu_quat * 1.1
@@ -207,32 +239,31 @@ def session_with_arrivals(arrivals):
 
 
 def test_derive_time_to_bite_fixtures():
-    session = session_with_arrivals([20.0, 55.0])
-    assert derive_time_to_bite(session, 20.0) == 0.0
-    assert derive_time_to_bite(session, 12.0) == 8.0
-    assert derive_time_to_bite(session, 30.0) == 25.0
-    assert derive_time_to_bite(session, 55.5) is None
+    session = session_with_arrivals([55.0, 20.0])
+    got = derive_time_to_bite(session, [20.0, 12.0, 30.0, 55.0, 55.5])
+    np.testing.assert_array_equal(got, [0.0, 8.0, 25.0, 0.0, np.nan])
+    session.bites = []
+    assert np.isnan(derive_time_to_bite(session, [1.0])).all()
 
 
 def test_derive_time_to_bite_shift_property():
     session = session_with_arrivals([20.0, 55.0])
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        t = float(rng.uniform(0.0, 19.0))
-        delta = float(rng.uniform(0.0, 19.0 - t))
-        base = derive_time_to_bite(session, t)
-        shifted = derive_time_to_bite(session, t + delta)
-        assert base - shifted == pytest.approx(delta, abs=1e-9)
+    t = rng.uniform(0.0, 19.0, 100)
+    delta = rng.uniform(0.0, 1.0, 100) * (19.0 - t)
+    base = derive_time_to_bite(session, t)
+    shifted = derive_time_to_bite(session, t + delta)
+    np.testing.assert_allclose(base - shifted, delta, rtol=0.0, atol=1e-9)
 
 
 def test_motion_label_zero_order_hold():
     session = small_session(with_quat=False)
     session.motion_t = np.array([1.0, 3.0])
     session.motion_moving = np.array([1, 0])
-    assert motion_label_at(session, 2.0) == 1
-    assert motion_label_at(session, 3.0) == 0
-    assert motion_label_at(session, 0.5) is None
-    assert motion_label_at(session, 100.0) == 0
+    labels, known = motion_labels_at(session, np.array([2.0, 3.0, 0.5, 100.0]))
+    np.testing.assert_array_equal(labels, [1, 0, 0, 0])
+    np.testing.assert_array_equal(known, [True, True, False, True])
     session.motion_t = np.empty(0)
     session.motion_moving = np.empty(0, dtype=np.int64)
-    assert motion_label_at(session, 1.0) is None
+    labels, known = motion_labels_at(session, np.array([1.0]))
+    assert labels.tolist() == [0] and known.tolist() == [False]

@@ -1,11 +1,14 @@
 """Metrics, threshold sweeps, and leave-one-subject-out evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bitetiming.dataio import LabeledWindow, SessionRecord
+from conftest import window_table
+
+from bitetiming.dataio import SessionRecord
 from bitetiming.errors import InsufficientDataError
 from bitetiming.evaluation import (
     ConfusionCounts,
@@ -24,7 +27,9 @@ from bitetiming.evaluation import (
     write_report_files,
 )
 from bitetiming.features import NormalizationStats
-from bitetiming.mlp import MlpModel, TrainConfig
+from bitetiming.mlp import MlpModel, TrainConfig, model_digest, predict, train
+from bitetiming.pipeline import extract_dataset_windows
+import bitetiming.evaluation as evaluation
 from bitetiming.policy import TAU_GRID
 from bitetiming.sim import generate_synthetic_session
 
@@ -144,20 +149,25 @@ def passthrough_model():
     )
 
 
-def window(pid, y_hat, label, motion, end_t=1.0):
-    features = np.zeros(48)
-    features[0] = y_hat
-    return LabeledWindow(pid, end_t, features, label, motion)
+def table(*rows):
+    """A WindowTable from (participant, y_hat, label, motion) rows.
+
+    Under passthrough_model() each row predicts its y_hat.
+    """
+    pids, y_hats, labels, motion = zip(*rows)
+    features = np.zeros((len(rows), 48))
+    features[:, 0] = y_hats
+    return window_table(features, labels, pids, motion)
 
 
 def test_evaluate_alignment_counts_by_hand():
-    rows = [
-        window("p1", 3.0, 3.0, 1),   # proceed, moving: TP
-        window("p1", 7.0, 7.0, 0),   # stop, stopped: TN
-        window("p1", 3.0, 3.0, 0),   # proceed, stopped: FP
-        window("p1", 7.0, 7.0, 1),   # stop, moving: FN
-        window("p1", 2.0, 2.0, None),  # no motion truth: MAE only
-    ]
+    rows = table(
+        ("p1", 3.0, 3.0, 1),   # proceed, moving: TP
+        ("p1", 7.0, 7.0, 0),   # stop, stopped: TN
+        ("p1", 3.0, 3.0, 0),   # proceed, stopped: FP
+        ("p1", 7.0, 7.0, 1),   # stop, moving: FN
+        ("p1", 2.0, 2.0, None),  # no motion truth: MAE only
+    )
     reports = evaluate_alignment(passthrough_model(), rows, tau=6.0)
     assert len(reports) == 1
     rep = reports[0]
@@ -171,11 +181,11 @@ def test_evaluate_alignment_counts_by_hand():
 
 
 def test_evaluate_alignment_boundary_and_unlabeled_participant():
-    rows = [
-        window("p1", 6.0, 6.0, 1),  # exactly tau proceeds
-        window("p1", 6.0, 6.0, 1),
-        window("p2", 4.0, 4.0, None),  # no motion truth at all: no report
-    ]
+    rows = table(
+        ("p1", 6.0, 6.0, 1),  # exactly tau proceeds
+        ("p1", 6.0, 6.0, 1),
+        ("p2", 4.0, 4.0, None),  # no motion truth at all: no report
+    )
     reports = evaluate_alignment(passthrough_model(), rows, tau=6.0)
     assert [r.participant_id for r in reports] == ["p1"]
     assert reports[0].counts.tp == 2
@@ -185,8 +195,7 @@ def test_evaluate_alignment_boundary_and_unlabeled_participant():
 def test_sweep_prefers_best_nmcc():
     # Moving rows predicted at 4.5 s, stopped rows at 5.5 s: tau = 5 is the
     # only threshold that separates them perfectly.
-    rows = [window("p1", 4.5, 4.5, 1, end_t=1.0 + 0.5 * i) for i in range(6)]
-    rows += [window("p1", 5.5, 5.5, 0, end_t=4.0 + 0.5 * i) for i in range(6)]
+    rows = table(*[("p1", 4.5, 4.5, 1)] * 6, *[("p1", 5.5, 5.5, 0)] * 6)
     results = sweep_thresholds(passthrough_model(), rows)
     assert len(results) == 1
     assert results[0].best_tau == 5.0
@@ -195,7 +204,7 @@ def test_sweep_prefers_best_nmcc():
 
 
 def test_sweep_tie_goes_to_smaller_tau():
-    rows = [window("p1", 0.5, 0.5, 1, end_t=1.0 + 0.5 * i) for i in range(4)]
+    rows = table(*[("p1", 0.5, 0.5, 1)] * 4)
     results = sweep_thresholds(passthrough_model(), rows)
     # Every tau gives identical degenerate counts, so the sweep keeps tau = 4.
     assert results[0].best_tau == 4.0
@@ -205,7 +214,7 @@ def test_sweep_tie_goes_to_smaller_tau():
 
 def test_sweep_needs_taus():
     with pytest.raises(ValueError):
-        sweep_thresholds(passthrough_model(), [window("p1", 1.0, 1.0, 1)], taus=())
+        sweep_thresholds(passthrough_model(), table(("p1", 1.0, 1.0, 1)), taus=())
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +232,50 @@ def small_dataset():
 def small_loso(small_dataset):
     cfg = TrainConfig(epochs=3, batch_size=64, seed=0)
     return run_loso(small_dataset, cfg, hidden_dims=(16, 8))
+
+
+def without_motion(session):
+    return dataclasses.replace(
+        session, motion_t=np.empty(0), motion_moving=np.empty(0, dtype=np.int64)
+    )
+
+
+def test_run_loso_rejects_a_participant_without_motion_labels(small_dataset):
+    sessions = [
+        without_motion(s) if s.participant_id == "p02" else s for s in small_dataset
+    ]
+    with pytest.raises(InsufficientDataError, match="participant p02 has no motion labels"):
+        run_loso(sessions, TrainConfig(epochs=1, batch_size=64, seed=0), hidden_dims=(4,))
+
+
+def test_run_loso_predicts_once_per_fold(small_dataset, monkeypatch):
+    calls = []
+
+    def counting_predict(model, features):
+        calls.append(features.shape)
+        return predict(model, features)
+
+    monkeypatch.setattr(evaluation, "predict", counting_predict)
+    cfg = TrainConfig(epochs=1, batch_size=64, seed=0)
+    ev = run_loso(small_dataset, cfg, hidden_dims=(4,))
+    assert [shape[0] for shape in calls] == [f.n_test_rows for f in ev.folds]
+
+
+def test_alignment_entry_points_agree_with_run_loso(small_dataset, small_loso):
+    # evaluate_alignment and sweep_thresholds on one fold's model and held-out
+    # rows reproduce that fold's reports and best tau.
+    fold = small_loso.folds[0]
+    cfg = TrainConfig(epochs=3, batch_size=64, seed=0)
+    windows = extract_dataset_windows(small_dataset)
+    held_out = windows.participant == fold.participant_id
+    model, _ = train(windows.rows(~held_out), cfg, hidden_dims=(16, 8))
+    assert model_digest(model) == fold.model_digest
+    test_rows = windows.rows(held_out)
+    [sweep] = sweep_thresholds(model, test_rows)
+    assert sweep.best_tau == fold.best_tau
+    assert sweep.by_tau == fold.alignment_by_tau
+    for tau in TAU_GRID:
+        assert evaluate_alignment(model, test_rows, tau) == [fold.alignment_by_tau[tau]]
 
 
 def test_run_loso_fold_structure(small_loso):

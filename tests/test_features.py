@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_features, make_window
+from conftest import brute_force_features, brute_force_stats, make_window, window_features
 
 from bitetiming.errors import InsufficientDataError
 from bitetiming.features import (
@@ -14,55 +14,79 @@ from bitetiming.features import (
     NormalizationStats,
     ablation_indices,
     apply_normalizer,
-    axis_features,
     build_feature_vector,
     feature_dim,
     feature_names,
     fit_normalizer,
 )
-from bitetiming.signals import AlignedWindow
+
+
+def axis_stats(half):
+    """The kernel's six statistics of one half-window of the ax channel.
+
+    ``half`` (100 samples) fills the first half of ax; every other sample
+    is zero.
+    """
+    imu = np.zeros((3, 200))
+    imu[0, :100] = half
+    return window_features(imu, np.zeros(100))[:6]
 
 
 def test_axis_features_constant_signal():
     c = -2.5
     np.testing.assert_array_equal(
-        axis_features(np.full(7, c)), [c, c, c, 0.0, 0.0, abs(c)]
+        axis_stats(np.full(100, c)), [c, c, c, 0.0, 0.0, abs(c)]
     )
 
 
 def test_axis_features_hand_example():
-    got = axis_features(np.array([1.0, 2.0, 3.0, 4.0]))
+    got = axis_stats(np.tile([1.0, 2.0, 3.0, 4.0], 25))
     expected = [4.0, 1.0, 2.5, math.sqrt(1.25), 3.0, math.sqrt(7.5)]
     np.testing.assert_allclose(got, expected, atol=1e-6)
 
 
 def test_axis_features_negation_symmetry():
     rng = np.random.default_rng(3)
-    x = rng.normal(0.0, 2.0, 64)
-    f_pos = axis_features(x)
-    f_neg = axis_features(-x)
-    assert f_neg[0] == -f_pos[1]  # max of -x is -min of x
-    assert f_neg[1] == -f_pos[0]
-    assert f_neg[2] == pytest.approx(-f_pos[2], rel=1e-12, abs=1e-15)
-    np.testing.assert_allclose(f_neg[3:], f_pos[3:], rtol=1e-12)
+    imu, mic = make_window(rng, scale=2.0)
+    f_pos = window_features(imu, mic).reshape(8, 6)
+    f_neg = window_features(-imu, -mic).reshape(8, 6)
+    np.testing.assert_array_equal(f_neg[:, 0], -f_pos[:, 1])  # max of -x is -min of x
+    np.testing.assert_array_equal(f_neg[:, 1], -f_pos[:, 0])
+    np.testing.assert_allclose(f_neg[:, 2], -f_pos[:, 2], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(f_neg[:, 3:], f_pos[:, 3:], rtol=1e-12)
 
 
 def test_axis_features_identities():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        x = rng.normal(0.0, rng.uniform(0.1, 5.0), int(rng.integers(1, 80)))
-        f = axis_features(x)
-        assert f[1] <= f[2] <= f[0]
-        assert f[4] == f[0] - f[1]
-        assert f[5] >= abs(f[2]) - 1e-12
-        assert (f[3] == 0.0) == bool(np.all(x == x[0]))
+    for _ in range(50):
+        imu, mic = make_window(rng, scale=rng.uniform(0.1, 5.0))
+        # Some channel-halves constant, to exercise the zero-std identity.
+        # Multiples of 1/64 keep their sums, and so their means, exact.
+        imu[int(rng.integers(0, 3)), :100] = rng.integers(-256, 256) / 64
+        mic[50:] = rng.integers(-64, 65) / 64
+        blocks = window_features(imu, mic).reshape(8, 6)
+        halves = [imu[a, h * 100 : (h + 1) * 100] for h in range(2) for a in range(3)]
+        halves = halves[:3] + [mic[:50]] + halves[3:] + [mic[50:]]
+        for f, x in zip(blocks, halves):
+            assert f[1] <= f[2] <= f[0]
+            assert f[4] == f[0] - f[1]
+            assert f[5] >= abs(f[2]) - 1e-12
+            assert (f[3] == 0.0) == bool(np.all(x == x[0]))
 
 
 def test_axis_features_rejects_bad_input():
+    imu, mic = np.zeros((3, 400)), np.zeros(200)
     with pytest.raises(InsufficientDataError):
-        axis_features(np.array([]))
+        build_feature_vector(imu, mic, [198], [99])  # IMU window starts before 0
     with pytest.raises(InsufficientDataError):
-        axis_features(np.zeros((2, 3)))
+        build_feature_vector(imu, mic, [399], [200])  # mic window ends past the grid
+    with pytest.raises(ValueError):
+        build_feature_vector(np.zeros((2, 400)), mic, [199], [99])
+    with pytest.raises(ValueError):
+        build_feature_vector(imu, np.zeros((1, 200)), [199], [99])
+    with pytest.raises(ValueError):
+        build_feature_vector(imu, mic, [199, 399], [99])
+    assert build_feature_vector(imu, mic, [], []).shape == (0, 48)
 
 
 def test_feature_names_layout():
@@ -77,15 +101,27 @@ def test_feature_names_layout():
 
 
 def test_build_feature_vector_zero_window():
-    window = AlignedWindow(1.0, np.zeros((3, 200)), np.zeros(100))
-    np.testing.assert_array_equal(build_feature_vector(window), np.zeros(48))
+    np.testing.assert_array_equal(
+        window_features(np.zeros((3, 200)), np.zeros(100)), np.zeros(48)
+    )
 
 
 def test_build_feature_vector_constant_window():
     c = 3.25
-    window = AlignedWindow(1.0, np.full((3, 200), c), np.full(100, c))
     expected = np.tile([c, c, c, 0.0, 0.0, abs(c)], 8)
-    np.testing.assert_array_equal(build_feature_vector(window), expected)
+    np.testing.assert_array_equal(
+        window_features(np.full((3, 200), c), np.full(100, c)), expected
+    )
+
+
+def test_build_feature_vector_splits_halves():
+    # Half h of every channel holds the constant h + 1, so each 6-stat block
+    # shows which samples the kernel assigned to which half.
+    imu = np.repeat([[1.0, 2.0]], 100, axis=1).repeat(3, axis=0)
+    mic = np.repeat([1.0, 2.0], 50)
+    blocks = window_features(imu, mic).reshape(2, 4, 6)
+    np.testing.assert_array_equal(blocks[0, :, :3], 1.0)
+    np.testing.assert_array_equal(blocks[1, :, :3], 2.0)
 
 
 def test_build_feature_vector_matches_brute_force():
@@ -93,14 +129,31 @@ def test_build_feature_vector_matches_brute_force():
     exact = (0, 1, 4)  # max, min, range within each 6-stat block
     for _ in range(50):
         window = make_window(rng, scale=rng.uniform(0.1, 4.0))
-        got = build_feature_vector(window)
-        want = brute_force_features(window)
+        got = window_features(*window)
+        want = brute_force_features(*window)
         for block in range(8):
             for j in range(6):
                 i = 6 * block + j
                 if j in exact:
                     assert got[i] == want[i]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_build_feature_vector_rows_match_single_windows():
+    # Overlapping windows at irregular stops over one long grid: each row is
+    # bit for bit the row of its window computed alone.
+    rng = np.random.default_rng(12)
+    imu, mic = rng.normal(0.0, 1.0, (3, 1000)), rng.uniform(-1.0, 1.0, 500)
+    imu_stop = np.array([199, 200, 350, 999, 500])
+    mic_stop = np.array([99, 120, 121, 499, 300])
+    rows = build_feature_vector(imu, mic, imu_stop, mic_stop)
+    for row, i, m in zip(rows, imu_stop, mic_stop):
+        alone = window_features(imu[:, i - 199 : i + 1].copy(), mic[m - 99 : m + 1].copy())
+        np.testing.assert_array_equal(row, alone)
+        np.testing.assert_allclose(
+            row, brute_force_features(imu[:, i - 199 : i + 1], mic[m - 99 : m + 1]),
+            rtol=1e-12, atol=1e-15,
+        )
 
 
 def test_ablation_indices():

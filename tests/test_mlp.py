@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from bitetiming.dataio import LabeledWindow
+from conftest import window_table
+
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
 from bitetiming.mlp import (
     MlpModel,
@@ -23,10 +24,7 @@ from bitetiming.mlp import (
 
 
 def rows_from(features, labels, participant="p01"):
-    return [
-        LabeledWindow(participant, 1.0 + 0.5 * i, np.asarray(f, dtype=np.float64), float(y), None)
-        for i, (f, y) in enumerate(zip(features, labels))
-    ]
+    return window_table(features, labels, participant)
 
 
 def test_init_determinism_and_seeding():

@@ -1,4 +1,4 @@
-"""Resampling and aligned-window slicing."""
+"""Resampling and aligned window grids."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from bitetiming.errors import CoverageError, InsufficientDataError
 from bitetiming.signals import (
     IMU_RATE_HZ,
     MIC_RATE_HZ,
-    AlignedWindow,
     UniformSeries,
     resample_linear,
     slice_windows,
-    split_low_level,
 )
 
 
@@ -121,13 +119,14 @@ def test_uniform_series_times():
 
 def test_slice_count_over_three_seconds():
     windows = slice_windows(uniform_imu(601), uniform_mic(301))
-    assert [w.window_end_t for w in windows] == [1.0, 1.5, 2.0, 2.5, 3.0]
+    assert len(windows) == 5
+    assert windows.end_t.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
 
 
 def test_slice_exactly_one_second():
     windows = slice_windows(uniform_imu(201), uniform_mic(101))
     assert len(windows) == 1
-    assert windows[0].window_end_t == 1.0
+    assert windows.end_t[0] == 1.0
 
 
 def test_slice_short_span_is_an_error():
@@ -136,27 +135,25 @@ def test_slice_short_span_is_an_error():
 
 
 def test_slice_cadence_is_2hz():
-    ends = np.array([w.window_end_t for w in slice_windows(uniform_imu(2001), uniform_mic(1001))])
+    ends = slice_windows(uniform_imu(2001), uniform_mic(1001)).end_t
     np.testing.assert_allclose(np.diff(ends), 0.5)
 
 
 def test_slice_takes_trailing_samples():
     """A window ending at t covers (t - 1, t]: the sample at t - 1 is excluded."""
     windows = slice_windows(uniform_imu(601), uniform_mic(301))
-    first, last = windows[0], windows[-1]
-    np.testing.assert_array_equal(first.imu_accel[0], np.arange(1, 201))
-    np.testing.assert_array_equal(first.mic, np.arange(1, 101))
-    np.testing.assert_array_equal(last.imu_accel[2], np.arange(401, 601))
-    np.testing.assert_array_equal(last.mic, np.arange(201, 301))
+    # The sample values are their grid indices.
+    assert (windows.imu_stop[0], windows.mic_stop[0]) == (200, 100)
+    assert (windows.imu_stop[-1], windows.mic_stop[-1]) == (600, 300)
+    np.testing.assert_array_equal(windows.imu_stop, [200, 300, 400, 500, 600])
 
 
 def test_slice_with_offset_starts():
     # imu covers [0.25, 3.25], mic covers [0.5, 3.0]; common span [0.5, 3.0]
     windows = slice_windows(uniform_imu(601, start_t=0.25), uniform_mic(251, start_t=0.5))
-    assert [w.window_end_t for w in windows] == [1.5, 2.0, 2.5, 3.0]
-    for w in windows:
-        assert w.imu_accel.shape == (3, 200)
-        assert w.mic.shape == (100,)
+    assert windows.end_t.tolist() == [1.5, 2.0, 2.5, 3.0]
+    np.testing.assert_array_equal(windows.imu_stop, [250, 350, 450, 550])
+    np.testing.assert_array_equal(windows.mic_stop, [100, 150, 200, 250])
 
 
 def test_slice_input_validation():
@@ -164,27 +161,3 @@ def test_slice_input_validation():
         slice_windows(uniform_mic(301), uniform_mic(301))
     with pytest.raises(ValueError):
         slice_windows(uniform_imu(601), uniform_imu(601))
-    with pytest.raises(ValueError):
-        slice_windows(uniform_imu(601), uniform_mic(301), hop_seconds=0.0)
-
-
-def test_aligned_window_shape_validation():
-    with pytest.raises(ValueError):
-        AlignedWindow(window_end_t=1.0, imu_accel=np.zeros((3, 199)), mic=np.zeros(100))
-    with pytest.raises(ValueError):
-        AlignedWindow(window_end_t=1.0, imu_accel=np.zeros((3, 200)), mic=np.zeros(99))
-
-
-def test_split_low_level_halves():
-    window = AlignedWindow(
-        window_end_t=1.0,
-        imu_accel=np.tile(np.arange(200.0), (3, 1)),
-        mic=np.arange(100.0),
-    )
-    (imu1, mic1), (imu2, mic2) = split_low_level(window)
-    assert imu1.shape == (3, 100) and imu2.shape == (3, 100)
-    assert mic1.shape == (50,) and mic2.shape == (50,)
-    np.testing.assert_array_equal(imu1[0], np.arange(100.0))
-    np.testing.assert_array_equal(imu2[0], np.arange(100.0, 200.0))
-    np.testing.assert_array_equal(np.concatenate([imu1, imu2], axis=1), window.imu_accel)
-    np.testing.assert_array_equal(np.concatenate([mic1, mic2]), window.mic)

@@ -364,10 +364,12 @@ def test_chewing_shakes_harder_than_idle(individual_scn):
 def test_time_to_bite_matches_the_event_log(individual_scn):
     session = individual_scn.session
     arrivals = sorted(b.feeding_arrival_t for b in session.bites)
-    for end_t in np.arange(1.0, 120.0, 0.5):
+    ends = np.arange(1.0, 120.0, 0.5)
+    expected = []
+    for end_t in ends:
         upcoming = [a for a in arrivals if a >= end_t]
-        expected = (min(upcoming) - end_t) if upcoming else None
-        assert derive_time_to_bite(session, float(end_t)) == expected
+        expected.append((min(upcoming) - end_t) if upcoming else np.nan)
+    np.testing.assert_array_equal(derive_time_to_bite(session, ends), expected)
 
 
 def test_motion_labels_replay_the_oracle_loop(social_scn):
@@ -551,17 +553,12 @@ def test_generate_dataset_layout(tmp_path):
 
 
 def test_model_predictor_adapter(tmp_path):
-    from conftest import make_window
-    from bitetiming.features import build_feature_vector
+    from conftest import make_window, window_features, window_table
     from bitetiming.mlp import TrainConfig, predict, train
-    from bitetiming.dataio import LabeledWindow
 
     rng = np.random.default_rng(14)
-    rows = [
-        LabeledWindow("p", 1.0, rng.normal(0.0, 1.0, 48), float(rng.uniform(1, 9)), None)
-        for _ in range(16)
-    ]
+    rows = window_table(rng.normal(0.0, 1.0, (16, 48)), rng.uniform(1, 9, 16))
     model, _ = train(rows, TrainConfig(epochs=1, batch_size=8))
     fn = model_predictor(model)
-    row = build_feature_vector(make_window(rng))
+    row = window_features(*make_window(rng))
     assert fn(row, 3.0) == float(predict(model, row))
