@@ -57,11 +57,9 @@ from .policy import (
     COMMIT_DISTANCE_M,
     AssertivenessThreshold,
     Command,
-    PolicyContext,
     decide,
     make_policy,
     map_assertiveness,
-    waffle_step,
 )
 from .signals import UniformSeries, WindowGrid, resample_linear, slice_windows
 from .sim import (

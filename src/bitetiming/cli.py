@@ -18,10 +18,10 @@ from .mlp import TrainConfig, load_model, save_model, train
 from .pipeline import extract_dataset_windows
 from .policy import (
     POLICY_NAMES,
+    AssertivenessThreshold,
     Command,
     make_policy,
     map_assertiveness,
-    threshold_for_tau,
 )
 from .sim import (
     model_predictor,
@@ -160,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.level is not None:
         threshold = map_assertiveness(args.level)
     elif args.tau is not None:
-        threshold = threshold_for_tau(args.tau)
+        threshold = AssertivenessThreshold(args.tau)
     else:
         threshold = map_assertiveness(3)
 

@@ -163,79 +163,52 @@ def validate_session(session: SessionRecord) -> None:
     if bad.size:
         i = int(bad[0])
         raise TrackValidationError(
-            f"motion label at sample {i} is {session.motion_moving[i]!r}, "
+            f"motion label at sample {i} is {session.motion_moving[i]}, "
             f"expected 0 or 1"
         )
+
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _bite_line(b: BiteEvent) -> str:
+    rec = {
+        "track": "bite",
+        "staging_arrival_t": b.staging_arrival_t,
+        "feeding_arrival_t": b.feeding_arrival_t,
+        "bite_complete_t": b.bite_complete_t,
+    }
+    return _encode(rec) + "\n"
 
 
 def write_session(session: SessionRecord, path: str | Path) -> None:
     """Write one session to ``path`` in the line-delimited format."""
     validate_session(session)
-    path = Path(path)
-    dump = json.dumps
-    with path.open("w", encoding="utf-8") as f:
-        f.write(
-            dump(
-                {
-                    "schema": SESSION_SCHEMA,
-                    "participant": session.participant_id,
-                    "scenario": session.scenario,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-        for i in range(session.imu_t.size):
-            rec = {
-                "track": "imu",
-                "t": float(session.imu_t[i]),
-                "ax": float(session.imu_accel[i, 0]),
-                "ay": float(session.imu_accel[i, 1]),
-                "az": float(session.imu_accel[i, 2]),
-            }
-            if session.imu_quat is not None:
-                rec["qw"] = float(session.imu_quat[i, 0])
-                rec["qx"] = float(session.imu_quat[i, 1])
-                rec["qy"] = float(session.imu_quat[i, 2])
-                rec["qz"] = float(session.imu_quat[i, 3])
-            f.write(dump(rec, separators=(",", ":")) + "\n")
-        for i in range(session.mic_t.size):
-            f.write(
-                dump(
-                    {
-                        "track": "mic",
-                        "t": float(session.mic_t[i]),
-                        "amp": float(session.mic_amp[i]),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+
+    def floats(a: np.ndarray) -> list:
+        return np.asarray(a, dtype=np.float64).tolist()
+
+    header = {
+        "schema": SESSION_SCHEMA,
+        "participant": session.participant_id,
+        "scenario": session.scenario,
+    }
+    quat = None if session.imu_quat is None else floats(session.imu_quat)
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(_encode(header) + "\n")
+        for i, (t, (ax, ay, az)) in enumerate(
+            zip(floats(session.imu_t), floats(session.imu_accel))
+        ):
+            rec = {"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az}
+            if quat is not None:
+                rec["qw"], rec["qx"], rec["qy"], rec["qz"] = quat[i]
+            f.write(_encode(rec) + "\n")
+        for t, amp in zip(floats(session.mic_t), floats(session.mic_amp)):
+            f.write(_encode({"track": "mic", "t": t, "amp": amp}) + "\n")
         for b in session.bites:
-            f.write(
-                dump(
-                    {
-                        "track": "bite",
-                        "staging_arrival_t": b.staging_arrival_t,
-                        "feeding_arrival_t": b.feeding_arrival_t,
-                        "bite_complete_t": b.bite_complete_t,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-        for i in range(session.motion_t.size):
-            f.write(
-                dump(
-                    {
-                        "track": "motion",
-                        "t": float(session.motion_t[i]),
-                        "moving": int(session.motion_moving[i]),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            f.write(_bite_line(b))
+        for t, moving in zip(floats(session.motion_t), session.motion_moving.tolist()):
+            f.write(_encode({"track": "motion", "t": t, "moving": int(moving)}) + "\n")
 
 
 def _parse_line(path: Path, lineno: int, line: str) -> dict:
@@ -253,18 +226,60 @@ def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
         return rec[key]
     except KeyError:
         raise ParseError(
-            f"{path}:{lineno}: {rec.get('track', 'record')!r} line is "
+            f"{path}:{lineno}: {rec.get('track', 'header')!r} line is "
             f"missing field {key!r}"
         ) from None
+
+
+def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
+    value = _field(path, lineno, rec, key)
+    if type(value) not in (int, float):
+        raise ParseError(
+            f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
+            f"is not a number: {value!r}"
+        )
+    return value
+
+
+def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
+    try:
+        return BiteEvent(
+            staging_arrival_t=_number(path, lineno, rec, "staging_arrival_t"),
+            feeding_arrival_t=_number(path, lineno, rec, "feeding_arrival_t"),
+            bite_complete_t=_number(path, lineno, rec, "bite_complete_t"),
+        )
+    except TrackValidationError as e:
+        raise TrackValidationError(f"{path}:{lineno}: {e}") from None
+
+
+def _stack(
+    path: Path, lines: list[str], track: str, keys: tuple[str, ...], rows: list[tuple]
+) -> np.ndarray:
+    """One track's rows as a float64 (n, len(keys)) array.
+
+    Only when the conversion fails are the lines scanned again, to name the
+    first one holding a value that is not a number.
+    """
+    try:
+        return np.array(rows, dtype=np.float64).reshape(-1, len(keys))
+    except (TypeError, ValueError, OverflowError) as e:
+        for lineno, line in enumerate(lines[1:], start=2):
+            rec = json.loads(line) if line.strip() else {}
+            if rec.get("track") == track:
+                for key in keys:
+                    _number(path, lineno, rec, key)
+        raise ParseError(f"{path}: {track} values are not numbers: {e}") from e
 
 
 def read_session(path: str | Path) -> SessionRecord:
     """Read and validate one session file.
 
     Raises:
-        ParseError: malformed JSON or missing fields, with the line number.
+        ParseError: malformed JSON, missing or non-numeric fields, with the
+            line number.
         SchemaVersionError: the header declares an unknown schema.
-        TrackValidationError: parsed tracks violate format invariants.
+        TrackValidationError: parsed tracks violate format invariants, with
+            the path.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
@@ -326,16 +341,7 @@ def read_session(path: str | Path) -> SessionRecord:
                 (_field(path, lineno, rec, "t"), _field(path, lineno, rec, "amp"))
             )
         elif track == "bite":
-            try:
-                bites.append(
-                    BiteEvent(
-                        staging_arrival_t=_field(path, lineno, rec, "staging_arrival_t"),
-                        feeding_arrival_t=_field(path, lineno, rec, "feeding_arrival_t"),
-                        bite_complete_t=_field(path, lineno, rec, "bite_complete_t"),
-                    )
-                )
-            except TrackValidationError as e:
-                raise TrackValidationError(f"{path}:{lineno}: {e}") from None
+            bites.append(_bite(path, lineno, rec))
         elif track == "motion":
             motion_rows.append(
                 (_field(path, lineno, rec, "t"), _field(path, lineno, rec, "moving"))
@@ -343,22 +349,32 @@ def read_session(path: str | Path) -> SessionRecord:
         else:
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
 
-    imu = np.array(imu_rows, dtype=np.float64).reshape(-1, 4)
-    mic = np.array(mic_rows, dtype=np.float64).reshape(-1, 2)
-    motion = np.array(motion_rows, dtype=np.float64).reshape(-1, 2)
+    imu = _stack(path, lines, "imu", ("t", "ax", "ay", "az"), imu_rows)
+    mic = _stack(path, lines, "mic", ("t", "amp"), mic_rows)
+    motion = _stack(path, lines, "motion", ("t", "moving"), motion_rows)
     session = SessionRecord(
         participant_id=str(header["participant"]),
         scenario=str(header["scenario"]),
         imu_t=imu[:, 0],
         imu_accel=imu[:, 1:4],
-        imu_quat=np.array(quat_rows, dtype=np.float64) if quat_rows else None,
+        imu_quat=(
+            _stack(path, lines, "imu", ("qw", "qx", "qy", "qz"), quat_rows)
+            if quat_rows
+            else None
+        ),
         mic_t=mic[:, 0],
         mic_amp=mic[:, 1],
         bites=bites,
         motion_t=motion[:, 0],
-        motion_moving=motion[:, 1].astype(np.int64),
+        motion_moving=motion[:, 1],
     )
-    validate_session(session)
+    try:
+        validate_session(session)
+    except TrackValidationError as e:
+        raise TrackValidationError(f"{path}: {e}") from None
+    # Validated as floats first, so a label such as 0.7 is rejected rather
+    # than truncated to 0.
+    session.motion_moving = session.motion_moving.astype(np.int64)
     return session
 
 

@@ -7,14 +7,15 @@ level 3 is the 6 s default. Once the utensil is within the commit distance
 of the mouth the trajectory always finishes, whatever the model says next.
 
 Baselines: a fixed 45 s schedule, a mouth-open event trigger, and an
-always-proceed lower bound.
+always-proceed lower bound. Every policy is one class with ``name``,
+``needs_predictions``, ``reset()`` and ``step(inputs) -> Command``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 logger = logging.getLogger(__name__)
@@ -25,6 +26,7 @@ DEFAULT_TAU = 6.0
 MIN_LEVEL = 1
 MAX_LEVEL = 5
 FIXED_INTERVAL_SECONDS = 45.0
+CONTROL_TICK_SECONDS = 0.5
 
 POLICY_NAMES = ("waffle", "fixed-interval", "mouth-open", "always-feed")
 
@@ -39,18 +41,18 @@ class Command(Enum):
 
 @dataclass(frozen=True)
 class AssertivenessThreshold:
-    """A proceed threshold in seconds and its user-facing 1..5 level."""
+    """A proceed threshold in seconds on the 4..8 s grid."""
 
     tau: float
-    level: int
 
     def __post_init__(self) -> None:
         if self.tau not in TAU_GRID:
             raise ValueError(f"tau must be one of {TAU_GRID}, got {self.tau}")
-        if self.level != int(self.tau) - 3:
-            raise ValueError(
-                f"level {self.level} does not correspond to tau {self.tau}"
-            )
+
+    @property
+    def level(self) -> int:
+        """The user-facing assertiveness level 1..5 of this threshold."""
+        return int(self.tau) - 3
 
 
 def map_assertiveness(level: int) -> AssertivenessThreshold:
@@ -59,12 +61,7 @@ def map_assertiveness(level: int) -> AssertivenessThreshold:
         raise ValueError(
             f"assertiveness level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}"
         )
-    return AssertivenessThreshold(tau=float(level + 3), level=level)
-
-
-def threshold_for_tau(tau: float) -> AssertivenessThreshold:
-    """Build the threshold for a tau on the 4..8 s grid."""
-    return AssertivenessThreshold(tau=float(tau), level=int(tau) - 3)
+    return AssertivenessThreshold(float(level + 3))
 
 
 def decide(y_hat: float, threshold: AssertivenessThreshold) -> Command:
@@ -82,63 +79,6 @@ def decide(y_hat: float, threshold: AssertivenessThreshold) -> Command:
 
 
 @dataclass(frozen=True)
-class PolicyContext:
-    """Per-tick state the threshold policy needs beyond the prediction."""
-
-    distance_to_mouth: float
-    committed: bool
-    session_clock: float
-
-
-def waffle_step(
-    ctx: PolicyContext,
-    y_hat: float | None,
-    threshold: AssertivenessThreshold,
-) -> tuple[Command, PolicyContext]:
-    """One tick of the threshold policy with the commit rule applied.
-
-    Within the commit distance, or once committed, the command is Proceed
-    regardless of the prediction; the commit latch stays set until the caller
-    clears it at bite completion. Outside the commit zone a missing
-    prediction (sensor gap) fails safe to Stop.
-    """
-    if ctx.committed or ctx.distance_to_mouth <= COMMIT_DISTANCE_M:
-        return Command.PROCEED, replace(ctx, committed=True)
-    if y_hat is None:
-        return Command.STOP, ctx
-    return decide(y_hat, threshold), ctx
-
-
-def fixed_interval_step(
-    session_clock: float,
-    interval_seconds: float = FIXED_INTERVAL_SECONDS,
-    tick_seconds: float = 0.5,
-) -> Command:
-    """Trigger a full trajectory at every multiple of the interval.
-
-    Fires on the one control tick nearest each multiple (k >= 1), Stop on
-    every other tick. The schedule runs on the session clock.
-    """
-    if interval_seconds <= 0:
-        raise ValueError(f"interval must be positive, got {interval_seconds}")
-    k = round(session_clock / interval_seconds)
-    offset = session_clock - k * interval_seconds
-    if k >= 1 and -tick_seconds / 2 <= offset < tick_seconds / 2:
-        return Command.TRIGGER_FULL_TRAJECTORY
-    return Command.STOP
-
-
-def mouth_open_step(mouth_open_event: bool) -> Command:
-    """Trigger a full trajectory on a mouth-open event, Stop otherwise."""
-    return Command.TRIGGER_FULL_TRAJECTORY if mouth_open_event else Command.STOP
-
-
-def always_feed_step() -> Command:
-    """The always-proceed lower bound."""
-    return Command.PROCEED
-
-
-@dataclass(frozen=True)
 class TickInputs:
     """Everything a policy may look at during one control tick."""
 
@@ -151,7 +91,13 @@ class TickInputs:
 
 
 class WafflePolicy:
-    """Stateful wrapper around waffle_step for closed-loop runs."""
+    """The threshold rule with a commit latch near the mouth.
+
+    Within the commit distance, or once committed, the command is Proceed
+    regardless of the prediction; the latch holds until bite completion.
+    Outside the commit zone a missing prediction (sensor gap) fails safe to
+    Stop.
+    """
 
     name = "waffle"
     needs_predictions = True
@@ -171,38 +117,36 @@ class WafflePolicy:
             # letting the commit zone re-latch here would lock the policy
             # into proceeding forever.
             self._committed = False
-            if inputs.y_hat is None:
-                return Command.STOP
-            return decide(inputs.y_hat, self.threshold)
-        ctx = PolicyContext(
-            distance_to_mouth=inputs.distance_to_mouth,
-            committed=self._committed,
-            session_clock=inputs.session_clock,
-        )
-        command, ctx = waffle_step(ctx, inputs.y_hat, self.threshold)
-        self._committed = ctx.committed
-        return command
+        elif self._committed or inputs.distance_to_mouth <= COMMIT_DISTANCE_M:
+            self._committed = True
+            return Command.PROCEED
+        if inputs.y_hat is None:
+            return Command.STOP
+        return decide(inputs.y_hat, self.threshold)
 
 
 class FixedIntervalPolicy:
-    """Trigger on the 45 s schedule whenever the robot is ready at staging."""
+    """Trigger on the 45 s schedule whenever the robot is ready at staging.
+
+    The schedule runs on the session clock and fires on the one control tick
+    nearest each multiple k >= 1. A slot that falls mid-cycle is skipped:
+    full trajectories only start at staging.
+    """
 
     name = "fixed-interval"
     needs_predictions = False
-
-    def __init__(self, interval_seconds: float = FIXED_INTERVAL_SECONDS) -> None:
-        self.interval_seconds = interval_seconds
 
     def reset(self) -> None:
         pass
 
     def step(self, inputs: TickInputs) -> Command:
-        command = fixed_interval_step(inputs.session_clock, self.interval_seconds)
-        if command is Command.TRIGGER_FULL_TRAJECTORY and not inputs.at_staging:
-            # Schedule fired mid-cycle; full trajectories only start at
-            # staging, so this slot is skipped.
+        if not inputs.at_staging:
             return Command.STOP
-        return command
+        k = round(inputs.session_clock / FIXED_INTERVAL_SECONDS)
+        offset = inputs.session_clock - k * FIXED_INTERVAL_SECONDS
+        if k >= 1 and -CONTROL_TICK_SECONDS / 2 <= offset < CONTROL_TICK_SECONDS / 2:
+            return Command.TRIGGER_FULL_TRAJECTORY
+        return Command.STOP
 
 
 class MouthOpenPolicy:
@@ -219,13 +163,13 @@ class MouthOpenPolicy:
         pass
 
     def step(self, inputs: TickInputs) -> Command:
-        if inputs.at_staging:
-            return mouth_open_step(inputs.mouth_open_event)
+        if inputs.at_staging and inputs.mouth_open_event:
+            return Command.TRIGGER_FULL_TRAJECTORY
         return Command.STOP
 
 
 class AlwaysFeedPolicy:
-    """Proceed on every tick."""
+    """The always-proceed lower bound."""
 
     name = "always-feed"
     needs_predictions = False
@@ -234,7 +178,7 @@ class AlwaysFeedPolicy:
         pass
 
     def step(self, inputs: TickInputs) -> Command:
-        return always_feed_step()
+        return Command.PROCEED
 
 
 def make_policy(
@@ -243,7 +187,7 @@ def make_policy(
 ):
     """Construct a policy by its log name."""
     if name == "waffle":
-        return WafflePolicy(threshold or threshold_for_tau(DEFAULT_TAU))
+        return WafflePolicy(threshold or AssertivenessThreshold(DEFAULT_TAU))
     if name == "fixed-interval":
         return FixedIntervalPolicy()
     if name == "mouth-open":

@@ -23,7 +23,6 @@ seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -33,6 +32,12 @@ import numpy as np
 from .dataio import (
     BiteEvent,
     SessionRecord,
+    _bite,
+    _bite_line,
+    _encode,
+    _field,
+    _number,
+    _parse_line,
     validate_session,
     write_manifest,
     write_session,
@@ -773,7 +778,7 @@ def run_session(
     ``oracle`` of a generative source to produce its events.
     """
     cfg = cfg or TrajectoryConfig()
-    if getattr(policy, "needs_predictions", False) and predictor is None:
+    if policy.needs_predictions and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
     if isinstance(policy, MouthOpenPolicy) and oracle is None:
         raise ValueError("the mouth-open policy needs the source's oracle")
@@ -810,7 +815,7 @@ def run_session(
             if row >= 0:
                 y_hat = float(predictor(features[row], t))
             else:
-                gap = getattr(policy, "needs_predictions", False)
+                gap = policy.needs_predictions
         at_staging = state.phase is Phase.AT_STAGING
         mouth_open = bool(
             at_staging
@@ -846,95 +851,83 @@ def run_session(
 
 def write_session_log(log: SessionLog, path: str | Path) -> None:
     """Write a closed-loop trace in the session line format plus a policy track."""
-    path = Path(path)
-    dump = json.dumps
-    with path.open("w", encoding="utf-8") as f:
-        f.write(
-            dump(
-                {
-                    "schema": LOG_SCHEMA,
-                    "participant": log.participant_id,
-                    "scenario": log.scenario,
-                    "policy": log.policy_name,
-                    "duration": log.duration,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+    header = {
+        "schema": LOG_SCHEMA,
+        "participant": log.participant_id,
+        "scenario": log.scenario,
+        "policy": log.policy_name,
+        "duration": log.duration,
+    }
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(_encode(header) + "\n")
         for b in log.bites:
-            f.write(
-                dump(
-                    {
-                        "track": "bite",
-                        "staging_arrival_t": b.staging_arrival_t,
-                        "feeding_arrival_t": b.feeding_arrival_t,
-                        "bite_complete_t": b.bite_complete_t,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            f.write(_bite_line(b))
         for tick in log.ticks:
-            f.write(
-                dump(
-                    {
-                        "track": "policy",
-                        "t": tick.t,
-                        "policy": log.policy_name,
-                        "command": tick.command.value,
-                        "y_hat": tick.y_hat,
-                        "distance": tick.distance_to_mouth,
-                        "phase": tick.phase.value,
-                        "gap": tick.gap,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            rec = {
+                "track": "policy",
+                "t": tick.t,
+                "policy": log.policy_name,
+                "command": tick.command.value,
+                "y_hat": tick.y_hat,
+                "distance": tick.distance_to_mouth,
+                "phase": tick.phase.value,
+                "gap": tick.gap,
+            }
+            f.write(_encode(rec) + "\n")
+
+
+def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
+    value = _field(path, lineno, rec, key)
+    try:
+        return enum(value)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}") from None
 
 
 def read_session_log(path: str | Path) -> SessionLog:
-    """Read back a closed-loop trace written by write_session_log."""
+    """Read back a closed-loop trace written by write_session_log.
+
+    Raises ParseError naming ``path:line`` for malformed JSON, a missing or
+    non-numeric field, and an unknown track, command or phase;
+    SchemaVersionError for an unknown schema.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header line")
-    header = json.loads(lines[0])
+    header = _parse_line(path, 1, lines[0])
     if header.get("schema") != LOG_SCHEMA:
         raise SchemaVersionError(
             f"{path}: schema {header.get('schema')!r} is not supported, "
             f"expected {LOG_SCHEMA!r}"
         )
     log = SessionLog(
-        policy_name=header["policy"],
-        participant_id=header["participant"],
-        scenario=header["scenario"],
-        duration=header["duration"],
+        policy_name=_field(path, 1, header, "policy"),
+        participant_id=_field(path, 1, header, "participant"),
+        scenario=_field(path, 1, header, "scenario"),
+        duration=_number(path, 1, header, "duration"),
     )
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        if rec.get("track") == "bite":
-            log.bites.append(
-                BiteEvent(
-                    staging_arrival_t=rec["staging_arrival_t"],
-                    feeding_arrival_t=rec["feeding_arrival_t"],
-                    bite_complete_t=rec["bite_complete_t"],
-                )
-            )
-        elif rec.get("track") == "policy":
+        rec = _parse_line(path, lineno, line)
+        track = rec.get("track")
+        if track == "bite":
+            log.bites.append(_bite(path, lineno, rec))
+        elif track == "policy":
+            y_hat = _field(path, lineno, rec, "y_hat")
+            if y_hat is not None:
+                y_hat = _number(path, lineno, rec, "y_hat")
             log.ticks.append(
                 TickLog(
-                    t=rec["t"],
-                    command=Command(rec["command"]),
-                    distance_to_mouth=rec["distance"],
-                    phase=Phase(rec["phase"]),
-                    y_hat=rec["y_hat"],
+                    t=_number(path, lineno, rec, "t"),
+                    command=_enum_field(path, lineno, rec, "command", Command),
+                    distance_to_mouth=_number(path, lineno, rec, "distance"),
+                    phase=_enum_field(path, lineno, rec, "phase", Phase),
+                    y_hat=y_hat,
                     gap=rec.get("gap", False),
                 )
             )
         else:
-            raise ParseError(f"{path}:{lineno}: unknown track {rec.get('track')!r}")
+            raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
     return log

@@ -127,6 +127,24 @@ def test_train_missing_manifest_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
+    # A copy of one synthesized session whose second imu line has "ax": {}.
+    lines = (dataset_dir / "p01_individual.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["ax"] = {}
+    lines[2] = json.dumps(rec)
+    session = tmp_path / "p01_individual.jsonl"
+    session.write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"schema": "waffle-manifest/1", "sessions": [session.name]})
+    )
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {session}:3: 'imu' field 'ax' is not a number: {{}}"]
+
+
 def test_eval_writes_reports(dataset_dir, tmp_path, capsys):
     report_dir = tmp_path / "reports"
     rc = main(

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitetiming.dataio import (
     BiteEvent,
@@ -181,8 +183,92 @@ def test_read_session_rejects_non_finite(tmp_path):
     rec["ax"] = float("nan")
     lines[3] = json.dumps(rec)  # written as NaN, which json.loads accepts
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TrackValidationError, match="imu acceleration at sample 2"):
+    with pytest.raises(
+        TrackValidationError, match=f"{path}: imu acceleration at sample 2"
+    ):
         read_session(path)
+
+
+def rewrite_line(path, index, **fields):
+    """Replace fields of one line of a session file (None deletes a field)."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[index])
+    for key, value in fields.items():
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+    lines[index] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_read_session_rejects_fractional_motion_label(tmp_path):
+    path = tmp_path / "frac.jsonl"
+    write_session(small_session(with_quat=False), path)
+    # Line 12 is motion sample 1, after the header, 5 imu, 4 mic, 1 bite and
+    # 1 motion line.
+    rewrite_line(path, 12, moving=0.7)
+    with pytest.raises(
+        TrackValidationError, match=f"{path}: motion label at sample 1 is 0.7"
+    ):
+        read_session(path)
+
+
+@pytest.mark.parametrize("value", ["abc", {}, [1.0, 2.0]])
+def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
+    path = tmp_path / "nan.jsonl"
+    write_session(small_session(with_quat=True), path)
+    rewrite_line(path, 3, ax=value)  # the third imu line
+    with pytest.raises(ParseError, match=f"{path}:4: 'imu' field 'ax' is not a number"):
+        read_session(path)
+
+
+def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
+    path = tmp_path / "bite.jsonl"
+    write_session(small_session(with_quat=False), path)
+    rewrite_line(path, 10, feeding_arrival_t="1.0")
+    with pytest.raises(
+        ParseError, match=f"{path}:11: 'bite' field 'feeding_arrival_t' is not a number"
+    ):
+        read_session(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_session(small_session(with_quat=True), path / "base.jsonl")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    value=st.sampled_from(("delete", "abc", "1.5", {}, None, 0.7)),
+)
+def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
+    # Mutate one field of one line: delete it, or set it to a string, an
+    # object, JSON null or 0.7. The loader either returns a valid session or
+    # raises a package ValueError that names the file.
+    lines = (fuzz_dir / "base.jsonl").read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    rec = json.loads(lines[index])
+    key = data.draw(st.sampled_from(sorted(rec)), label="field")
+    if value == "delete":
+        del rec[key]
+    else:
+        rec[key] = value
+    lines[index] = json.dumps(rec)
+    path = fuzz_dir / "mutated.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        session = read_session(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    else:
+        records = [json.loads(line) for line in lines[1:]]
+        moving = [r["moving"] for r in records if r.get("track") == "motion"]
+        assert session.motion_moving.tolist() == moving
 
 
 def test_validation_quat_norm(tmp_path):

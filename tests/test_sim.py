@@ -8,12 +8,12 @@ from bitetiming.errors import ParseError, ProtocolError, SchemaVersionError
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     AlwaysFeedPolicy,
+    AssertivenessThreshold,
     Command,
     FixedIntervalPolicy,
     MouthOpenPolicy,
     WafflePolicy,
     map_assertiveness,
-    threshold_for_tau,
 )
 from bitetiming.sim import (
     BehaviorScript,
@@ -419,7 +419,7 @@ def test_mouth_open_session_triggers_at_staging_only(long_scn):
 
 def test_run_session_input_validation(long_scn):
     with pytest.raises(ValueError, match="predictor"):
-        run_session(long_scn.session, WafflePolicy(threshold_for_tau(6.0)))
+        run_session(long_scn.session, WafflePolicy(AssertivenessThreshold(6.0)))
     with pytest.raises(ValueError, match="oracle"):
         run_session(long_scn.session, MouthOpenPolicy())
 
@@ -427,7 +427,7 @@ def test_run_session_input_validation(long_scn):
 def test_waffle_session_gaps_fail_safe(long_scn):
     log = run_session(
         long_scn.session,
-        WafflePolicy(threshold_for_tau(8.0)),
+        WafflePolicy(AssertivenessThreshold(8.0)),
         predictor=lambda row, t: 0.0,
     )
     first = log.ticks[0]
@@ -445,7 +445,7 @@ def test_waffle_session_rethresholds_every_cycle(long_scn):
     # not start the next one.
     log = run_session(
         long_scn.session,
-        WafflePolicy(threshold_for_tau(6.0)),
+        WafflePolicy(AssertivenessThreshold(6.0)),
         predictor=lambda row, t: 0.0 if t < 20.0 else 100.0,
     )
     assert log.bite_count() == 1
@@ -484,7 +484,7 @@ def test_waffle_with_oracle_consistent_model_respects_talking():
         return 0.0 if oracle.command_at(t) is Command.PROCEED else 100.0
 
     log = run_session(
-        scn.session, WafflePolicy(threshold_for_tau(6.0)), predictor=predictor
+        scn.session, WafflePolicy(AssertivenessThreshold(6.0)), predictor=predictor
     )
     for tick in log.ticks:
         inside_talking = (
@@ -527,6 +527,32 @@ def test_session_log_read_errors(tmp_path):
     )
     with pytest.raises(ParseError, match="gaze"):
         read_session_log(bad_track)
+    header = (
+        '{"schema":"waffle-log/1","participant":"p","scenario":"individual",'
+        '"policy":"always-feed","duration":1.0}\n'
+    )
+    tick = (
+        '{"track":"policy","t":0.0,"command":"proceed","y_hat":null,'
+        '"distance":0.381,"phase":"at_staging"}\n'
+    )
+    cases = [
+        (header + "{not json}\n", ":2: invalid JSON"),
+        (header.replace('"policy":"always-feed",', ""), ":1: .*'policy'"),
+        (header + tick.replace('"command":"proceed",', ""), ":2: .*'command'"),
+        (header + tick.replace('"proceed"', '"hover"'), ":2: unknown command 'hover'"),
+        (header + tick.replace('"at_staging"', '"orbit"'), ":2: unknown phase 'orbit'"),
+        (header + tick.replace('"t":0.0', '"t":"0"'), ":2: .*'t' is not a number"),
+        (header + '{"track":"bite","staging_arrival_t":0.5}\n', ":2: .*'feeding"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        path = tmp_path / f"case{i}.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"{path}{message}"):
+            read_session_log(path)
+    # The well-formed tick line itself loads.
+    ok = tmp_path / "ok.jsonl"
+    ok.write_text(header + tick)
+    assert read_session_log(ok).ticks[0].phase is Phase.AT_STAGING
 
 
 def test_generate_dataset_layout(tmp_path):
