@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,16 @@ MANIFEST_SCHEMA = "waffle-manifest/1"
 SCENARIOS = ("individual", "social")
 
 QUAT_NORM_TOL = 1e-3
+
+# The fields read from each kind of sample line; "quat" is an imu line that
+# carries a quaternion.
+_FIELDS = {
+    "imu": ("t", "ax", "ay", "az"),
+    "quat": ("t", "ax", "ay", "az", "qw", "qx", "qy", "qz"),
+    "mic": ("t", "amp"),
+    "motion": ("t", "moving"),
+}
+_GETTERS = {kind: itemgetter(*keys) for kind, keys in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -231,14 +243,23 @@ def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
         ) from None
 
 
-def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
+def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str):
     value = _field(path, lineno, rec, key)
-    if type(value) not in (int, float):
+    # type(), not isinstance(): a JSON true is a bool, which is an int.
+    if type(value) not in types:
         raise ParseError(
             f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            f"is not a number: {value!r}"
+            f"is not {what}: {value!r}"
         )
     return value
+
+
+def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
+    return _typed(path, lineno, rec, key, (int, float), "a number")
+
+
+def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
+    return _typed(path, lineno, rec, key, (str,), "a string")
 
 
 def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
@@ -252,23 +273,34 @@ def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
         raise TrackValidationError(f"{path}:{lineno}: {e}") from None
 
 
+def float_rows(rows) -> np.ndarray:
+    """Rows of JSON numbers as a float64 matrix. One pass over the value types
+    rejects the strings (such as "1.5") and booleans that numpy would convert."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError("values must be lists of numbers")
+    return np.array(rows, dtype=np.float64)
+
+
 def _stack(
     path: Path, lines: list[str], track: str, keys: tuple[str, ...], rows: list[tuple]
 ) -> np.ndarray:
     """One track's rows as a float64 (n, len(keys)) array.
 
-    Only when the conversion fails are the lines scanned again, to name the
-    first one holding a value that is not a number.
+    Only when a value is not a JSON number are the lines scanned again, to
+    name the first one holding it.
     """
     try:
-        return np.array(rows, dtype=np.float64).reshape(-1, len(keys))
-    except (TypeError, ValueError, OverflowError) as e:
-        for lineno, line in enumerate(lines[1:], start=2):
-            rec = json.loads(line) if line.strip() else {}
-            if rec.get("track") == track:
-                for key in keys:
-                    _number(path, lineno, rec, key)
-        raise ParseError(f"{path}: {track} values are not numbers: {e}") from e
+        return float_rows(rows).reshape(-1, len(keys))
+    except OverflowError as e:
+        raise ParseError(f"{path}: {track} values do not fit a float: {e}") from e
+    except ValueError:
+        pass
+    for lineno, line in enumerate(lines[1:], start=2):
+        rec = json.loads(line) if line.strip() else {}
+        if rec.get("track") == track:
+            for key in keys:
+                _number(path, lineno, rec, key)
+    raise ParseError(f"{path}: {track} values are not numbers")
 
 
 def read_session(path: str | Path) -> SessionRecord:
@@ -295,73 +327,44 @@ def read_session(path: str | Path) -> SessionRecord:
         raise SchemaVersionError(
             f"{path}: schema {schema!r} is not supported, expected {SESSION_SCHEMA!r}"
         )
-    if "participant" not in header or "scenario" not in header:
-        raise ParseError(f"{path}:1: header needs 'participant' and 'scenario'")
+    participant = _string(path, 1, header, "participant")
+    scenario = _string(path, 1, header, "scenario")
 
-    imu_rows: list[tuple] = []
-    quat_rows: list[tuple] = []
-    mic_rows: list[tuple] = []
+    rows: dict[str, list[tuple]] = {"imu": [], "mic": [], "motion": []}
     bites: list[BiteEvent] = []
-    motion_rows: list[tuple] = []
-    has_quat: bool | None = None
-
+    imu_kind = None  # the first imu line decides whether all carry a quaternion
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = _parse_line(path, lineno, line)
-        track = rec.get("track")
+        kind = track = rec.get("track")
+        if track == "bite":
+            bites.append(_bite(path, lineno, rec))
+            continue
         if track == "imu":
-            imu_rows.append(
-                (
-                    _field(path, lineno, rec, "t"),
-                    _field(path, lineno, rec, "ax"),
-                    _field(path, lineno, rec, "ay"),
-                    _field(path, lineno, rec, "az"),
-                )
-            )
-            quat_present = "qw" in rec
-            if has_quat is None:
-                has_quat = quat_present
-            elif has_quat != quat_present:
+            kind = "quat" if "qw" in rec else "imu"
+            imu_kind = imu_kind or kind
+            if kind != imu_kind:
                 raise ParseError(
                     f"{path}:{lineno}: quaternion fields must be present on "
                     f"all imu lines or none"
                 )
-            if quat_present:
-                quat_rows.append(
-                    (
-                        _field(path, lineno, rec, "qw"),
-                        _field(path, lineno, rec, "qx"),
-                        _field(path, lineno, rec, "qy"),
-                        _field(path, lineno, rec, "qz"),
-                    )
-                )
-        elif track == "mic":
-            mic_rows.append(
-                (_field(path, lineno, rec, "t"), _field(path, lineno, rec, "amp"))
-            )
-        elif track == "bite":
-            bites.append(_bite(path, lineno, rec))
-        elif track == "motion":
-            motion_rows.append(
-                (_field(path, lineno, rec, "t"), _field(path, lineno, rec, "moving"))
-            )
-        else:
+        elif track not in ("mic", "motion"):
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
+        try:
+            rows[track].append(_GETTERS[kind](rec))
+        except KeyError as e:
+            _field(path, lineno, rec, e.args[0])
 
-    imu = _stack(path, lines, "imu", ("t", "ax", "ay", "az"), imu_rows)
-    mic = _stack(path, lines, "mic", ("t", "amp"), mic_rows)
-    motion = _stack(path, lines, "motion", ("t", "moving"), motion_rows)
+    imu = _stack(path, lines, "imu", _FIELDS[imu_kind or "imu"], rows["imu"])
+    mic = _stack(path, lines, "mic", _FIELDS["mic"], rows["mic"])
+    motion = _stack(path, lines, "motion", _FIELDS["motion"], rows["motion"])
     session = SessionRecord(
-        participant_id=str(header["participant"]),
-        scenario=str(header["scenario"]),
+        participant_id=participant,
+        scenario=scenario,
         imu_t=imu[:, 0],
         imu_accel=imu[:, 1:4],
-        imu_quat=(
-            _stack(path, lines, "imu", ("qw", "qx", "qy", "qz"), quat_rows)
-            if quat_rows
-            else None
-        ),
+        imu_quat=imu[:, 4:] if imu_kind == "quat" else None,
         mic_t=mic[:, 0],
         mic_amp=mic[:, 1],
         bites=bites,
@@ -390,7 +393,8 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     """Load every session listed in a manifest.
 
     Sessions are returned sorted by (participant, scenario) so dataset order
-    never depends on manifest order.
+    never depends on manifest order. Raises ParseError naming the manifest
+    when it is not JSON or its ``sessions`` is not a list of path strings.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -404,8 +408,11 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
             f"{manifest_path}: schema {doc['schema']!r} is not supported, "
             f"expected {MANIFEST_SCHEMA!r}"
         )
+    rels = doc.get("sessions")
+    if type(rels) is not list or not all(type(rel) is str for rel in rels):
+        raise ParseError(f"{manifest_path}: 'sessions' must be a list of path strings")
     sessions = []
-    for rel in doc.get("sessions", []):
+    for rel in rels:
         sessions.append(read_session(manifest_path.parent / rel))
     sessions.sort(key=lambda s: (s.participant_id, s.scenario))
     return sessions

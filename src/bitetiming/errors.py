@@ -18,10 +18,6 @@ class TrackValidationError(ValueError):
     """A parsed track violates an ordering, range, or norm constraint."""
 
 
-class CoverageError(ValueError):
-    """A requested time span is not fully covered by the source samples."""
-
-
 class InsufficientDataError(ValueError):
     """Fewer samples or rows than the operation needs."""
 

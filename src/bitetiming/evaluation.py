@@ -228,13 +228,12 @@ def evaluate_alignment(
     model: MlpModel,
     windows: WindowTable,
     tau: float = DEFAULT_TAU,
-    label_cap: float = LABEL_CAP_SECONDS,
 ) -> list[AlignmentReport]:
     """Per-participant alignment of thresholded predictions at one tau."""
     y_hat = np.asarray(predict(model, windows.features))
     return [
         by_tau[float(tau)]
-        for _, by_tau in _alignment_by_tau(y_hat, windows, (tau,), label_cap)
+        for _, by_tau in _alignment_by_tau(y_hat, windows, (tau,), LABEL_CAP_SECONDS)
     ]
 
 
@@ -247,18 +246,14 @@ class SweepResult:
     by_tau: dict[float, AlignmentReport]
 
 
-def sweep_thresholds(
-    model: MlpModel,
-    windows: WindowTable,
-    taus: tuple[float, ...] = TAU_GRID,
-) -> list[SweepResult]:
-    """Sweep tau per participant, maximizing nMCC; ties go to smaller tau."""
-    if not taus:
-        raise ValueError("sweep needs at least one tau")
+def sweep_thresholds(model: MlpModel, windows: WindowTable) -> list[SweepResult]:
+    """Sweep ``TAU_GRID`` per participant, maximizing nMCC; ties go to smaller tau."""
     y_hat = np.asarray(predict(model, windows.features))
     return [
         SweepResult(participant_id=pid, best_tau=_best_tau(by_tau), by_tau=by_tau)
-        for pid, by_tau in _alignment_by_tau(y_hat, windows, taus, LABEL_CAP_SECONDS)
+        for pid, by_tau in _alignment_by_tau(
+            y_hat, windows, TAU_GRID, LABEL_CAP_SECONDS
+        )
     ]
 
 
@@ -283,7 +278,6 @@ class LosoEvaluation:
 
     ablation: str
     fixed_tau: float
-    taus: tuple[float, ...]
     folds: list[FoldResult]
 
     def macro_mae(self) -> float:
@@ -330,14 +324,14 @@ def run_loso(
     sessions: list[SessionRecord],
     cfg: TrainConfig,
     ablation: str = "imu+mic",
-    taus: tuple[float, ...] = TAU_GRID,
     fixed_tau: float = DEFAULT_TAU,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS,
 ) -> LosoEvaluation:
     """Train and evaluate one model per leave-one-subject-out fold.
 
-    Each fold predicts its held-out rows once; the regression MAE, every
-    tau's alignment report and the best tau all come from that prediction.
+    Each fold predicts its held-out rows once; the regression MAE, the
+    alignment report of every tau in ``TAU_GRID`` and the best tau all come
+    from that prediction.
 
     Raises InsufficientDataError naming a participant who has no labeled
     windows or no motion ground truth.
@@ -362,7 +356,7 @@ def run_loso(
 
         y_hat = np.asarray(predict(model, test_rows.features))
         [(_, alignment_by_tau)] = _alignment_by_tau(
-            y_hat, test_rows, taus, cfg.label_cap_seconds
+            y_hat, test_rows, TAU_GRID, cfg.label_cap_seconds
         )
         results.append(
             FoldResult(
@@ -383,9 +377,7 @@ def run_loso(
                 final_train_loss=losses[-1],
             )
         )
-    return LosoEvaluation(
-        ablation=ablation, fixed_tau=float(fixed_tau), taus=tuple(float(t) for t in taus), folds=results
-    )
+    return LosoEvaluation(ablation=ablation, fixed_tau=float(fixed_tau), folds=results)
 
 
 def audit_fold(
@@ -418,7 +410,7 @@ def report_rows(evaluations: list[LosoEvaluation]) -> list[dict]:
     rows = []
     for ev in evaluations:
         for fold in ev.folds:
-            for tau in ev.taus:
+            for tau in TAU_GRID:
                 rep = fold.alignment_by_tau[float(tau)]
                 rows.append(
                     {
@@ -500,7 +492,7 @@ def write_report_files(evaluations: list[LosoEvaluation], out_dir: str | Path) -
             )
             f.write(f"naive train-mean MAE (s): {_fmt(ev.macro_naive_mae())}\n")
             f.write("per-tau macro alignment:\n")
-            for tau in ev.taus:
+            for tau in TAU_GRID:
                 f.write(
                     f"  tau={tau:g}s accuracy={_fmt(ev.macro_accuracy(tau))} "
                     f"nmcc={_fmt(ev.macro_nmcc(tau))}\n"

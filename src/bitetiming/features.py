@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import float_rows
 from .errors import InsufficientDataError
 from .signals import IMU_WINDOW_SAMPLES, MIC_WINDOW_SAMPLES
 
@@ -149,10 +150,7 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-        )
+        return cls(*float_rows([d["mean"], d["std"]]))
 
 
 def fit_normalizer(rows: np.ndarray) -> NormalizationStats:

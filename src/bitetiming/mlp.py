@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import float_rows
 from .errors import DivergenceError, IntegrityError, SchemaVersionError
 from .features import (
     FEATURE_DIM,
@@ -28,6 +29,7 @@ from .features import (
     NormalizationStats,
     ablation_indices,
     apply_normalizer,
+    feature_dim,
     fit_normalizer,
 )
 from .pipeline import WindowTable
@@ -144,23 +146,14 @@ def _forward_cached(
     return activations[-1][:, 0], activations, pre_acts
 
 
-def forward(
-    model: MlpModel,
-    features: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray | float:
-    """Run the network on already-normalized features.
+def forward(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
+    """Run the deterministic (dropout-free) pass on already-normalized features.
 
     Args:
         features: shape (input_dim,) or (batch, input_dim).
-        mode: 'infer' for the deterministic pass, 'train' to sample
-            inverted-dropout masks from ``rng``.
 
     Returns a scalar for a single row, else a (batch,) vector.
     """
-    if mode not in ("infer", "train"):
-        raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -169,12 +162,7 @@ def forward(
         raise ValueError(
             f"features must have {model.input_dim} columns, got shape {x.shape}"
         )
-    masks = None
-    if mode == "train" and model.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        masks = _sample_dropout_masks(model, x.shape[0], rng)
-    y_hat, _, _ = _forward_cached(model.weights, model.biases, x, masks)
+    y_hat, _, _ = _forward_cached(model.weights, model.biases, x, None)
     return float(y_hat[0]) if single else y_hat
 
 
@@ -325,7 +313,7 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
             f"got shape {x.shape}"
         )
     x = apply_normalizer(model.normalization, x[:, ablation_indices(model.ablation)])
-    out = forward(model, x, mode="infer")
+    out = forward(model, x)
     return float(out[0]) if single else out
 
 
@@ -361,13 +349,56 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
+def _model_from_doc(doc: dict) -> MlpModel:
+    """Build a model from a checksummed document, checking its structure."""
+    dims, ablation, dropout_p = doc["layer_dims"], doc["ablation"], doc["dropout_p"]
+    if type(dims) is not list or len(dims) < 2 or dims[-1] != 1 or any(
+        type(d) is not int or d < 1 for d in dims
+    ):
+        raise ValueError(f"layer_dims {dims!r} are not positive integers ending in 1")
+    if dims[0] != feature_dim(ablation):
+        raise ValueError(f"layer_dims {dims} do not start at the input of {ablation!r}")
+    if type(dropout_p) not in (int, float) or not 0 <= dropout_p < 1:
+        raise ValueError(f"dropout_p {dropout_p!r} is not a number in [0, 1)")
+    weights = [float_rows(w) for w in doc["weights"]]
+    biases = [float_rows([b])[0] for b in doc["biases"]]
+    shapes = list(zip(dims[:-1], dims[1:]))
+    if [w.shape for w in weights] != shapes or [b.shape for b in biases] != [
+        (fan_out,) for _, fan_out in shapes
+    ]:
+        raise ValueError(f"weight and bias shapes do not match layer_dims {dims}")
+    norm = doc["normalization"]
+    if norm is not None:
+        norm = NormalizationStats.from_dict(norm)
+        if norm.mean.shape != (dims[0],):
+            raise ValueError(f"normalization does not have {dims[0]} features")
+    cfg = doc["train_config"]
+    try:
+        train_config = TrainConfig(**cfg) if cfg is not None else None
+        if cfg is not None and asdict(train_config).keys() != cfg.keys():
+            raise ValueError(f"missing {sorted(asdict(train_config).keys() - cfg.keys())}")
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"invalid train_config: {e}") from None
+    return MlpModel(
+        layer_dims=tuple(dims),
+        weights=weights,
+        biases=biases,
+        dropout_p=float(dropout_p),
+        normalization=norm,
+        feature_order_id=doc["feature_order_id"],
+        ablation=ablation,
+        train_config=train_config,
+    )
+
+
 def load_model(path: str | Path) -> MlpModel:
     """Load a saved model, verifying schema version and integrity.
 
     Raises:
         SchemaVersionError: the document declares an unknown schema.
-        IntegrityError: checksum mismatch (tampered or corrupted file) or a
-            feature layout this build does not produce.
+        IntegrityError: checksum mismatch (tampered or corrupted file), a
+            feature layout this build does not produce, a missing field, or
+            parameters that do not fit ``layer_dims`` and the ablation.
     """
     path = Path(path)
     try:
@@ -385,31 +416,18 @@ def load_model(path: str | Path) -> MlpModel:
     payload = {k: v for k, v in doc.items() if k != "checksum"}
     if stored_checksum != _payload_checksum(payload):
         raise IntegrityError(f"{path}: checksum mismatch, file was modified")
-    if doc["feature_order_id"] != FEATURE_ORDER_ID:
+    if doc.get("feature_order_id") != FEATURE_ORDER_ID:
         raise IntegrityError(
             f"{path}: model was built for feature layout "
-            f"{doc['feature_order_id']!r}, this build produces "
+            f"{doc.get('feature_order_id')!r}, this build produces "
             f"{FEATURE_ORDER_ID!r}"
         )
-    cfg = doc.get("train_config")
     try:
-        train_config = TrainConfig(**cfg) if cfg is not None else None
+        return _model_from_doc(doc)
+    except KeyError as e:
+        raise IntegrityError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
-        raise IntegrityError(f"{path}: invalid train_config: {e}") from None
-    return MlpModel(
-        layer_dims=tuple(doc["layer_dims"]),
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        dropout_p=float(doc["dropout_p"]),
-        normalization=(
-            NormalizationStats.from_dict(doc["normalization"])
-            if doc.get("normalization") is not None
-            else None
-        ),
-        feature_order_id=doc["feature_order_id"],
-        ablation=doc["ablation"],
-        train_config=train_config,
-    )
+        raise IntegrityError(f"{path}: {e}") from None
 
 
 def model_digest(model: MlpModel) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InsufficientDataError
+from .errors import InsufficientDataError
 
 IMU_RATE_HZ = 200.0
 MIC_RATE_HZ = 100.0
@@ -55,26 +55,19 @@ class UniformSeries:
         return self.start_t + np.arange(self.n_samples) / self.rate_hz
 
 
-def resample_linear(
-    t: np.ndarray,
-    values: np.ndarray,
-    rate_hz: float,
-    span: tuple[float, float] | None = None,
-) -> UniformSeries:
+def resample_linear(t: np.ndarray, values: np.ndarray, rate_hz: float) -> UniformSeries:
     """Linearly interpolate an irregular series onto a uniform grid.
+
+    The grid covers t[0] + k / rate_hz for every k with
+    t[0] + k / rate_hz <= t[-1], so it never extrapolates.
 
     Args:
         t: strictly increasing sample timestamps, shape (n,).
         values: sample values, shape (n,) or (n, channels).
         rate_hz: target grid rate.
-        span: (start, end) of the grid; defaults to the full input span.
-            The grid covers start + k / rate_hz for every k with
-            start + k / rate_hz <= end.
 
     Raises:
         InsufficientDataError: fewer than two input samples.
-        CoverageError: the requested span extends past the input samples;
-            extrapolation is never performed.
     """
     t = np.asarray(t, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -89,14 +82,7 @@ def resample_linear(
     if np.any(np.diff(t) <= 0):
         raise ValueError("timestamps must be strictly increasing")
 
-    start, end = span if span is not None else (float(t[0]), float(t[-1]))
-    if end < start:
-        raise ValueError(f"span end {end} precedes start {start}")
-    if start < t[0] - _TIME_EPS or end > t[-1] + _TIME_EPS:
-        raise CoverageError(
-            f"span [{start}, {end}] not covered by samples [{t[0]}, {t[-1]}]"
-        )
-
+    start, end = float(t[0]), float(t[-1])
     n_grid = int(np.floor((end - start) * rate_hz + _TIME_EPS)) + 1
     grid = start + np.arange(n_grid) / rate_hz
 

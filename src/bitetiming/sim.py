@@ -23,13 +23,14 @@ seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (
+    SCENARIOS,
     BiteEvent,
     SessionRecord,
     _bite,
@@ -38,6 +39,8 @@ from .dataio import (
     _field,
     _number,
     _parse_line,
+    _string,
+    _typed,
     validate_session,
     write_manifest,
     write_session,
@@ -45,7 +48,7 @@ from .dataio import (
 from .errors import ParseError, ProtocolError, SchemaVersionError
 from .mlp import predict
 from .pipeline import session_features
-from .policy import Command, MouthOpenPolicy, TickInputs
+from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs
 
 LOG_SCHEMA = "waffle-log/1"
 
@@ -65,26 +68,14 @@ ANTICIPATION_RAMP_S = 12.0
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
 class TrajectoryConfig:
-    """Robot trajectory geometry and control cadence."""
+    """Robot trajectory geometry and control cadence, fixed as in the study."""
 
-    staging_distance_m: float = 0.381
-    approach_speed_mps: float = 0.05
-    control_dt_s: float = 0.5
-    acquire_duration_s: float = 3.0
-    bite_duration_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "staging_distance_m",
-            "approach_speed_mps",
-            "control_dt_s",
-            "acquire_duration_s",
-            "bite_duration_s",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    staging_distance_m = 0.381
+    approach_speed_mps = 0.05
+    control_dt_s = CONTROL_TICK_SECONDS
+    acquire_duration_s = 3.0
+    bite_duration_s = 2.0
 
 
 class Phase(Enum):
@@ -108,16 +99,16 @@ class RobotState:
     feeding_arrival_t: float | None = None
 
 
-def initial_robot_state(cfg: TrajectoryConfig) -> RobotState:
+def initial_robot_state() -> RobotState:
     return RobotState(
         phase=Phase.ACQUIRING,
-        distance_to_mouth=cfg.staging_distance_m,
+        distance_to_mouth=TrajectoryConfig.staging_distance_m,
         clock=0.0,
     )
 
 
 def step_robot(
-    state: RobotState, command: Command, cfg: TrajectoryConfig
+    state: RobotState, command: Command
 ) -> tuple[RobotState, BiteEvent | None]:
     """Advance the robot one control tick under ``command``.
 
@@ -139,7 +130,7 @@ def step_robot(
             f"robot is {state.phase.value}"
         )
 
-    dt = cfg.control_dt_s
+    dt = CONTROL_TICK_SECONDS
     clock = state.clock + dt
     phase = state.phase
     distance = state.distance_to_mouth
@@ -150,9 +141,9 @@ def step_robot(
     bite: BiteEvent | None = None
 
     if phase is Phase.ACQUIRING:
-        if elapsed >= cfg.acquire_duration_s - _EPS:
+        if elapsed >= TrajectoryConfig.acquire_duration_s - _EPS:
             phase = Phase.AT_STAGING
-            distance = cfg.staging_distance_m
+            distance = TrajectoryConfig.staging_distance_m
             elapsed = 0.0
             staging_t = clock
     elif phase is Phase.AT_STAGING:
@@ -161,7 +152,7 @@ def step_robot(
             elapsed = 0.0
             auto = command is Command.TRIGGER_FULL_TRAJECTORY
             # The robot starts moving within this same tick.
-            distance = max(0.0, distance - cfg.approach_speed_mps * dt)
+            distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
             if distance <= _EPS:
                 distance = 0.0
                 phase = Phase.AT_FEEDING
@@ -169,14 +160,14 @@ def step_robot(
                 elapsed = 0.0
     elif phase is Phase.APPROACHING:
         if auto or command is Command.PROCEED:
-            distance = max(0.0, distance - cfg.approach_speed_mps * dt)
+            distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
             if distance <= _EPS:
                 distance = 0.0
                 phase = Phase.AT_FEEDING
                 feeding_t = clock
                 elapsed = 0.0
     elif phase is Phase.AT_FEEDING:
-        if elapsed >= cfg.bite_duration_s - _EPS:
+        if elapsed >= TrajectoryConfig.bite_duration_s - _EPS:
             assert staging_t is not None and feeding_t is not None
             bite = BiteEvent(
                 staging_arrival_t=staging_t,
@@ -191,7 +182,7 @@ def step_robot(
     elif phase is Phase.RETURNING:
         # Retraction takes one tick; the arm is back over the plate after it.
         phase = Phase.ACQUIRING
-        distance = cfg.staging_distance_m
+        distance = TrajectoryConfig.staging_distance_m
         elapsed = 0.0
 
     return (
@@ -433,23 +424,6 @@ class OracleLabeler:
     partner is almost done talking, proceed while the partner talks.
     """
 
-    INDIVIDUAL_RULES = (
-        "stop_aversive_motion",
-        "proceed_not_chewing",
-        "proceed_chewing_near_done",
-        "stop_chewing",
-    )
-    SOCIAL_RULES = (
-        "stop_aversive_motion",
-        "proceed_talking_near_done",
-        "stop_talking",
-        "stop_partner_near_done",
-        "proceed_partner_talking",
-        "proceed_not_chewing",
-        "proceed_chewing_near_done",
-        "stop_chewing",
-    )
-
     def __init__(
         self,
         scenario: str,
@@ -463,9 +437,6 @@ class OracleLabeler:
         self.scenario = scenario
         self.script = script
         self.partner_script = partner_script
-        self.rules = (
-            self.SOCIAL_RULES if scenario == "social" else self.INDIVIDUAL_RULES
-        )
 
     def evaluate(self, t: float) -> tuple[str, Command]:
         """Return (rule_name, command) for the first rule matching time t."""
@@ -604,7 +575,7 @@ class SyntheticScenario:
 
 
 def _drive_oracle(
-    oracle: OracleLabeler, duration: float, cfg: TrajectoryConfig
+    oracle: OracleLabeler, duration: float
 ) -> tuple[np.ndarray, np.ndarray, list[BiteEvent]]:
     """Run the robot under the oracle, yielding motion labels and bites.
 
@@ -615,15 +586,15 @@ def _drive_oracle(
     the wizard would happily proceed, because the robot is not theirs to
     advance right then.
     """
-    state = initial_robot_state(cfg)
+    state = initial_robot_state()
     motion_t = []
     moving = []
     bites: list[BiteEvent] = []
-    while state.clock + cfg.control_dt_s <= duration + _EPS:
+    while state.clock + CONTROL_TICK_SECONDS <= duration + _EPS:
         command = oracle.command_at(state.clock)
         motion_t.append(state.clock)
         before = state.distance_to_mouth
-        state, bite = step_robot(state, command, cfg)
+        state, bite = step_robot(state, command)
         moving.append(1 if state.distance_to_mouth < before - 1e-12 else 0)
         if bite is not None:
             bites.append(bite)
@@ -641,10 +612,8 @@ def synthesize_scenario(
     seed,
     style: ParticipantStyle | None = None,
     style_spread: float = 1.0,
-    cfg: TrajectoryConfig | None = None,
 ) -> SyntheticScenario:
     """Generate behavior, sensors, and oracle-driven ground truth."""
-    cfg = cfg or TrajectoryConfig()
     rng = np.random.default_rng(seed)
     if style is None:
         style = sample_style(rng, style_spread)
@@ -659,7 +628,7 @@ def synthesize_scenario(
     mic_amp = _synth_mic(rng, mic_t, script, style)
 
     oracle = OracleLabeler(scenario, script, partner)
-    motion_t, moving, bites = _drive_oracle(oracle, duration, cfg)
+    motion_t, moving, bites = _drive_oracle(oracle, duration)
 
     session = SessionRecord(
         participant_id=participant_id,
@@ -703,7 +672,6 @@ def generate_dataset(
     duration: float,
     seed: int,
     style_spread: float = 1.0,
-    scenarios: tuple[str, ...] = ("individual", "social"),
 ) -> Path:
     """Write a synthetic dataset (one session per participant per scenario).
 
@@ -716,7 +684,7 @@ def generate_dataset(
     for p in range(n_participants):
         pid = f"p{p + 1:02d}"
         style = sample_style(np.random.default_rng([seed, p]), style_spread)
-        for s_idx, scenario in enumerate(scenarios):
+        for s_idx, scenario in enumerate(SCENARIOS):
             record = generate_synthetic_session(
                 pid, scenario, duration, seed=[seed, p, s_idx + 1], style=style
             )
@@ -763,54 +731,50 @@ def model_predictor(model):
 def run_session(
     source: SessionRecord,
     policy,
-    cfg: TrajectoryConfig | None = None,
     predictor=None,
     oracle: OracleLabeler | None = None,
-    duration: float | None = None,
 ) -> SessionLog:
     """Replay a session's sensors against a policy in closed loop.
 
-    The policy is stepped once per control tick. Policies that consume
-    predictions get the trailing one-second window's prediction via
-    ``predictor(feature_row, window_end_t)``; ticks whose window is not
-    available (the first second, or past sensor coverage) are logged as gaps
-    and the policy sees ``y_hat=None``. The mouth-open baseline needs the
-    ``oracle`` of a generative source to produce its events.
+    The policy is stepped once per control tick until the sensors end.
+    Policies that consume predictions get the trailing one-second window's
+    prediction via ``predictor(feature_row, window_end_t)``; ticks whose
+    window is not available (the first second, or past sensor coverage) are
+    logged as gaps and the policy sees ``y_hat=None``. The mouth-open
+    baseline needs the ``oracle`` of a generative source to produce its
+    events.
     """
-    cfg = cfg or TrajectoryConfig()
     if policy.needs_predictions and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
     if isinstance(policy, MouthOpenPolicy) and oracle is None:
         raise ValueError("the mouth-open policy needs the source's oracle")
 
-    sensor_end = min(float(source.imu_t[-1]), float(source.mic_t[-1]))
-    if duration is None:
-        duration = sensor_end
+    duration = min(float(source.imu_t[-1]), float(source.mic_t[-1]))
 
     if predictor is not None:
         # Row of the window ending on each tick index; -1 where none does. A
         # later window wins a tick that two windows round to.
         end_t, features = session_features(source)
-        ticks = np.rint(end_t / cfg.control_dt_s).astype(np.intp)
+        ticks = np.rint(end_t / CONTROL_TICK_SECONDS).astype(np.intp)
         last = np.append(ticks[1:] != ticks[:-1], True)
         row_of_tick = np.full(ticks[-1] + 1, -1, dtype=np.intp)
         row_of_tick[ticks[last]] = np.nonzero(last)[0]
 
     policy.reset()
-    state = initial_robot_state(cfg)
+    state = initial_robot_state()
     log = SessionLog(
         policy_name=policy.name,
         participant_id=source.participant_id,
         scenario=source.scenario,
-        duration=float(duration),
+        duration=duration,
     )
     bite_just_completed = False
-    while state.clock + cfg.control_dt_s <= duration + _EPS:
+    while state.clock + CONTROL_TICK_SECONDS <= duration + _EPS:
         t = state.clock
         y_hat = None
         gap = False
         if predictor is not None:
-            tick = int(round(t / cfg.control_dt_s))
+            tick = int(round(t / CONTROL_TICK_SECONDS))
             row = row_of_tick[tick] if tick < row_of_tick.size else -1
             if row >= 0:
                 y_hat = float(predictor(features[row], t))
@@ -842,7 +806,7 @@ def run_session(
                 gap=gap,
             )
         )
-        state, bite = step_robot(state, command, cfg)
+        state, bite = step_robot(state, command)
         bite_just_completed = bite is not None
         if bite is not None:
             log.bites.append(bite)
@@ -887,8 +851,8 @@ def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
 def read_session_log(path: str | Path) -> SessionLog:
     """Read back a closed-loop trace written by write_session_log.
 
-    Raises ParseError naming ``path:line`` for malformed JSON, a missing or
-    non-numeric field, and an unknown track, command or phase;
+    Raises ParseError naming ``path:line`` for malformed JSON, a missing
+    field or one of the wrong type, and an unknown track, command or phase;
     SchemaVersionError for an unknown schema.
     """
     path = Path(path)
@@ -902,9 +866,9 @@ def read_session_log(path: str | Path) -> SessionLog:
             f"expected {LOG_SCHEMA!r}"
         )
     log = SessionLog(
-        policy_name=_field(path, 1, header, "policy"),
-        participant_id=_field(path, 1, header, "participant"),
-        scenario=_field(path, 1, header, "scenario"),
+        policy_name=_string(path, 1, header, "policy"),
+        participant_id=_string(path, 1, header, "participant"),
+        scenario=_string(path, 1, header, "scenario"),
         duration=_number(path, 1, header, "duration"),
     )
     for lineno, line in enumerate(lines[1:], start=2):
@@ -918,6 +882,7 @@ def read_session_log(path: str | Path) -> SessionLog:
             y_hat = _field(path, lineno, rec, "y_hat")
             if y_hat is not None:
                 y_hat = _number(path, lineno, rec, "y_hat")
+            gap = "gap" in rec and _typed(path, lineno, rec, "gap", (bool,), "a boolean")
             log.ticks.append(
                 TickLog(
                     t=_number(path, lineno, rec, "t"),
@@ -925,7 +890,7 @@ def read_session_log(path: str | Path) -> SessionLog:
                     distance_to_mouth=_number(path, lineno, rec, "distance"),
                     phase=_enum_field(path, lineno, rec, "phase", Phase),
                     y_hat=y_hat,
-                    gap=rec.get("gap", False),
+                    gap=gap,
                 )
             )
         else:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bitetiming.features import build_feature_vector
 from bitetiming.pipeline import WindowTable
@@ -62,3 +63,44 @@ def brute_force_features(imu, mic):
             out.extend(brute_force_stats(imu[axis, imu_cols]))
         out.extend(brute_force_stats(mic[mic_cols]))
     return np.array(out)
+
+
+# Replacement values for a mutated JSON field: each JSON type, a numeric and
+# a non-numeric string, a boolean and a fraction.
+JUNK = ("abc", "1.5", True, None, 0.7, -3, {}, [])
+
+
+def mutate_json(data, node):
+    """Delete or replace one value somewhere inside a JSON object, in place.
+
+    Draws a path from ``node`` down through nested objects and arrays, then
+    deletes the value at its end or sets it to one of ``JUNK``.
+    """
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys), label="key")
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        value = data.draw(st.sampled_from(("delete",) + JUNK), label="value")
+        if value == "delete":
+            del node[key]
+        else:
+            node[key] = value
+        return
+
+
+def same_json(a, b):
+    """JSON equality that tells booleans from numbers and strings from both."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            same_json(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return (
+            isinstance(b, list) and len(a) == len(b) and all(map(same_json, a, b))
+        )
+    return type(a) in (int, float) and type(b) in (int, float) and a == b or (
+        type(a) is type(b) and a == b
+    )

@@ -127,6 +127,15 @@ def test_train_missing_manifest_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_a_manifest_whose_sessions_are_not_paths(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": [5]}))
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}: 'sessions' must be a list of path strings"]
+
+
 def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
     # A copy of one synthesized session whose second imu line has "ax": {}.
     lines = (dataset_dir / "p01_individual.jsonl").read_text().splitlines()

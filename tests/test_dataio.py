@@ -1,11 +1,14 @@
 """Session file round trips, validation errors, and label derivation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import mutate_json
 
 from bitetiming.dataio import (
     BiteEvent,
@@ -233,6 +236,35 @@ def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
         read_session(path)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("participant", {"a": 1}), ("scenario", ["social"])]
+)
+def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, field, value):
+    path = tmp_path / "h.jsonl"
+    write_session(small_session(with_quat=False), path)
+    rewrite_line(path, 0, **{field: value})
+    with pytest.raises(
+        ParseError, match=f"{path}:1: 'header' field '{field}' is not a string"
+    ):
+        read_session(path)
+
+
+# Line indices count from 0: the header, 5 imu lines, 4 mic lines, 1 bite
+# line, then 3 motion lines.
+@pytest.mark.parametrize(
+    "index, field, value",
+    [(3, "ax", "1.5"), (3, "qz", True), (7, "amp", "0.5"), (12, "moving", True)],
+)
+def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, field, value):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(with_quat=True), path)
+    rewrite_line(path, index, **{field: value})
+    with pytest.raises(
+        ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number"
+    ):
+        read_session(path)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
@@ -316,6 +348,55 @@ def test_load_dataset_schema_guard(tmp_path):
     manifest.write_text("[1, 2]")
     with pytest.raises(ParseError):
         load_dataset(manifest)
+
+
+@pytest.mark.parametrize(
+    "sessions", [[5], None, "ab", ["x.jsonl", ["y.jsonl"]], "missing"]
+)
+def test_load_dataset_requires_a_list_of_path_strings(tmp_path, sessions):
+    manifest = tmp_path / "manifest.json"
+    doc = {"schema": "waffle-manifest/1", "sessions": sessions}
+    if sessions == "missing":
+        del doc["sessions"]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(
+        ParseError, match=f"{manifest}: 'sessions' must be a list of path strings"
+    ):
+        load_dataset(manifest)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("manifest")
+    sessions = []
+    for pid, scenario in (("p01", "social"), ("p02", "individual")):
+        sessions.append(path / f"{pid}_{scenario}.jsonl")
+        write_session(small_session(participant=pid, scenario=scenario), sessions[-1])
+    write_manifest(sessions, path / "manifest.json")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_load_dataset_mutations_load_or_name_the_file(manifest_dir, data):
+    # Delete or replace one value of the manifest. The loader either returns
+    # exactly the sessions the mutated list names, or raises a package
+    # ValueError naming the manifest, or an OSError naming a listed path that
+    # is not a session file.
+    doc = json.loads((manifest_dir / "manifest.json").read_text())
+    mutate_json(data, doc)
+    path = manifest_dir / "mutated.json"
+    path.write_text(json.dumps(doc))
+    try:
+        sessions = load_dataset(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    except OSError as e:
+        assert Path(e.filename) in [manifest_dir / rel for rel in doc["sessions"]]
+    else:
+        named = sorted(tuple(Path(rel).stem.split("_")) for rel in doc["sessions"])
+        assert [(s.participant_id, s.scenario) for s in sessions] == named
 
 
 def session_with_arrivals(arrivals):

@@ -212,11 +212,6 @@ def test_sweep_tie_goes_to_smaller_tau():
     assert len(set(nmccs)) == 1
 
 
-def test_sweep_needs_taus():
-    with pytest.raises(ValueError):
-        sweep_thresholds(passthrough_model(), table(("p1", 1.0, 1.0, 1)), taus=())
-
-
 @pytest.fixture(scope="module")
 def small_dataset():
     sessions = []

@@ -5,13 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import window_table
+from conftest import mutate_json, same_json, window_table
 
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
 from bitetiming.mlp import (
     MlpModel,
     TrainConfig,
+    _model_payload,
+    _sample_dropout_masks,
     forward,
     init_mlp,
     load_model,
@@ -84,21 +88,26 @@ def test_forward_infer_is_deterministic_and_validated():
     assert forward(model, x) == forward(model, x)
     with pytest.raises(ValueError):
         forward(model, np.zeros(47))
-    with pytest.raises(ValueError):
-        forward(model, x, mode="test")
-    with pytest.raises(ValueError):
-        forward(model, x, mode="train")  # dropout needs an rng
 
 
-def test_forward_train_mode_applies_dropout():
+def test_loss_and_gradients_applies_dropout_masks():
     model = init_mlp((48, 64, 64, 1), seed=2)
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 1.0, (8, 48))
-    a = forward(model, x, mode="train", rng=np.random.default_rng(1))
-    b = forward(model, x, mode="train", rng=np.random.default_rng(1))
-    c = forward(model, x, mode="train", rng=np.random.default_rng(2))
-    np.testing.assert_array_equal(a, b)
-    assert np.any(a != c)
+    y = rng.uniform(0.0, 10.0, 8)
+
+    def masked(seed):
+        masks = _sample_dropout_masks(model, 8, np.random.default_rng(seed))
+        loss, w_grads, _ = loss_and_gradients(model, x, y, masks)
+        return loss, np.concatenate([g.ravel() for g in w_grads])
+
+    loss_a, grads_a = masked(1)
+    loss_b, grads_b = masked(1)
+    loss_c, grads_c = masked(2)
+    assert loss_a == loss_b
+    np.testing.assert_array_equal(grads_a, grads_b)
+    assert loss_a != loss_c and np.any(grads_a != grads_c)
+    assert loss_a != loss_and_gradients(model, x, y)[0]
 
 
 def test_loss_value_and_zero_residual_subgradient():
@@ -335,6 +344,39 @@ def test_load_rejects_foreign_feature_layout(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_a_model_without_its_ablation(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    doc = json.loads(path.read_text())
+    del doc["ablation"]
+    path.write_text(json.dumps(resign(doc)))
+    with pytest.raises(IntegrityError, match=f"{path}: missing field 'ablation'"):
+        load_model(path)
+
+
+def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    base = json.loads(path.read_text())
+
+    def rejects(mutate, message):
+        doc = json.loads(json.dumps(base))
+        mutate(doc)
+        path.write_text(json.dumps(resign(doc)))
+        with pytest.raises(IntegrityError, match=f"{path}: {message}"):
+            load_model(path)
+
+    def drop_a_column(doc):
+        doc["weights"][1] = [row[:-1] for row in doc["weights"][1]]
+
+    rejects(drop_a_column, "weight and bias shapes do not match")
+    rejects(lambda doc: doc["biases"][0].pop(), "weight and bias shapes do not match")
+    rejects(lambda doc: doc.update(ablation="imu"), r"layer_dims \[48, .* do not start")
+    rejects(lambda doc: doc["normalization"]["std"].__setitem__(0, "1.5"), "values must")
+    rejects(lambda doc: [v.pop() for v in doc["normalization"].values()], "normalization")
+    rejects(lambda doc: doc["train_config"].pop("seed"), r"invalid train_config: missing")
+
+
 def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{broken")
@@ -343,6 +385,39 @@ def test_load_rejects_non_json(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(IntegrityError):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model")
+    rng = np.random.default_rng(0)
+    windows = rows_from(rng.normal(0.0, 1.0, (20, 48)), rng.uniform(1.0, 9.0, 20))
+    model, _ = train(windows, TrainConfig(epochs=1, batch_size=8), hidden_dims=(3,))
+    save_model(model, path / "base.json")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_model_mutations_load_or_name_the_file(model_dir, data):
+    # Delete or replace one value anywhere in a model file, down to a single
+    # weight, and recompute the checksum. The loader either returns a model
+    # that saves back to the mutated document and predicts, or raises a
+    # package ValueError naming the file.
+    doc = json.loads((model_dir / "base.json").read_text())
+    del doc["checksum"]
+    mutate_json(data, doc)
+    path = model_dir / "mutated.json"
+    path.write_text(json.dumps(resign(dict(doc))))
+    try:
+        model = load_model(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    else:
+        assert same_json(_model_payload(model), doc)
+        if model.normalization is not None:
+            assert np.asarray(predict(model, np.zeros((2, 48)))).shape == (2,)
 
 
 def test_model_digest_tracks_parameters():

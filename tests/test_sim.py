@@ -1,7 +1,13 @@
 """Feeding-robot simulator, behavior scripts, oracle labeler, synthesis."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import mutate_json, same_json
 
 from bitetiming.dataio import derive_time_to_bite, load_dataset, validate_session
 from bitetiming.errors import ParseError, ProtocolError, SchemaVersionError
@@ -36,58 +42,43 @@ from bitetiming.sim import (
     write_session_log,
 )
 
-CFG = TrajectoryConfig()
-
-
-def test_trajectory_config_validation():
-    for name in (
-        "staging_distance_m",
-        "approach_speed_mps",
-        "control_dt_s",
-        "acquire_duration_s",
-        "bite_duration_s",
-    ):
-        with pytest.raises(ValueError, match=name):
-            TrajectoryConfig(**{name: 0.0})
-
-
 def drive(state, commands):
     bites = []
     for command in commands:
-        state, bite = step_robot(state, command, CFG)
+        state, bite = step_robot(state, command)
         if bite is not None:
             bites.append(bite)
     return state, bites
 
 
 def test_acquire_takes_six_ticks():
-    state = initial_robot_state(CFG)
+    state = initial_robot_state()
     assert state.phase is Phase.ACQUIRING
     state, _ = drive(state, [Command.STOP] * 5)
     assert state.phase is Phase.ACQUIRING
-    state, _ = step_robot(state, Command.STOP, CFG)
+    state, _ = step_robot(state, Command.STOP)
     assert state.phase is Phase.AT_STAGING
     assert state.clock == 3.0
     assert state.staging_arrival_t == 3.0
 
 
 def test_staging_holds_until_proceed():
-    state, _ = drive(initial_robot_state(CFG), [Command.STOP] * 6)
+    state, _ = drive(initial_robot_state(), [Command.STOP] * 6)
     assert state.phase is Phase.AT_STAGING
     held, _ = drive(state, [Command.STOP] * 10)
     assert held.phase is Phase.AT_STAGING
-    assert held.distance_to_mouth == CFG.staging_distance_m
+    assert held.distance_to_mouth == TrajectoryConfig.staging_distance_m
 
 
 def test_proceed_moves_within_the_same_tick():
-    state, _ = drive(initial_robot_state(CFG), [Command.STOP] * 6)
+    state, _ = drive(initial_robot_state(), [Command.STOP] * 6)
     state, _ = drive(state, [Command.PROCEED])
     assert state.phase is Phase.APPROACHING
     assert state.distance_to_mouth == pytest.approx(0.381 - 0.025)
 
 
 def test_stop_pauses_an_unlatched_approach():
-    state, _ = drive(initial_robot_state(CFG), [Command.STOP] * 6 + [Command.PROCEED])
+    state, _ = drive(initial_robot_state(), [Command.STOP] * 6 + [Command.PROCEED])
     d = state.distance_to_mouth
     state, _ = drive(state, [Command.STOP] * 4)
     assert state.phase is Phase.APPROACHING
@@ -97,7 +88,7 @@ def test_stop_pauses_an_unlatched_approach():
 
 
 def test_trigger_latches_through_stops():
-    state, _ = drive(initial_robot_state(CFG), [Command.STOP] * 6)
+    state, _ = drive(initial_robot_state(), [Command.STOP] * 6)
     state, _ = drive(state, [Command.TRIGGER_FULL_TRAJECTORY])
     d = state.distance_to_mouth
     state, _ = drive(state, [Command.STOP])
@@ -105,22 +96,22 @@ def test_trigger_latches_through_stops():
 
 
 def test_trigger_is_a_protocol_error_off_staging():
-    state = initial_robot_state(CFG)
+    state = initial_robot_state()
     with pytest.raises(ProtocolError, match="acquiring"):
-        step_robot(state, Command.TRIGGER_FULL_TRAJECTORY, CFG)
+        step_robot(state, Command.TRIGGER_FULL_TRAJECTORY)
     state, _ = drive(state, [Command.STOP] * 6 + [Command.PROCEED])
     with pytest.raises(ProtocolError, match="approaching"):
-        step_robot(state, Command.TRIGGER_FULL_TRAJECTORY, CFG)
+        step_robot(state, Command.TRIGGER_FULL_TRAJECTORY)
 
 
 def test_always_proceed_cycle_closed_form():
     # acquire 3.0 s, approach ceil(0.381/0.025) = 16 ticks = 8.0 s, bite
     # 2.0 s, return 0.5 s: the first cycle ends at 13.0 s, later ones every
     # 13.5 s.
-    state = initial_robot_state(CFG)
+    state = initial_robot_state()
     bites = []
     while state.clock < 30.0:
-        state, bite = step_robot(state, Command.PROCEED, CFG)
+        state, bite = step_robot(state, Command.PROCEED)
         if bite is not None:
             bites.append(bite)
     assert len(bites) == 2
@@ -146,13 +137,13 @@ def test_random_commands_keep_state_legal():
         Phase.RETURNING: {Phase.ACQUIRING},
     }
     rng = np.random.default_rng(7)
-    state = initial_robot_state(CFG)
+    state = initial_robot_state()
     for _ in range(2000):
         command = Command.PROCEED if rng.random() < 0.5 else Command.STOP
         before = state
-        state, _ = step_robot(state, command, CFG)
+        state, _ = step_robot(state, command)
         assert state.phase in allowed_next[before.phase]
-        assert 0.0 <= state.distance_to_mouth <= CFG.staging_distance_m
+        assert 0.0 <= state.distance_to_mouth <= TrajectoryConfig.staging_distance_m
         if before.phase is Phase.APPROACHING:
             assert state.distance_to_mouth <= before.distance_to_mouth
         assert state.clock == pytest.approx(before.clock + 0.5)
@@ -377,11 +368,11 @@ def test_motion_labels_replay_the_oracle_loop(social_scn):
     # distance to the mouth shrank while executing the oracle's command.
     session = social_scn.session
     oracle = social_scn.oracle
-    state = initial_robot_state(CFG)
+    state = initial_robot_state()
     expected = []
     while state.clock + 0.5 <= 90.0 + 1e-9:
         before = state.distance_to_mouth
-        state, _ = step_robot(state, oracle.command_at(state.clock), CFG)
+        state, _ = step_robot(state, oracle.command_at(state.clock))
         expected.append(1 if state.distance_to_mouth < before - 1e-12 else 0)
     np.testing.assert_array_equal(session.motion_moving, np.array(expected))
 
@@ -553,6 +544,86 @@ def test_session_log_read_errors(tmp_path):
     ok = tmp_path / "ok.jsonl"
     ok.write_text(header + tick)
     assert read_session_log(ok).ticks[0].phase is Phase.AT_STAGING
+
+
+LOG_HEADER = {
+    "schema": "waffle-log/1",
+    "participant": "p",
+    "scenario": "individual",
+    "policy": "always-feed",
+    "duration": 1.0,
+}
+LOG_TICK = {
+    "track": "policy",
+    "t": 0.0,
+    "command": "proceed",
+    "y_hat": None,
+    "distance": 0.381,
+    "phase": "at_staging",
+    "gap": False,
+}
+
+
+@pytest.mark.parametrize(
+    "index, field, value, kind",
+    [
+        (0, "participant", {"a": 1}, "a string"),
+        (0, "scenario", 3, "a string"),
+        (0, "policy", None, "a string"),
+        (1, "gap", "yes", "a boolean"),
+        (1, "gap", 1, "a boolean"),
+    ],
+)
+def test_session_log_names_the_line_of_a_wrongly_typed_field(
+    tmp_path, index, field, value, kind
+):
+    records = [dict(LOG_HEADER), dict(LOG_TICK)]
+    records[index][field] = value
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = f"{path}:{index + 1}: .*'{field}' is not {kind}"
+    with pytest.raises(ParseError, match=message):
+        read_session_log(path)
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory, long_scn):
+    # A waffle log: ticks with and without a prediction, gaps and bites.
+    path = tmp_path_factory.mktemp("log")
+    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    log = run_session(long_scn.session, policy, predictor=lambda row, t: t % 9.0)
+    assert log.bites and any(tick.gap for tick in log.ticks)
+    write_session_log(log, path / "base.jsonl")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_session_log_mutations_load_or_name_the_file(log_dir, data):
+    # Delete or replace one value of one line. The loader either returns a
+    # log that writes back to the mutated lines, or raises a package
+    # ValueError naming the file. A tick's own "policy" field is not read
+    # (the header's is written back), and a tick without "gap" reads false.
+    lines = (log_dir / "base.jsonl").read_text().splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    records = [json.loads(line) for line in lines]
+    mutate_json(data, records[index])
+    path = log_dir / "mutated.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    try:
+        log = read_session_log(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    else:
+        for rec in records[1:]:
+            if rec["track"] == "policy":
+                rec.update(policy=records[0]["policy"], gap=rec.get("gap", False))
+        write_session_log(log, log_dir / "rewritten.jsonl")
+        rewritten = (log_dir / "rewritten.jsonl").read_text().splitlines()
+        assert same_json([json.loads(line) for line in rewritten], records)
+        for tick in log.ticks:
+            assert type(tick.t) in (int, float) and type(tick.gap) is bool
 
 
 def test_generate_dataset_layout(tmp_path):
