@@ -25,7 +25,6 @@ from .evaluation import (
     LosoEvaluation,
     confusion,
     evaluate_alignment,
-    loso_folds,
     mae_seconds,
     mcc,
     naive_mean_baseline,

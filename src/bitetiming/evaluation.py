@@ -130,38 +130,6 @@ def accuracy(counts: ConfusionCounts) -> float:
 
 
 @dataclass(frozen=True)
-class LosoFold:
-    """One leave-one-subject-out split."""
-
-    participant_id: str
-    train_sessions: list[SessionRecord]
-    test_sessions: list[SessionRecord]
-
-
-def loso_folds(sessions: list[SessionRecord]) -> list[LosoFold]:
-    """One fold per participant, ordered by participant id.
-
-    Raises InsufficientDataError with fewer than two participants.
-    """
-    participants = sorted({s.participant_id for s in sessions})
-    if len(participants) < 2:
-        raise InsufficientDataError(
-            f"leave-one-subject-out needs at least 2 participants, "
-            f"got {len(participants)}"
-        )
-    folds = []
-    for pid in participants:
-        folds.append(
-            LosoFold(
-                participant_id=pid,
-                train_sessions=[s for s in sessions if s.participant_id != pid],
-                test_sessions=[s for s in sessions if s.participant_id == pid],
-            )
-        )
-    return folds
-
-
-@dataclass(frozen=True)
 class AlignmentReport:
     """Threshold-vs-ground-truth agreement for one participant at one tau."""
 
@@ -289,29 +257,22 @@ class LosoEvaluation:
     def macro_naive_mae(self) -> float:
         return float(np.mean([f.naive_mae_seconds for f in self.folds]))
 
-    def _fold_report(self, fold: FoldResult, tau: float) -> AlignmentReport:
-        return fold.alignment_by_tau[float(tau)]
+    def _reports(self, tau: float | None) -> list[AlignmentReport]:
+        """Each fold's report at a fixed tau, or at the fold's best tau if None."""
+        return [
+            f.alignment_by_tau[f.best_tau if tau is None else float(tau)]
+            for f in self.folds
+        ]
 
     def macro_nmcc(self, tau: float | None = None) -> float:
         """Macro-average nMCC at a fixed tau, or each fold's optimum if None."""
-        vals = [
-            self._fold_report(f, f.best_tau if tau is None else tau).nmcc
-            for f in self.folds
-        ]
-        return float(np.mean(vals))
+        return float(np.mean([r.nmcc for r in self._reports(tau)]))
 
     def macro_accuracy(self, tau: float | None = None) -> float:
-        vals = [
-            self._fold_report(f, f.best_tau if tau is None else tau).accuracy
-            for f in self.folds
-        ]
-        return float(np.mean(vals))
+        return float(np.mean([r.accuracy for r in self._reports(tau)]))
 
     def micro_counts(self, tau: float | None = None) -> ConfusionCounts:
-        total = ConfusionCounts(0, 0, 0, 0)
-        for f in self.folds:
-            total = total + self._fold_report(f, f.best_tau if tau is None else tau).counts
-        return total
+        return sum((r.counts for r in self._reports(tau)), ConfusionCounts(0, 0, 0, 0))
 
     def micro_nmcc(self, tau: float | None = None) -> float:
         return nmcc(self.micro_counts(tau))
@@ -333,46 +294,46 @@ def run_loso(
     alignment report of every tau in ``TAU_GRID`` and the best tau all come
     from that prediction.
 
-    Raises InsufficientDataError naming a participant who has no labeled
-    windows or no motion ground truth.
+    Raises InsufficientDataError with fewer than two participants, or naming
+    a participant who has no labeled windows or no motion ground truth.
     """
-    folds = loso_folds(sessions)
+    participants = sorted({s.participant_id for s in sessions})
+    if len(participants) < 2:
+        raise InsufficientDataError(
+            f"leave-one-subject-out needs at least 2 participants, "
+            f"got {len(participants)}"
+        )
     windows = extract_dataset_windows(sessions)
     windows = windows.rows(np.argsort(windows.participant, kind="stable"))
 
     results = []
-    for fold in folds:
-        held_out = windows.participant == fold.participant_id
+    for pid in participants:
+        held_out = windows.participant == pid
         train_rows, test_rows = windows.rows(~held_out), windows.rows(held_out)
         if not len(test_rows):
-            raise InsufficientDataError(
-                f"participant {fold.participant_id} has no labeled windows"
-            )
+            raise InsufficientDataError(f"participant {pid} has no labeled windows")
         if not test_rows.motion_known.any():
-            raise InsufficientDataError(
-                f"participant {fold.participant_id} has no motion labels"
-            )
+            raise InsufficientDataError(f"participant {pid} has no motion labels")
         model, losses = train(train_rows, cfg, ablation, hidden_dims)
 
         y_hat = np.asarray(predict(model, test_rows.features))
         [(_, alignment_by_tau)] = _alignment_by_tau(
             y_hat, test_rows, TAU_GRID, cfg.label_cap_seconds
         )
+        best_tau = _best_tau(alignment_by_tau)
         results.append(
             FoldResult(
-                participant_id=fold.participant_id,
+                participant_id=pid,
                 n_train_rows=len(train_rows),
                 n_test_rows=len(test_rows),
-                mae_seconds=mae_seconds(
-                    y_hat, test_rows.time_to_bite, cfg.label_cap_seconds
-                ),
+                mae_seconds=alignment_by_tau[best_tau].mae_seconds,  # same at every tau
                 naive_mae_seconds=naive_mean_baseline(
                     train_rows.time_to_bite,
                     test_rows.time_to_bite,
                     cfg.label_cap_seconds,
                 ),
                 alignment_by_tau=alignment_by_tau,
-                best_tau=_best_tau(alignment_by_tau),
+                best_tau=best_tau,
                 model_digest=model_digest(model),
                 final_train_loss=losses[-1],
             )
@@ -403,6 +364,26 @@ def audit_fold(
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+# report.tsv columns in order, each with the format spec of its cells
+# ("d" writes the is_best_tau flag as 1 or 0).
+_TSV_COLUMNS = {
+    "ablation": "s",
+    "participant": "s",
+    "tau": "g",
+    "is_best_tau": "d",
+    "n_windows": "d",
+    "tp": "d",
+    "tn": "d",
+    "fp": "d",
+    "fn": "d",
+    "accuracy": ".6f",
+    "mcc": ".6f",
+    "nmcc": ".6f",
+    "mae_seconds": ".6f",
+    "naive_mae_seconds": ".6f",
+}
 
 
 def report_rows(evaluations: list[LosoEvaluation]) -> list[dict]:
@@ -444,37 +425,10 @@ def write_report_files(evaluations: list[LosoEvaluation], out_dir: str | Path) -
     rows = report_rows(evaluations)
 
     tsv_path = out_dir / "report.tsv"
-    columns = [
-        "ablation",
-        "participant",
-        "tau",
-        "is_best_tau",
-        "n_windows",
-        "tp",
-        "tn",
-        "fp",
-        "fn",
-        "accuracy",
-        "mcc",
-        "nmcc",
-        "mae_seconds",
-        "naive_mae_seconds",
-    ]
-    float_cols = {"accuracy", "mcc", "nmcc", "mae_seconds", "naive_mae_seconds"}
     with tsv_path.open("w", encoding="utf-8") as f:
-        f.write("\t".join(columns) + "\n")
+        f.write("\t".join(_TSV_COLUMNS) + "\n")
         for row in rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                if col in float_cols:
-                    cells.append(_fmt(v))
-                elif col == "tau":
-                    cells.append(f"{v:g}")
-                elif col == "is_best_tau":
-                    cells.append("1" if v else "0")
-                else:
-                    cells.append(str(v))
+            cells = (format(row[col], spec) for col, spec in _TSV_COLUMNS.items())
             f.write("\t".join(cells) + "\n")
 
     jsonl_path = out_dir / "report.jsonl"

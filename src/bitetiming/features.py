@@ -103,28 +103,29 @@ def build_feature_vector(
     return out
 
 
+# Each ablation's columns, computed once. They are read-only because every
+# caller shares the same array.
+_AXIS_OF_COLUMN = np.arange(FEATURE_DIM) // len(STAT_NAMES) % len(AXIS_NAMES)
+_IS_MIC_COLUMN = _AXIS_OF_COLUMN == AXIS_NAMES.index("mic")
+_ABLATION_COLUMNS = {
+    "imu+mic": np.arange(FEATURE_DIM, dtype=np.intp),
+    "imu": np.flatnonzero(~_IS_MIC_COLUMN),
+    "mic": np.flatnonzero(_IS_MIC_COLUMN),
+}
+for _columns in _ABLATION_COLUMNS.values():
+    _columns.flags.writeable = False
+
+
 def ablation_indices(ablation: str) -> np.ndarray:
     """Column indices into the 48-vector kept by a modality ablation.
 
     'imu+mic' keeps all 48, 'imu' the 36 accelerometer features, 'mic' the
-    12 microphone features. Indices are returned in extraction order.
+    12 microphone features. Indices are returned in extraction order, as a
+    shared read-only array.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
-    keep = []
-    i = 0
-    for _half in HALF_NAMES:
-        for axis in AXIS_NAMES:
-            is_mic = axis == "mic"
-            wanted = (
-                ablation == "imu+mic"
-                or (ablation == "imu" and not is_mic)
-                or (ablation == "mic" and is_mic)
-            )
-            if wanted:
-                keep.extend(range(i, i + len(STAT_NAMES)))
-            i += len(STAT_NAMES)
-    return np.array(keep, dtype=np.intp)
+    return _ABLATION_COLUMNS[ablation]
 
 
 def feature_dim(ablation: str) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -367,18 +368,16 @@ def _model_from_doc(doc: dict) -> MlpModel:
         (fan_out,) for _, fan_out in shapes
     ]:
         raise ValueError(f"weight and bias shapes do not match layer_dims {dims}")
-    norm = doc["normalization"]
-    if norm is not None:
-        norm = NormalizationStats.from_dict(norm)
-        if norm.mean.shape != (dims[0],):
-            raise ValueError(f"normalization does not have {dims[0]} features")
+    if type(doc["normalization"]) is not dict:
+        raise ValueError("normalization is not an object with mean and std")
+    norm = NormalizationStats.from_dict(doc["normalization"])
+    if norm.mean.shape != (dims[0],):
+        raise ValueError(f"normalization does not have {dims[0]} features")
+    if not (norm.std > 0).all():
+        raise ValueError("normalization std must be positive")
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, norm.mean, norm.std)):
+        raise ValueError("weights, biases and normalization must be finite")
     cfg = doc["train_config"]
-    try:
-        train_config = TrainConfig(**cfg) if cfg is not None else None
-        if cfg is not None and asdict(train_config).keys() != cfg.keys():
-            raise ValueError(f"missing {sorted(asdict(train_config).keys() - cfg.keys())}")
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"invalid train_config: {e}") from None
     return MlpModel(
         layer_dims=tuple(dims),
         weights=weights,
@@ -387,8 +386,30 @@ def _model_from_doc(doc: dict) -> MlpModel:
         normalization=norm,
         feature_order_id=doc["feature_order_id"],
         ablation=ablation,
-        train_config=train_config,
+        train_config=None if cfg is None else _train_config_from(cfg),
     )
+
+
+def _train_config_from(cfg) -> TrainConfig:
+    """The TrainConfig a model file stores: every field, each of its JSON type."""
+    if type(cfg) is not dict:
+        raise ValueError("invalid train_config: not an object")
+    for f in fields(TrainConfig):
+        v = cfg.get(f.name, 0)  # a missing field is named below
+        if type(v) is not int and not (
+            f.type == "float" and type(v) is float and math.isfinite(v)
+        ):
+            kind = "an integer" if f.type == "int" else "a finite number"
+            raise ValueError(f"invalid train_config: {f.name} {v!r} is not {kind}")
+    try:
+        config = TrainConfig(**cfg)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"invalid train_config: {e}") from None
+    if asdict(config).keys() != cfg.keys():
+        raise ValueError(
+            f"invalid train_config: missing {sorted(asdict(config).keys() - cfg.keys())}"
+        )
+    return config
 
 
 def load_model(path: str | Path) -> MlpModel:
@@ -397,8 +418,10 @@ def load_model(path: str | Path) -> MlpModel:
     Raises:
         SchemaVersionError: the document declares an unknown schema.
         IntegrityError: checksum mismatch (tampered or corrupted file), a
-            feature layout this build does not produce, a missing field, or
-            parameters that do not fit ``layer_dims`` and the ablation.
+            feature layout this build does not produce, a missing field,
+            parameters that do not fit ``layer_dims`` and the ablation, a
+            non-finite parameter, a normalization std that is not positive,
+            or a ``train_config`` value of the wrong JSON type.
     """
     path = Path(path)
     try:

@@ -23,6 +23,7 @@ seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -227,6 +228,7 @@ class BehaviorScript:
 
     duration: float
     segments: tuple[Segment, ...]
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -243,11 +245,12 @@ class BehaviorScript:
             raise ValueError(
                 f"segments end at {prev_end}, short of duration {self.duration}"
             )
+        object.__setattr__(self, "_starts", tuple(s.start_t for s in self.segments))
 
     def segment_at(self, t: float) -> Segment:
-        starts = [s.start_t for s in self.segments]
-        idx = int(np.searchsorted(starts, t, side="right")) - 1
-        return self.segments[max(0, min(idx, len(self.segments) - 1))]
+        """The segment holding t; times before 0 or past the end clamp to the
+        first or last segment, and a boundary time belongs to the later one."""
+        return self.segments[max(0, bisect_right(self._starts, t) - 1)]
 
     def state_at(self, t: float) -> BehaviorState:
         return self.segment_at(t).state

@@ -16,7 +16,6 @@ from bitetiming.evaluation import (
     audit_fold,
     confusion,
     evaluate_alignment,
-    loso_folds,
     mae_seconds,
     mcc,
     naive_mean_baseline,
@@ -116,24 +115,12 @@ def stub_session(pid, scenario="individual"):
     )
 
 
-def test_loso_folds_partition():
-    sessions = [
-        stub_session(pid, scenario)
-        for pid in ("p03", "p01", "p02")
-        for scenario in ("individual", "social")
-    ]
-    folds = loso_folds(sessions)
-    assert [f.participant_id for f in folds] == ["p01", "p02", "p03"]
-    for fold in folds:
-        assert all(s.participant_id == fold.participant_id for s in fold.test_sessions)
-        assert all(s.participant_id != fold.participant_id for s in fold.train_sessions)
-        assert len(fold.test_sessions) == 2
-        assert len(fold.train_sessions) == 4
-
-
-def test_loso_folds_needs_two_participants():
-    with pytest.raises(InsufficientDataError):
-        loso_folds([stub_session("p01"), stub_session("p01", "social")])
+def test_run_loso_needs_two_participants():
+    with pytest.raises(InsufficientDataError, match="at least 2 participants"):
+        run_loso(
+            [stub_session("p01"), stub_session("p01", "social")],
+            TrainConfig(epochs=1, batch_size=64, seed=0),
+        )
 
 
 def passthrough_model():
@@ -266,6 +253,8 @@ def test_alignment_entry_points_agree_with_run_loso(small_dataset, small_loso):
     model, _ = train(windows.rows(~held_out), cfg, hidden_dims=(16, 8))
     assert model_digest(model) == fold.model_digest
     test_rows = windows.rows(held_out)
+    y_hat = predict(model, test_rows.features)
+    assert fold.mae_seconds == mae_seconds(y_hat, test_rows.time_to_bite)
     [sweep] = sweep_thresholds(model, test_rows)
     assert sweep.best_tau == fold.best_tau
     assert sweep.by_tau == fold.alignment_by_tau
@@ -306,6 +295,15 @@ def test_run_loso_macro_micro_consistency(small_loso):
     )
     assert total == by_hand
     assert small_loso.micro_nmcc(6.0) == nmcc(by_hand)
+    # tau=None takes each fold's report at its own best tau.
+    best = [f.alignment_by_tau[f.best_tau] for f in small_loso.folds]
+    by_hand = sum((r.counts for r in best), ConfusionCounts(0, 0, 0, 0))
+    assert small_loso.micro_counts(None) == by_hand
+    assert small_loso.micro_nmcc(None) == nmcc(by_hand)
+    assert small_loso.macro_nmcc(None) == pytest.approx(np.mean([r.nmcc for r in best]))
+    assert small_loso.macro_accuracy(None) == pytest.approx(
+        np.mean([r.accuracy for r in best])
+    )
 
 
 def test_audit_fold_reproduces_the_fold_model(small_dataset, small_loso):

@@ -170,6 +170,14 @@ def test_ablation_indices():
         ablation_indices("quaternion")
 
 
+def test_ablation_indices_are_read_only():
+    for ablation in ABLATIONS:
+        columns = ablation_indices(ablation)
+        assert columns is ablation_indices(ablation)
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0] = 47
+
+
 def test_ablation_names_select_matching_columns():
     names = np.array(feature_names())
     assert all("mic" in n for n in names[ablation_indices("mic")])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -377,6 +378,66 @@ def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
     rejects(lambda doc: doc["train_config"].pop("seed"), r"invalid train_config: missing")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", "abc", "seed 'abc' is not an integer"),
+        ("seed", None, "seed None is not an integer"),
+        ("epochs", True, "epochs True is not an integer"),
+        ("batch_size", 2.5, "batch_size 2.5 is not an integer"),
+        ("learning_rate", "0.1", "learning_rate '0.1' is not a finite number"),
+        ("adam_eps", math.inf, "adam_eps inf is not a finite number"),
+    ],
+)
+def test_load_rejects_train_config_values_of_the_wrong_type(tmp_path, key, value, message):
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    doc = json.loads(path.read_text())
+    doc["train_config"][key] = value
+    path.write_text(json.dumps(resign(doc)))
+    with pytest.raises(IntegrityError, match=f"{path}: invalid train_config: {message}"):
+        load_model(path)
+
+
+def set_first(*keys, value):
+    """A mutation that sets the first number under doc[keys[0]][keys[1]]..."""
+
+    def mutate(doc):
+        node = doc
+        for key in keys:
+            node = node[key]
+        while isinstance(node[0], list):
+            node = node[0]
+        node[0] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (set_first("normalization", "std", value=0.0), "std must be positive"),
+        (set_first("normalization", "std", value=-1.0), "std must be positive"),
+        (set_first("normalization", "std", value=math.nan), "std must be positive"),
+        (set_first("normalization", "std", value=math.inf), "must be finite"),
+        (set_first("normalization", "mean", value=math.inf), "must be finite"),
+        (set_first("normalization", "mean", value=math.nan), "must be finite"),
+        (set_first("weights", value=math.nan), "must be finite"),
+        (set_first("biases", value=-math.inf), "must be finite"),
+        (lambda doc: doc.update(normalization=None), "normalization is not an object"),
+    ],
+)
+def test_load_rejects_unusable_parameters(tmp_path, mutate, message):
+    # json.loads reads NaN and Infinity, so a file can hold them.
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(resign(doc)))
+    with pytest.raises(IntegrityError, match=f"{path}: .*{message}"):
+        load_model(path)
+
+
 def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{broken")
@@ -402,8 +463,8 @@ def model_dir(tmp_path_factory):
 def test_load_model_mutations_load_or_name_the_file(model_dir, data):
     # Delete or replace one value anywhere in a model file, down to a single
     # weight, and recompute the checksum. The loader either returns a model
-    # that saves back to the mutated document and predicts, or raises a
-    # package ValueError naming the file.
+    # that saves back to the mutated document and predicts finite values for
+    # finite rows, or raises a package ValueError naming the file.
     doc = json.loads((model_dir / "base.json").read_text())
     del doc["checksum"]
     mutate_json(data, doc)
@@ -416,8 +477,8 @@ def test_load_model_mutations_load_or_name_the_file(model_dir, data):
         assert str(path) in str(e)
     else:
         assert same_json(_model_payload(model), doc)
-        if model.normalization is not None:
-            assert np.asarray(predict(model, np.zeros((2, 48)))).shape == (2,)
+        y_hat = np.asarray(predict(model, np.zeros((2, 48))))
+        assert y_hat.shape == (2,) and np.isfinite(y_hat).all()
 
 
 def test_model_digest_tracks_parameters():

@@ -188,6 +188,35 @@ def test_segment_lookup_and_near_done():
     assert not script.near_done_at(5.0)  # idle has no wind-down
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.floats(0.1, 20.0), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_segment_at_matches_a_linear_scan(lengths, data):
+    states = list(BehaviorState)
+    segments, start = [], 0.0
+    for i, length in enumerate(lengths):
+        segments.append(seg(start, start + length, states[i % len(states)]))
+        start += length
+    script = BehaviorScript(duration=start, segments=tuple(segments))
+    boundaries = [s.start_t for s in segments] + [start]
+    times = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(boundaries), st.floats(-10.0, start + 10.0)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    for t in times:
+        # The last segment starting at or before t; the first one before 0.
+        expected = segments[0]
+        for s in segments:
+            if s.start_t <= t:
+                expected = s
+        assert script.segment_at(t) is expected
+
+
 def test_oracle_individual_rules():
     script = BehaviorScript(
         duration=30.0,
