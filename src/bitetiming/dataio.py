@@ -193,37 +193,59 @@ def _bite_line(b: BiteEvent) -> str:
     return _encode(rec) + "\n"
 
 
+def _line_format(track: str, keys: tuple[str, ...]):
+    fields = ",".join(f'"{key}":{{!r}}' for key in keys)
+    return f'{{{{"track":"{track}",{fields}}}}}\n'.format
+
+
+# One line template per sample kind. For a finite float, repr is exactly what
+# json writes, and write_session validates before it formats.
+_LINES = {
+    kind: _line_format("imu" if kind == "quat" else kind, keys)
+    for kind, keys in _FIELDS.items()
+}
+
+
+def _columns(*arrays: np.ndarray) -> list[list[float]]:
+    """The columns of arrays laid side by side, as lists of Python floats."""
+    return np.column_stack(arrays).astype(np.float64, copy=False).T.tolist()
+
+
 def write_session(session: SessionRecord, path: str | Path) -> None:
     """Write one session to ``path`` in the line-delimited format."""
     validate_session(session)
-
-    def floats(a: np.ndarray) -> list:
-        return np.asarray(a, dtype=np.float64).tolist()
-
     header = {
         "schema": SESSION_SCHEMA,
         "participant": session.participant_id,
         "scenario": session.scenario,
     }
-    quat = None if session.imu_quat is None else floats(session.imu_quat)
+    if session.imu_quat is None:
+        imu_kind, imu = "imu", (session.imu_t, session.imu_accel)
+    else:
+        imu_kind, imu = "quat", (session.imu_t, session.imu_accel, session.imu_quat)
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
-        for i, (t, (ax, ay, az)) in enumerate(
-            zip(floats(session.imu_t), floats(session.imu_accel))
-        ):
-            rec = {"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az}
-            if quat is not None:
-                rec["qw"], rec["qx"], rec["qy"], rec["qz"] = quat[i]
-            f.write(_encode(rec) + "\n")
-        for t, amp in zip(floats(session.mic_t), floats(session.mic_amp)):
-            f.write(_encode({"track": "mic", "t": t, "amp": amp}) + "\n")
-        for b in session.bites:
-            f.write(_bite_line(b))
-        for t, moving in zip(floats(session.motion_t), session.motion_moving.tolist()):
-            f.write(_encode({"track": "motion", "t": t, "moving": int(moving)}) + "\n")
+        f.writelines(map(_LINES[imu_kind], *_columns(*imu)))
+        f.writelines(map(_LINES["mic"], *_columns(session.mic_t, session.mic_amp)))
+        f.writelines(map(_bite_line, session.bites))
+        moving = session.motion_moving.astype(np.int64).tolist()
+        f.writelines(map(_LINES["motion"], *_columns(session.motion_t), moving))
+
+
+# json.loads less its wrapper: no whitespace skipping, BOM check or
+# trailing-data check, so a result is taken only if it spans the whole line.
+_scan = json.JSONDecoder().scan_once
 
 
 def _parse_line(path: Path, lineno: int, line: str) -> dict:
+    try:
+        rec, end = _scan(line, 0)
+    except (StopIteration, ValueError):
+        pass
+    else:
+        if end == len(line) and type(rec) is dict:
+            return rec
+    # Anything else goes through json.loads, which words the error.
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as e:

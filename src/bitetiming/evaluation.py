@@ -294,9 +294,12 @@ def run_loso(
     alignment report of every tau in ``TAU_GRID`` and the best tau all come
     from that prediction.
 
-    Raises InsufficientDataError with fewer than two participants, or naming
-    a participant who has no labeled windows or no motion ground truth.
+    Raises ValueError when ``fixed_tau`` is not in ``TAU_GRID``, and
+    InsufficientDataError with fewer than two participants, or naming a
+    participant who has no labeled windows or no motion ground truth.
     """
+    if fixed_tau not in TAU_GRID:
+        raise ValueError(f"fixed_tau must be one of {TAU_GRID}, got {fixed_tau}")
     participants = sorted({s.participant_id for s in sessions})
     if len(participants) < 2:
         raise InsufficientDataError(

@@ -309,6 +309,18 @@ def test_eval_names_a_participant_without_motion_labels(dataset_dir, tmp_path, c
     assert err[0].startswith("error:") and "p02" in err[0]
 
 
+def test_eval_rejects_a_tau_off_the_grid(dataset_dir, tmp_path, capsys):
+    capsys.readouterr()
+    rc = main(["eval", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "r"), "--epochs", "1", "--tau", "5.5"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no ablation trained
+    err = err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "5.5" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
 def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["train", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(model_path), "--epochs", "1"]) == 0

@@ -1,11 +1,12 @@
 """Session file round trips, validation errors, and label derivation."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate_json
@@ -13,6 +14,7 @@ from conftest import mutate_json
 from bitetiming.dataio import (
     BiteEvent,
     SessionRecord,
+    _parse_line,
     derive_time_to_bite,
     load_dataset,
     motion_labels_at,
@@ -301,6 +303,154 @@ def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
         records = [json.loads(line) for line in lines[1:]]
         moving = [r["moving"] for r in records if r.get("track") == "motion"]
         assert session.motion_moving.tolist() == moving
+
+
+def reference_parse_line(path, lineno, line):
+    """The per-line parser before the scanner fast path: json.loads alone."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
+    if not isinstance(rec, dict):
+        raise ParseError(f"{path}:{lineno}: expected a JSON object")
+    return rec
+
+
+def parse_outcome(parse, line):
+    try:
+        return "ok", repr(parse(Path("s.jsonl"), 7, line))  # repr: NaN == NaN
+    except ParseError as e:
+        return "error", str(e)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+LINE_EDGES = st.sampled_from(["", " ", "\t", "\ufeff", "\x0c", '{"b":2}', "[1]", "x", '"'])
+
+
+@st.composite
+def json_lines(draw):
+    """JSON text, maybe cut short, with whitespace, a BOM or junk around it."""
+    text = json.dumps(draw(JSON_VALUES), separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    text = text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+    return draw(LINE_EDGES) + text + draw(LINE_EDGES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=st.one_of(st.text(), json_lines()))
+@example(line='{"a":1}')
+@example(line=' {"a":1}')
+@example(line='{"a":1} ')
+@example(line='\ufeff{"a":1}')
+@example(line='{"a":1}{"b":2}')
+@example(line="[1]")
+@example(line="1")
+@example(line='{"a":NaN,"b":Infinity,"c":-Infinity}')
+@example(line="NaN")
+@example(line='{"track":"mic","amp":"x')
+@example(line="")
+def test_parse_line_matches_json_loads(line):
+    # The scanner fast path returns what json.loads returns, or the error
+    # json.loads would have worded.
+    assert parse_outcome(_parse_line, line) == parse_outcome(reference_parse_line, line)
+
+
+def test_read_session_parses_line_by_line(tmp_path):
+    # Line 2 ends inside a string that line 3 closes, and line 4 holds two
+    # objects: joined with commas into one JSON array they would parse, with
+    # the original line count. Each line on its own is what gets parsed.
+    path = tmp_path / "merged.jsonl"
+    path.write_text(
+        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
+        '{"track":"mic","t":0.0,"amp":"x\n'
+        'y"}\n'
+        "{},{}\n"
+    )
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid JSON"):
+        read_session(path)
+
+
+def reference_write_session(session, path):
+    """The writer before column-wise formatting: one dict per line through
+    json's encoder."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [{"schema": "waffle/1", "participant": session.participant_id, "scenario": session.scenario}]
+    quat = None if session.imu_quat is None else session.imu_quat.tolist()
+    for i, (t, (ax, ay, az)) in enumerate(zip(session.imu_t.tolist(), session.imu_accel.tolist())):
+        rec = {"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az}
+        if quat is not None:
+            rec["qw"], rec["qx"], rec["qy"], rec["qz"] = quat[i]
+        lines.append(rec)
+    for t, amp in zip(session.mic_t.tolist(), session.mic_amp.tolist()):
+        lines.append({"track": "mic", "t": t, "amp": amp})
+    for b in session.bites:
+        lines.append(
+            {
+                "track": "bite",
+                "staging_arrival_t": b.staging_arrival_t,
+                "feeding_arrival_t": b.feeding_arrival_t,
+                "bite_complete_t": b.bite_complete_t,
+            }
+        )
+    for t, moving in zip(session.motion_t.tolist(), session.motion_moving.tolist()):
+        lines.append({"track": "motion", "t": t, "moving": int(moving)})
+    Path(path).write_text("".join(encode(rec) + "\n" for rec in lines), encoding="utf-8")
+
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-7, -1e-7, 1e16, -1e16, 1.0, -3.0, 1e22)
+FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+AMPLITUDES = st.one_of(
+    st.sampled_from((-1.0, 1.0, -0.0, 0.0, 5e-324, 1e-7, -1e-7)), st.floats(-1.0, 1.0)
+)
+QUAT_SMALL = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e-7, -1e-7)), st.floats(-0.01, 0.01))
+
+
+def timestamps(max_size=12):
+    return st.lists(FINITE, unique=True, max_size=max_size).map(sorted)
+
+
+@st.composite
+def finite_sessions(draw):
+    imu_t = draw(timestamps())
+    n = len(imu_t)
+    quat = None
+    if draw(st.booleans()):
+        quat = np.array(
+            draw(st.lists(st.tuples(st.floats(0.9995, 1.0005), QUAT_SMALL, QUAT_SMALL, QUAT_SMALL), min_size=n, max_size=n)),
+            dtype=np.float64,
+        ).reshape(n, 4)
+    mic_t = draw(timestamps())
+    motion_t = draw(timestamps(max_size=6))
+    moving = draw(st.lists(st.sampled_from((0, 1)), min_size=len(motion_t), max_size=len(motion_t)))
+    return SessionRecord(
+        participant_id=draw(st.text(max_size=4)),
+        scenario=draw(st.sampled_from(("individual", "social"))),
+        imu_t=np.array(imu_t, dtype=np.float64),
+        imu_accel=np.array(draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=n, max_size=n)), dtype=np.float64).reshape(n, 3),
+        imu_quat=quat,
+        mic_t=np.array(mic_t, dtype=np.float64),
+        mic_amp=np.array(draw(st.lists(AMPLITUDES, min_size=len(mic_t), max_size=len(mic_t))), dtype=np.float64),
+        bites=draw(st.sampled_from(([], [BiteEvent(0.5, 1e-7 + 1.0, 1e16)]))),
+        motion_t=np.array(motion_t, dtype=np.float64),
+        motion_moving=np.array(moving, dtype=draw(st.sampled_from((np.int64, np.float64)))),
+    )
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("write")
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=finite_sessions())
+def test_write_session_matches_the_json_encoder(write_dir, session):
+    write_session(session, write_dir / "columns.jsonl")
+    reference_write_session(session, write_dir / "reference.jsonl")
+    assert (write_dir / "columns.jsonl").read_bytes() == (write_dir / "reference.jsonl").read_bytes()
 
 
 def test_validation_quat_norm(tmp_path):

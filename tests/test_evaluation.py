@@ -243,6 +243,17 @@ def test_run_loso_predicts_once_per_fold(small_dataset, monkeypatch):
     assert [shape[0] for shape in calls] == [f.n_test_rows for f in ev.folds]
 
 
+def test_run_loso_rejects_a_tau_off_the_grid_before_any_work(small_dataset, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("run_loso extracted or trained before checking tau")
+
+    monkeypatch.setattr(evaluation, "extract_dataset_windows", unexpected)
+    monkeypatch.setattr(evaluation, "train", unexpected)
+    cfg = TrainConfig(epochs=1, batch_size=64, seed=0)
+    with pytest.raises(ValueError, match=r"fixed_tau must be one of \(4\.0, .*8\.0\), got 5\.5"):
+        run_loso(small_dataset, cfg, fixed_tau=5.5, hidden_dims=(4,))
+
+
 def test_alignment_entry_points_agree_with_run_loso(small_dataset, small_loso):
     # evaluate_alignment and sweep_thresholds on one fold's model and held-out
     # rows reproduce that fold's reports and best tau.
