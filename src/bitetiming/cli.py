@@ -97,6 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.participants < 1:
         raise ValueError(f"--participants must be at least 1, got {args.participants}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     manifest = generate_dataset(
         out_dir=args.out,
         n_participants=args.participants,
@@ -112,9 +114,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
     sessions = load_dataset(args.manifest)
     windows = extract_dataset_windows(sessions)
-    cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
     model, losses = train(windows, cfg, ablation=args.ablation)
 
     out = Path(args.out)
@@ -136,8 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    sessions = load_dataset(args.manifest)
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
+    sessions = load_dataset(args.manifest)
     ablations = ABLATIONS if args.ablation == "all" else (args.ablation,)
     evaluations = []
     for ablation in ablations:
@@ -157,6 +159,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.tau is not None and args.level is not None:
         raise ValueError("give either --tau or --level, not both")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.level is not None:
         threshold = map_assertiveness(args.level)
     elif args.tau is not None:

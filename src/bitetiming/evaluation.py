@@ -36,8 +36,6 @@ from .mlp import (
 from .pipeline import WindowTable, extract_dataset_windows
 from .policy import DEFAULT_TAU, TAU_GRID
 
-POSITIVE_CLASS = 1  # moving / proceed
-
 
 def mae_seconds(
     predictions: np.ndarray,

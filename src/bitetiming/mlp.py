@@ -64,6 +64,8 @@ class TrainConfig:
             )
         if self.adam_eps <= 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -135,12 +137,13 @@ def _forward_cached(
     a = x
     n_layers = len(weights)
     for layer in range(n_layers):
-        z = a @ weights[layer] + biases[layer]
+        z = a @ weights[layer]
+        z += biases[layer]
         pre_acts.append(z)
         if layer < n_layers - 1:
             a = np.maximum(z, 0.0)
             if masks is not None:
-                a = a * masks[layer]
+                a *= masks[layer]
         else:
             a = z
         activations.append(a)
@@ -212,10 +215,12 @@ def loss_and_gradients(
         weight_grads[layer] = activations[layer].T @ d_z
         bias_grads[layer] = d_z.sum(axis=0)
         if layer > 0:
-            d_a = d_z @ model.weights[layer].T
+            w = model.weights[layer]
+            # With one output column, d_z @ W.T is an exact outer product.
+            d_z = d_z * w[:, 0] if w.shape[1] == 1 else d_z @ w.T
             if masks is not None:
-                d_a = d_a * masks[layer - 1]
-            d_z = d_a * (pre_acts[layer - 1] > 0.0)
+                d_z *= masks[layer - 1]
+            d_z *= pre_acts[layer - 1] > 0.0
     return loss, weight_grads, bias_grads
 
 
@@ -253,10 +258,21 @@ def train(
     model.ablation = ablation
     model.train_config = cfg
 
-    adam_m = [np.zeros_like(w) for w in model.weights] + [
-        np.zeros_like(b) for b in model.biases
-    ]
-    adam_v = [np.zeros_like(g) for g in adam_m]
+    # Parameters live in one flat buffer, the tensors are views of it, and
+    # gradients are gathered into the same layout, so Adam is one in-place
+    # pass of elementwise ops in the order m, v, bias correction, update.
+    tensors = model.weights + model.biases
+    params = np.concatenate([t.ravel() for t in tensors])
+    offsets = np.cumsum([t.size for t in tensors])[:-1]
+    views = [v.reshape(t.shape) for v, t in zip(np.split(params, offsets), tensors)]
+    n_layers = len(model.weights)
+    model.weights, model.biases = views[:n_layers], views[n_layers:]
+    grads = np.empty_like(params)
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    scratch = np.empty_like(params)
+    denom = np.empty_like(params)
+    b1, b2 = cfg.beta1, cfg.beta2
     step = 0
 
     n_rows = x_all.shape[0]
@@ -264,11 +280,11 @@ def train(
     for epoch in range(cfg.epochs):
         epoch_rng = np.random.default_rng([cfg.seed, epoch])
         order = epoch_rng.permutation(n_rows)
+        x_epoch, y_epoch = x_all[order], y_all[order]
         epoch_abs_err = 0.0
         for start in range(0, n_rows, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            x = x_all[batch_idx]
-            y = y_all[batch_idx]
+            x = x_epoch[start : start + cfg.batch_size]
+            y = y_epoch[start : start + cfg.batch_size]
             masks = (
                 _sample_dropout_masks(model, x.shape[0], epoch_rng)
                 if model.dropout_p > 0.0
@@ -283,15 +299,21 @@ def train(
             epoch_abs_err += loss * x.shape[0]
 
             step += 1
-            params = model.weights + model.biases
-            grads = w_grads + b_grads
-            lr_t = cfg.learning_rate
-            for i, (p, g) in enumerate(zip(params, grads)):
-                adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
-                adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * (g * g)
-                m_hat = adam_m[i] / (1 - cfg.beta1**step)
-                v_hat = adam_v[i] / (1 - cfg.beta2**step)
-                p -= lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            np.concatenate([g.ravel() for g in w_grads + b_grads], out=grads)
+            adam_m *= b1
+            np.multiply(grads, 1 - b1, out=scratch)
+            adam_m += scratch
+            adam_v *= b2
+            np.multiply(grads, grads, out=scratch)
+            scratch *= 1 - b2
+            adam_v += scratch
+            np.divide(adam_m, 1 - b1**step, out=scratch)
+            scratch *= cfg.learning_rate
+            np.divide(adam_v, 1 - b2**step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_eps
+            scratch /= denom
+            params -= scratch
         loss_history.append(epoch_abs_err / n_rows)
     return model, loss_history
 

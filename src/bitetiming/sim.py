@@ -364,7 +364,7 @@ def sample_behavior_script(
     style: ParticipantStyle,
 ) -> BehaviorScript:
     """Sample the participant's behavior segments for one session."""
-    if duration < 30.0:
+    if not 30.0 <= duration < np.inf:
         raise ValueError(f"sessions must last at least 30 s, got {duration}")
     transitions = (
         _SOCIAL_TRANSITIONS if scenario == "social" else _INDIVIDUAL_TRANSITIONS

@@ -1,12 +1,33 @@
 """Shared builders and hand-rolled oracles used across the test suite."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bitetiming.features import build_feature_vector
 from bitetiming.pipeline import WindowTable
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time.
+
+    Lets a test of a call that used to loop forever fail instead of hanging.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_window(rng, scale=1.0):

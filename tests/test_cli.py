@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from conftest import time_limit
+
 from bitetiming.cli import main
 from bitetiming.mlp import load_model
 from bitetiming.policy import Command
@@ -336,3 +338,34 @@ def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and str(model_path) in err[0] and "train_config" in err[0]
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_non_finite_durations_fail_at_once(tmp_path, capsys, command, duration):
+    # In process and under a time limit, so a regression that loops up to an
+    # infinite duration fails instead of hanging.
+    out = tmp_path / ("data" if command == "synth" else "log.jsonl")
+    with time_limit(5.0):
+        rc = main([command, "--duration", duration, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: sessions must last at least 30 s, got {duration}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out", "data"], "error: --seed must be non-negative, got -1"),
+        (["simulate", "--out", "log.jsonl"], "error: --seed must be non-negative, got -1"),
+        (["train", "--manifest", "missing.json", "--out", "m.json"], "error: seed must be non-negative, got -1"),
+        (["eval", "--manifest", "missing.json", "--out", "r"], "error: seed must be non-negative, got -1"),
+    ],
+)
+def test_negative_seed_is_named_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # train and eval name the seed before they look for the (missing) manifest.
+    monkeypatch.chdir(tmp_path)
+    rc = main([*argv, "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []

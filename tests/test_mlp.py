@@ -12,6 +12,12 @@ from hypothesis import strategies as st
 from conftest import mutate_json, same_json, window_table
 
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
+from bitetiming.features import (
+    ABLATIONS,
+    ablation_indices,
+    apply_normalizer,
+    fit_normalizer,
+)
 from bitetiming.mlp import (
     MlpModel,
     TrainConfig,
@@ -188,6 +194,12 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(adam_eps=0.0)
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
 
 
 def test_train_requires_rows_and_full_layout():
@@ -387,6 +399,7 @@ def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
         ("batch_size", 2.5, "batch_size 2.5 is not an integer"),
         ("learning_rate", "0.1", "learning_rate '0.1' is not a finite number"),
         ("adam_eps", math.inf, "adam_eps inf is not a finite number"),
+        ("seed", -1, "seed must be non-negative, got -1"),
     ],
 )
 def test_load_rejects_train_config_values_of_the_wrong_type(tmp_path, key, value, message):
@@ -486,3 +499,123 @@ def test_model_digest_tracks_parameters():
     digest = model_digest(model)
     model.weights[0][0, 0] += 1e-9
     assert model_digest(model) != digest
+
+
+# The trainer as it stood before its parameters moved into one flat buffer,
+# frozen here as the reference for its bits: per-tensor Adam with fresh
+# temporaries, a gather per batch, and d_z @ W.T for every layer.
+def _reference_forward_cached(weights, biases, x, masks):
+    activations = [x]
+    pre_acts = []
+    a = x
+    n_layers = len(weights)
+    for layer in range(n_layers):
+        z = a @ weights[layer] + biases[layer]
+        pre_acts.append(z)
+        if layer < n_layers - 1:
+            a = np.maximum(z, 0.0)
+            if masks is not None:
+                a = a * masks[layer]
+        else:
+            a = z
+        activations.append(a)
+    return activations[-1][:, 0], activations, pre_acts
+
+
+def _reference_loss_and_gradients(model, x, y, masks=None):
+    y_hat, activations, pre_acts = _reference_forward_cached(
+        model.weights, model.biases, x, masks
+    )
+    residual = y_hat - y
+    loss = float(np.mean(np.abs(residual)))
+    batch = x.shape[0]
+    d_z = (np.sign(residual) / batch)[:, None]
+    weight_grads = [np.empty(0)] * len(model.weights)
+    bias_grads = [np.empty(0)] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        weight_grads[layer] = activations[layer].T @ d_z
+        bias_grads[layer] = d_z.sum(axis=0)
+        if layer > 0:
+            d_a = d_z @ model.weights[layer].T
+            if masks is not None:
+                d_a = d_a * masks[layer - 1]
+            d_z = d_a * (pre_acts[layer - 1] > 0.0)
+    return loss, weight_grads, bias_grads
+
+
+def _reference_train(windows, cfg, ablation, hidden_dims):
+    columns = ablation_indices(ablation)
+    raw = windows.features[:, columns]
+    stats = fit_normalizer(raw)
+    x_all = apply_normalizer(stats, raw)
+    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
+    model = init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed)
+    model.normalization = stats
+    model.ablation = ablation
+    model.train_config = cfg
+    adam_m = [np.zeros_like(w) for w in model.weights] + [
+        np.zeros_like(b) for b in model.biases
+    ]
+    adam_v = [np.zeros_like(g) for g in adam_m]
+    step = 0
+    n_rows = x_all.shape[0]
+    loss_history = []
+    for epoch in range(cfg.epochs):
+        epoch_rng = np.random.default_rng([cfg.seed, epoch])
+        order = epoch_rng.permutation(n_rows)
+        epoch_abs_err = 0.0
+        for start in range(0, n_rows, cfg.batch_size):
+            batch_idx = order[start : start + cfg.batch_size]
+            x = x_all[batch_idx]
+            y = y_all[batch_idx]
+            masks = _sample_dropout_masks(model, x.shape[0], epoch_rng)
+            loss, w_grads, b_grads = _reference_loss_and_gradients(model, x, y, masks)
+            epoch_abs_err += loss * x.shape[0]
+            step += 1
+            params = model.weights + model.biases
+            grads = w_grads + b_grads
+            for i, (p, g) in enumerate(zip(params, grads)):
+                adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
+                adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * (g * g)
+                m_hat = adam_m[i] / (1 - cfg.beta1**step)
+                v_hat = adam_v[i] / (1 - cfg.beta2**step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        loss_history.append(epoch_abs_err / n_rows)
+    return model, loss_history
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ablation=st.sampled_from(ABLATIONS),
+    hidden_dims=st.lists(st.integers(1, 12), min_size=1, max_size=2).map(tuple),
+    batch_size=st.integers(2, 12),
+    full_batches=st.integers(1, 3),
+    data=st.data(),
+    epochs=st.integers(1, 3),
+)
+def test_train_matches_the_reference_bit_for_bit(
+    seed, ablation, hidden_dims, batch_size, full_batches, data, epochs
+):
+    # The last batch is always partial, down to a single row.
+    last = data.draw(st.integers(1, batch_size - 1), label="last_batch_rows")
+    n_rows = batch_size * full_batches + last
+    rng = np.random.default_rng(seed)
+    windows = rows_from(rng.normal(0.0, 1.0, (n_rows, 48)), rng.uniform(0.0, 14.0, n_rows))
+    cfg = TrainConfig(
+        learning_rate=1e-2, batch_size=batch_size, epochs=epochs, seed=seed
+    )
+    model, losses = train(windows, cfg, ablation, hidden_dims)
+    ref_model, ref_losses = _reference_train(windows, cfg, ablation, hidden_dims)
+    assert losses == ref_losses
+    assert model_digest(model) == model_digest(ref_model)
+
+    # One batch through both backprops, with dropout, from the trained model.
+    x = apply_normalizer(model.normalization, windows.features[:, ablation_indices(ablation)])
+    y = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
+    masks = _sample_dropout_masks(model, n_rows, np.random.default_rng(seed))
+    got = loss_and_gradients(model, x, y, masks)
+    want = _reference_loss_and_gradients(model, x, y, masks)
+    assert got[0] == want[0]
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        np.testing.assert_array_equal(g, w)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_json, same_json
+from conftest import mutate_json, same_json, time_limit
 
 from bitetiming.dataio import derive_time_to_bite, load_dataset, validate_session
 from bitetiming.errors import ParseError, ProtocolError, SchemaVersionError
@@ -316,6 +316,13 @@ def test_sample_behavior_script_shape():
         np.random.default_rng(0), 300.0, "social", style
     )
     assert any(s.state is BehaviorState.TALKING for s in social.segments)
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_sample_behavior_script_rejects_non_finite_durations(duration):
+    style = sample_style(np.random.default_rng(1), style_spread=0.0)
+    with time_limit(2.0), pytest.raises(ValueError, match="at least 30 s, got"):
+        sample_behavior_script(np.random.default_rng(0), duration, "individual", style)
 
 
 def test_partner_script_alternates():
