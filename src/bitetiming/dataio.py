@@ -4,15 +4,16 @@ A session file is line-delimited JSON: one header line followed by one record
 per line. The header is ``{"schema": "waffle/1", "participant": ...,
 "scenario": ...}`` and every other line carries a ``track`` field:
 
-    {"track": "imu", "t": .., "ax": .., "ay": .., "az": ..,
-     "qw": .., "qx": .., "qy": .., "qz": ..}      # quaternion optional
+    {"track": "imu", "t": .., "ax": .., "ay": .., "az": ..}
     {"track": "mic", "t": .., "amp": ..}
     {"track": "bite", "staging_arrival_t": .., "feeding_arrival_t": ..,
      "bite_complete_t": ..}
     {"track": "motion", "t": .., "moving": 0 or 1}
 
 Timestamps are seconds from session start, accelerations m/s^2, microphone
-amplitude normalized to [-1, 1]. A dataset manifest is a single JSON document
+amplitude normalized to [-1, 1]. Keys a line does not need are ignored, so
+files that also carry an imu orientation (``qw``, ``qx``, ``qy``, ``qz``)
+still load. A dataset manifest is a single JSON document
 ``{"schema": "waffle-manifest/1", "sessions": [paths...]}`` with paths
 relative to the manifest's directory.
 """
@@ -34,13 +35,9 @@ MANIFEST_SCHEMA = "waffle-manifest/1"
 
 SCENARIOS = ("individual", "social")
 
-QUAT_NORM_TOL = 1e-3
-
-# The fields read from each kind of sample line; "quat" is an imu line that
-# carries a quaternion.
+# The fields read from each kind of sample line.
 _FIELDS = {
     "imu": ("t", "ax", "ay", "az"),
-    "quat": ("t", "ax", "ay", "az", "qw", "qx", "qy", "qz"),
     "mic": ("t", "amp"),
     "motion": ("t", "moving"),
 }
@@ -71,8 +68,8 @@ class SessionRecord:
     """All sensor tracks and ground truth of one recorded session.
 
     Tracks are stored as column arrays: ``imu_t`` (n,), ``imu_accel`` (n, 3),
-    ``imu_quat`` (n, 4) in w, x, y, z order or None, ``mic_t`` (m,),
-    ``mic_amp`` (m,), ``motion_t`` (k,) with ``motion_moving`` (k,) in {0, 1}.
+    ``mic_t`` (m,), ``mic_amp`` (m,), ``motion_t`` (k,) with
+    ``motion_moving`` (k,) in {0, 1}.
     """
 
     participant_id: str
@@ -81,7 +78,6 @@ class SessionRecord:
     imu_accel: np.ndarray
     mic_t: np.ndarray
     mic_amp: np.ndarray
-    imu_quat: np.ndarray | None = None
     bites: list[BiteEvent] = field(default_factory=list)
     motion_t: np.ndarray = field(default_factory=lambda: np.empty(0))
     motion_moving: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -108,7 +104,7 @@ def _require_finite(values: np.ndarray, track: str, what: str) -> None:
 
 
 def validate_session(session: SessionRecord) -> None:
-    """Check finiteness, ordering, range, and norm constraints on every track.
+    """Check finiteness, ordering, shape and range constraints on every track.
 
     Raises TrackValidationError naming the offending track and sample index.
     """
@@ -125,21 +121,6 @@ def validate_session(session: SessionRecord) -> None:
             f"{session.imu_t.size} timestamps"
         )
     _require_finite(session.imu_accel, "imu", "acceleration")
-    if session.imu_quat is not None:
-        if session.imu_quat.shape != (session.imu_t.size, 4):
-            raise TrackValidationError(
-                f"imu quat shape {session.imu_quat.shape} does not match "
-                f"{session.imu_t.size} timestamps"
-            )
-        _require_finite(session.imu_quat, "imu", "quaternion")
-        norms = np.linalg.norm(session.imu_quat, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > QUAT_NORM_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise TrackValidationError(
-                f"imu quaternion at sample {i} has norm {norms[i]:.6f}, "
-                f"expected 1 within {QUAT_NORM_TOL}"
-            )
     _require_finite(session.mic_t, "mic", "timestamp")
     if session.mic_t.size:
         _require_increasing(session.mic_t, "mic")
@@ -200,10 +181,7 @@ def _line_format(track: str, keys: tuple[str, ...]):
 
 # One line template per sample kind. For a finite float, repr is exactly what
 # json writes, and write_session validates before it formats.
-_LINES = {
-    kind: _line_format("imu" if kind == "quat" else kind, keys)
-    for kind, keys in _FIELDS.items()
-}
+_LINES = {track: _line_format(track, keys) for track, keys in _FIELDS.items()}
 
 
 def _columns(*arrays: np.ndarray) -> list[list[float]]:
@@ -219,13 +197,9 @@ def write_session(session: SessionRecord, path: str | Path) -> None:
         "participant": session.participant_id,
         "scenario": session.scenario,
     }
-    if session.imu_quat is None:
-        imu_kind, imu = "imu", (session.imu_t, session.imu_accel)
-    else:
-        imu_kind, imu = "quat", (session.imu_t, session.imu_accel, session.imu_quat)
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
-        f.writelines(map(_LINES[imu_kind], *_columns(*imu)))
+        f.writelines(map(_LINES["imu"], *_columns(session.imu_t, session.imu_accel)))
         f.writelines(map(_LINES["mic"], *_columns(session.mic_t, session.mic_amp)))
         f.writelines(map(_bite_line, session.bites))
         moving = session.motion_moving.astype(np.int64).tolist()
@@ -303,14 +277,13 @@ def float_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _stack(
-    path: Path, lines: list[str], track: str, keys: tuple[str, ...], rows: list[tuple]
-) -> np.ndarray:
-    """One track's rows as a float64 (n, len(keys)) array.
+def _stack(path: Path, lines: list[str], track: str, rows: list[tuple]) -> np.ndarray:
+    """One track's rows as a float64 (n, len(_FIELDS[track])) array.
 
     Only when a value is not a JSON number are the lines scanned again, to
     name the first one holding it.
     """
+    keys = _FIELDS[track]
     try:
         return float_rows(rows).reshape(-1, len(keys))
     except OverflowError as e:
@@ -354,39 +327,30 @@ def read_session(path: str | Path) -> SessionRecord:
 
     rows: dict[str, list[tuple]] = {"imu": [], "mic": [], "motion": []}
     bites: list[BiteEvent] = []
-    imu_kind = None  # the first imu line decides whether all carry a quaternion
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = _parse_line(path, lineno, line)
-        kind = track = rec.get("track")
+        track = rec.get("track")
         if track == "bite":
             bites.append(_bite(path, lineno, rec))
             continue
-        if track == "imu":
-            kind = "quat" if "qw" in rec else "imu"
-            imu_kind = imu_kind or kind
-            if kind != imu_kind:
-                raise ParseError(
-                    f"{path}:{lineno}: quaternion fields must be present on "
-                    f"all imu lines or none"
-                )
-        elif track not in ("mic", "motion"):
+        # A tuple, not the dict: a track such as {} cannot be hashed.
+        if track not in ("imu", "mic", "motion"):
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
         try:
-            rows[track].append(_GETTERS[kind](rec))
+            rows[track].append(_GETTERS[track](rec))
         except KeyError as e:
             _field(path, lineno, rec, e.args[0])
 
-    imu = _stack(path, lines, "imu", _FIELDS[imu_kind or "imu"], rows["imu"])
-    mic = _stack(path, lines, "mic", _FIELDS["mic"], rows["mic"])
-    motion = _stack(path, lines, "motion", _FIELDS["motion"], rows["motion"])
+    imu = _stack(path, lines, "imu", rows["imu"])
+    mic = _stack(path, lines, "mic", rows["mic"])
+    motion = _stack(path, lines, "motion", rows["motion"])
     session = SessionRecord(
         participant_id=participant,
         scenario=scenario,
         imu_t=imu[:, 0],
-        imu_accel=imu[:, 1:4],
-        imu_quat=imu[:, 4:] if imu_kind == "quat" else None,
+        imu_accel=imu[:, 1:],
         mic_t=mic[:, 0],
         mic_amp=mic[:, 1],
         bites=bites,
@@ -414,9 +378,10 @@ def write_manifest(session_paths: list[str | Path], path: str | Path) -> None:
 def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     """Load every session listed in a manifest.
 
-    Sessions are returned sorted by (participant, scenario) so dataset order
-    never depends on manifest order. Raises ParseError naming the manifest
-    when it is not JSON or its ``sessions`` is not a list of path strings.
+    Sessions are returned sorted by (participant, scenario, listed path) so
+    dataset order never depends on manifest order. Raises ParseError naming
+    the manifest when it is not JSON, its ``sessions`` is not a list of path
+    strings, or it lists one file twice.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -433,11 +398,15 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     rels = doc.get("sessions")
     if type(rels) is not list or not all(type(rel) is str for rel in rels):
         raise ParseError(f"{manifest_path}: 'sessions' must be a list of path strings")
-    sessions = []
+    seen = set()
     for rel in rels:
-        sessions.append(read_session(manifest_path.parent / rel))
-    sessions.sort(key=lambda s: (s.participant_id, s.scenario))
-    return sessions
+        path = (manifest_path.parent / rel).resolve()
+        if path in seen:
+            raise ParseError(f"{manifest_path}: session {rel!r} is listed twice")
+        seen.add(path)
+    listed = [(rel, read_session(manifest_path.parent / rel)) for rel in rels]
+    listed.sort(key=lambda item: (item[1].participant_id, item[1].scenario, item[0]))
+    return [session for _, session in listed]
 
 
 def derive_time_to_bite(session: SessionRecord, window_end_t: np.ndarray) -> np.ndarray:

@@ -357,6 +357,11 @@ _DURATION_RANGES = {
 _LEAD_IN_RANGE = (11.5, 14.0)
 
 
+def _check_duration(duration: float) -> None:
+    if not 30.0 <= duration < np.inf:
+        raise ValueError(f"sessions must last at least 30 s, got {duration}")
+
+
 def sample_behavior_script(
     rng: np.random.Generator,
     duration: float,
@@ -364,8 +369,7 @@ def sample_behavior_script(
     style: ParticipantStyle,
 ) -> BehaviorScript:
     """Sample the participant's behavior segments for one session."""
-    if not 30.0 <= duration < np.inf:
-        raise ValueError(f"sessions must last at least 30 s, got {duration}")
+    _check_duration(duration)
     transitions = (
         _SOCIAL_TRANSITIONS if scenario == "social" else _INDIVIDUAL_TRANSITIONS
     )
@@ -496,8 +500,9 @@ def _synth_imu(
     t: np.ndarray,
     script: BehaviorScript,
     style: ParticipantStyle,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accelerometer (n, 3) and unit quaternions (n, 4) for one session."""
+) -> np.ndarray:
+    """Accelerometer (n, 3) for one session: gravity on z, idle noise, and
+    the lean, chewing, head-motion and talking signatures of the script."""
     n = t.size
     ax = rng.normal(0.0, style.idle_accel_sigma, n)
     ay = rng.normal(0.0, style.idle_accel_sigma, n)
@@ -526,14 +531,7 @@ def _synth_imu(
         elif seg.state is BehaviorState.TALKING:
             # Speech barely moves the head; only a touch of extra jitter.
             ay[mask] += rng.normal(0.0, style.idle_accel_sigma * 0.5, count)
-    accel = np.stack([ax, ay, az], axis=1)
-
-    # Slow sagittal wobble keeps quaternions non-constant but unit-norm.
-    theta = 0.05 * np.sin(2.0 * np.pi * 0.1 * t)
-    quat = np.stack(
-        [np.cos(theta / 2), np.zeros(n), np.zeros(n), np.sin(theta / 2)], axis=1
-    )
-    return accel, quat
+    return np.stack([ax, ay, az], axis=1)
 
 
 def _synth_mic(
@@ -626,7 +624,7 @@ def synthesize_scenario(
     )
 
     imu_t = _irregular_timestamps(rng, duration, IMU_SYNTH_RATE_HZ)
-    imu_accel, imu_quat = _synth_imu(rng, imu_t, script, style)
+    imu_accel = _synth_imu(rng, imu_t, script, style)
     mic_t = _irregular_timestamps(rng, duration, MIC_SYNTH_RATE_HZ)
     mic_amp = _synth_mic(rng, mic_t, script, style)
 
@@ -638,7 +636,6 @@ def synthesize_scenario(
         scenario=scenario,
         imu_t=imu_t,
         imu_accel=imu_accel,
-        imu_quat=imu_quat,
         mic_t=mic_t,
         mic_amp=mic_amp,
         bites=bites,
@@ -681,6 +678,7 @@ def generate_dataset(
     Participant styles are stable across their scenarios. Returns the
     manifest path.
     """
+    _check_duration(duration)  # before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     session_paths = []

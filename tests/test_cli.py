@@ -353,6 +353,14 @@ def test_non_finite_durations_fail_at_once(tmp_path, capsys, command, duration):
     assert err == [f"error: sessions must last at least 30 s, got {duration}"]
 
 
+def test_synth_with_a_short_duration_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc = main(["synth", "--out", str(out), "--duration", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: sessions must last at least 30 s, got 10.0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

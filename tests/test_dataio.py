@@ -25,21 +25,12 @@ from bitetiming.dataio import (
 from bitetiming.errors import ParseError, SchemaVersionError, TrackValidationError
 
 
-def small_session(participant="p01", scenario="individual", with_quat=True):
-    imu_t = np.array([0.0, 0.4, 0.9, 1.5, 2.2])
-    rng = np.random.default_rng(1)
-    quat = None
-    if with_quat:
-        theta = rng.uniform(0.0, 0.2, 5)
-        quat = np.stack(
-            [np.cos(theta / 2), np.sin(theta / 2), np.zeros(5), np.zeros(5)], axis=1
-        )
+def small_session(participant="p01", scenario="individual"):
     return SessionRecord(
         participant_id=participant,
         scenario=scenario,
-        imu_t=imu_t,
-        imu_accel=rng.normal(0.0, 1.0, (5, 3)),
-        imu_quat=quat,
+        imu_t=np.array([0.0, 0.4, 0.9, 1.5, 2.2]),
+        imu_accel=np.random.default_rng(1).normal(0.0, 1.0, (5, 3)),
         mic_t=np.array([0.0, 0.5, 1.0, 1.8]),
         mic_amp=np.array([0.1, -0.4, 0.9, -1.0]),
         bites=[BiteEvent(0.5, 1.0, 1.5)],
@@ -53,10 +44,6 @@ def assert_sessions_equal(a, b):
     assert a.scenario == b.scenario
     np.testing.assert_array_equal(a.imu_t, b.imu_t)
     np.testing.assert_array_equal(a.imu_accel, b.imu_accel)
-    if a.imu_quat is None:
-        assert b.imu_quat is None
-    else:
-        np.testing.assert_array_equal(a.imu_quat, b.imu_quat)
     np.testing.assert_array_equal(a.mic_t, b.mic_t)
     np.testing.assert_array_equal(a.mic_amp, b.mic_amp)
     assert a.bites == b.bites
@@ -71,16 +58,15 @@ def test_bite_event_requires_ordered_timestamps():
         BiteEvent(staging_arrival_t=1.0, feeding_arrival_t=2.0, bite_complete_t=2.0)
 
 
-@pytest.mark.parametrize("with_quat", [True, False])
-def test_session_round_trip(tmp_path, with_quat):
-    session = small_session(with_quat=with_quat)
+def test_session_round_trip(tmp_path):
+    session = small_session()
     path = tmp_path / "s.jsonl"
     write_session(session, path)
     assert_sessions_equal(read_session(path), session)
 
 
 def test_read_session_rejects_non_monotone_imu(tmp_path):
-    session = small_session(with_quat=False)
+    session = small_session()
     session.imu_t = np.array([0.0, 0.5, 0.4, 1.5, 2.2])
     path = tmp_path / "bad.jsonl"
     with pytest.raises(TrackValidationError, match="sample 2"):
@@ -138,23 +124,12 @@ def test_read_session_missing_field_names_line(tmp_path):
         read_session(path)
 
 
-def test_read_session_quaternions_all_or_none(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(
-        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
-        '{"track":"imu","t":0.0,"ax":0,"ay":0,"az":9.8,"qw":1,"qx":0,"qy":0,"qz":0}\n'
-        '{"track":"imu","t":0.5,"ax":0,"ay":0,"az":9.8}\n'
-    )
-    with pytest.raises(ParseError, match="quaternion"):
-        read_session(path)
-
-
 def test_validation_mic_range_and_motion_values(tmp_path):
-    session = small_session(with_quat=False)
+    session = small_session()
     session.mic_amp = np.array([0.1, -0.4, 1.5, -1.0])
     with pytest.raises(TrackValidationError, match="mic amplitude"):
         write_session(session, tmp_path / "a.jsonl")
-    session = small_session(with_quat=False)
+    session = small_session()
     session.motion_moving = np.array([0, 2, 0])
     with pytest.raises(TrackValidationError, match="motion label"):
         write_session(session, tmp_path / "b.jsonl")
@@ -165,14 +140,14 @@ def test_validation_mic_range_and_motion_values(tmp_path):
     [
         ("imu_t", (2,), np.nan, "imu timestamp at sample 2"),
         ("imu_accel", (3, 1), np.inf, "imu acceleration at sample 3"),
-        ("imu_quat", (1, 0), np.nan, "imu quaternion at sample 1"),
+        ("imu_accel", (1, 2), np.nan, "imu acceleration at sample 1"),
         ("mic_t", (1,), -np.inf, "mic timestamp at sample 1"),
         ("mic_amp", (0,), np.nan, "mic amplitude at sample 0"),
         ("motion_t", (2,), np.nan, "motion timestamp at sample 2"),
     ],
 )
 def test_validation_rejects_non_finite(tmp_path, column, index, value, message):
-    session = small_session(with_quat=True)
+    session = small_session()
     values = getattr(session, column).astype(np.float64)
     values[index] = value
     setattr(session, column, values)
@@ -182,7 +157,7 @@ def test_validation_rejects_non_finite(tmp_path, column, index, value, message):
 
 def test_read_session_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.jsonl"
-    write_session(small_session(with_quat=False), path)
+    write_session(small_session(), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[3])  # the third imu line
     rec["ax"] = float("nan")
@@ -209,7 +184,7 @@ def rewrite_line(path, index, **fields):
 
 def test_read_session_rejects_fractional_motion_label(tmp_path):
     path = tmp_path / "frac.jsonl"
-    write_session(small_session(with_quat=False), path)
+    write_session(small_session(), path)
     # Line 12 is motion sample 1, after the header, 5 imu, 4 mic, 1 bite and
     # 1 motion line.
     rewrite_line(path, 12, moving=0.7)
@@ -222,7 +197,7 @@ def test_read_session_rejects_fractional_motion_label(tmp_path):
 @pytest.mark.parametrize("value", ["abc", {}, [1.0, 2.0]])
 def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
     path = tmp_path / "nan.jsonl"
-    write_session(small_session(with_quat=True), path)
+    write_session(small_session(), path)
     rewrite_line(path, 3, ax=value)  # the third imu line
     with pytest.raises(ParseError, match=f"{path}:4: 'imu' field 'ax' is not a number"):
         read_session(path)
@@ -230,7 +205,7 @@ def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
 
 def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
     path = tmp_path / "bite.jsonl"
-    write_session(small_session(with_quat=False), path)
+    write_session(small_session(), path)
     rewrite_line(path, 10, feeding_arrival_t="1.0")
     with pytest.raises(
         ParseError, match=f"{path}:11: 'bite' field 'feeding_arrival_t' is not a number"
@@ -243,7 +218,7 @@ def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
 )
 def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, field, value):
     path = tmp_path / "h.jsonl"
-    write_session(small_session(with_quat=False), path)
+    write_session(small_session(), path)
     rewrite_line(path, 0, **{field: value})
     with pytest.raises(
         ParseError, match=f"{path}:1: 'header' field '{field}' is not a string"
@@ -255,11 +230,11 @@ def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, fiel
 # line, then 3 motion lines.
 @pytest.mark.parametrize(
     "index, field, value",
-    [(3, "ax", "1.5"), (3, "qz", True), (7, "amp", "0.5"), (12, "moving", True)],
+    [(3, "ax", "1.5"), (3, "az", True), (7, "amp", "0.5"), (12, "moving", True)],
 )
 def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, field, value):
     path = tmp_path / "s.jsonl"
-    write_session(small_session(with_quat=True), path)
+    write_session(small_session(), path)
     rewrite_line(path, index, **{field: value})
     with pytest.raises(
         ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number"
@@ -270,7 +245,7 @@ def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, fiel
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
-    write_session(small_session(with_quat=True), path / "base.jsonl")
+    write_session(small_session(), path / "base.jsonl")
     return path
 
 
@@ -379,12 +354,8 @@ def reference_write_session(session, path):
     json's encoder."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [{"schema": "waffle/1", "participant": session.participant_id, "scenario": session.scenario}]
-    quat = None if session.imu_quat is None else session.imu_quat.tolist()
-    for i, (t, (ax, ay, az)) in enumerate(zip(session.imu_t.tolist(), session.imu_accel.tolist())):
-        rec = {"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az}
-        if quat is not None:
-            rec["qw"], rec["qx"], rec["qy"], rec["qz"] = quat[i]
-        lines.append(rec)
+    for t, (ax, ay, az) in zip(session.imu_t.tolist(), session.imu_accel.tolist()):
+        lines.append({"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az})
     for t, amp in zip(session.mic_t.tolist(), session.mic_amp.tolist()):
         lines.append({"track": "mic", "t": t, "amp": amp})
     for b in session.bites:
@@ -406,7 +377,6 @@ FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, a
 AMPLITUDES = st.one_of(
     st.sampled_from((-1.0, 1.0, -0.0, 0.0, 5e-324, 1e-7, -1e-7)), st.floats(-1.0, 1.0)
 )
-QUAT_SMALL = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e-7, -1e-7)), st.floats(-0.01, 0.01))
 
 
 def timestamps(max_size=12):
@@ -417,12 +387,6 @@ def timestamps(max_size=12):
 def finite_sessions(draw):
     imu_t = draw(timestamps())
     n = len(imu_t)
-    quat = None
-    if draw(st.booleans()):
-        quat = np.array(
-            draw(st.lists(st.tuples(st.floats(0.9995, 1.0005), QUAT_SMALL, QUAT_SMALL, QUAT_SMALL), min_size=n, max_size=n)),
-            dtype=np.float64,
-        ).reshape(n, 4)
     mic_t = draw(timestamps())
     motion_t = draw(timestamps(max_size=6))
     moving = draw(st.lists(st.sampled_from((0, 1)), min_size=len(motion_t), max_size=len(motion_t)))
@@ -431,7 +395,6 @@ def finite_sessions(draw):
         scenario=draw(st.sampled_from(("individual", "social"))),
         imu_t=np.array(imu_t, dtype=np.float64),
         imu_accel=np.array(draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=n, max_size=n)), dtype=np.float64).reshape(n, 3),
-        imu_quat=quat,
         mic_t=np.array(mic_t, dtype=np.float64),
         mic_amp=np.array(draw(st.lists(AMPLITUDES, min_size=len(mic_t), max_size=len(mic_t))), dtype=np.float64),
         bites=draw(st.sampled_from(([], [BiteEvent(0.5, 1e-7 + 1.0, 1e16)]))),
@@ -453,15 +416,36 @@ def test_write_session_matches_the_json_encoder(write_dir, session):
     assert (write_dir / "columns.jsonl").read_bytes() == (write_dir / "reference.jsonl").read_bytes()
 
 
-def test_validation_quat_norm(tmp_path):
-    session = small_session(with_quat=True)
-    session.imu_quat = session.imu_quat * 1.1
-    with pytest.raises(TrackValidationError, match="norm"):
-        write_session(session, tmp_path / "q.jsonl")
+EXTRA_KEYS = st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(session=finite_sessions(), data=st.data())
+def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
+    # Older waffle/1 writers put an imu orientation (qw, qx, qy, qz) after
+    # az on every imu line. That, or any other key a line does not read,
+    # before or after the keys read, on some or all lines, loads into the
+    # same arrays.
+    path = write_dir / "plain.jsonl"
+    write_session(session, path)
+    expected = read_session(path)
+    old_writer = data.draw(st.booleans(), label="old writer")
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if old_writer:
+            if rec.get("track") == "imu":
+                rec.update(zip(("qw", "qx", "qy", "qz"), data.draw(st.tuples(FINITE, FINITE, FINITE, FINITE))))
+        else:
+            extra = st.dictionaries(EXTRA_KEYS.filter(lambda k: k not in rec), JSON_VALUES, max_size=2)
+            rec = {**data.draw(extra), **rec, **data.draw(extra)}
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    path.write_text("\n".join(lines) + "\n")
+    assert_sessions_equal(read_session(path), expected)
 
 
 def test_validation_overlapping_bites():
-    session = small_session(with_quat=False)
+    session = small_session()
     session.bites = [BiteEvent(0.5, 1.0, 1.5), BiteEvent(1.2, 1.6, 2.0)]
     with pytest.raises(TrackValidationError, match="bite 1"):
         write_session(session, "/dev/null")
@@ -488,6 +472,28 @@ def test_manifest_round_trip_and_sorting(tmp_path):
         ("p02", "individual"),
     ]
     assert_sessions_equal(sessions[1], s1)
+
+
+@pytest.mark.parametrize("second", ["x.jsonl", "./x.jsonl", "sub/../x.jsonl"])
+def test_load_dataset_rejects_a_session_listed_twice(tmp_path, second):
+    write_session(small_session(), tmp_path / "x.jsonl")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": ["x.jsonl", second]}))
+    with pytest.raises(ParseError, match=f"{manifest}: session '{re.escape(second)}' is listed twice"):
+        load_dataset(manifest)
+
+
+def test_load_dataset_orders_sessions_with_one_key_by_path(tmp_path):
+    # Two files of the same (participant, scenario) load in path order,
+    # whatever the manifest order.
+    for name, accel in (("a.jsonl", 1.0), ("b.jsonl", 2.0)):
+        session = small_session()
+        session.imu_accel = np.full((5, 3), accel)
+        write_session(session, tmp_path / name)
+    manifest = tmp_path / "manifest.json"
+    for order in (["a.jsonl", "b.jsonl"], ["b.jsonl", "a.jsonl"]):
+        manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": order}))
+        assert [s.imu_accel[0, 0] for s in load_dataset(manifest)] == [1.0, 2.0]
 
 
 def test_load_dataset_schema_guard(tmp_path):
@@ -550,7 +556,7 @@ def test_load_dataset_mutations_load_or_name_the_file(manifest_dir, data):
 
 
 def session_with_arrivals(arrivals):
-    session = small_session(with_quat=False)
+    session = small_session()
     session.bites = [BiteEvent(a - 2.0, a, a + 2.0) for a in arrivals]
     return session
 
@@ -574,7 +580,7 @@ def test_derive_time_to_bite_shift_property():
 
 
 def test_motion_label_zero_order_hold():
-    session = small_session(with_quat=False)
+    session = small_session()
     session.motion_t = np.array([1.0, 3.0])
     session.motion_moving = np.array([1, 0])
     labels, known = motion_labels_at(session, np.array([2.0, 3.0, 0.5, 100.0]))

@@ -3,8 +3,10 @@
 The hashes were recorded before windows became a columnar table, so this
 test pins every artifact of the README chain byte for byte across that
 refactor, not just across two runs of the same code (acceptance criterion
-10). Float artifacts depend on the numpy build; the hashes were recorded
-with numpy 2.4.x on x86-64 OpenBLAS.
+10). The four session files were re-recorded when sessions stopped carrying
+an imu quaternion; every other hash is as first recorded. Float artifacts
+depend on the numpy build; the hashes were recorded with numpy 2.4.x on
+x86-64 OpenBLAS.
 """
 
 import hashlib
@@ -17,10 +19,10 @@ from bitetiming.cli import main
 GOLDEN_NUMPY = "2.4"
 GOLDEN = {
     "data/manifest.json": "3e389eb9ddad338bde8dc9a131ca73b64d8b67f31dcace7ab9a8061fa737f6aa",
-    "data/p01_individual.jsonl": "73183d3cd36b075aa84dad7fbb1891ffbbaaeca5acbe2f94b9d7c3edf04dd1ff",
-    "data/p01_social.jsonl": "15fa9b0b2d92df430bd908ce0223b56e9c7f474186830be04747a27c30c78f46",
-    "data/p02_individual.jsonl": "dd210aeef6105694c60ce7fa4bd4b96c666f20f946b16549b350673afc6a64e1",
-    "data/p02_social.jsonl": "6a550d95a9693114e243008cc97f20a0a5e0d7970365e1431ebb73bb56c4ab49",
+    "data/p01_individual.jsonl": "ef3cf65077adff49eb39d9cef75c6e2cf7299060d2085c0dc239977396db66e2",
+    "data/p01_social.jsonl": "52dfc1b9c28562f2225b20e4ccf5ad561c9398c4a8a2c68f13ee6422360bed94",
+    "data/p02_individual.jsonl": "f8d420a40aff64a68e6b68ed28af896eda76927eadecca38ad0154573bfc4f90",
+    "data/p02_social.jsonl": "73abf8a132e569c931694f76aa621e63f9988fc5eda773dcf5ef237160d8e47d",
     "model.json": "f2ffd17aa14634d8e8387a49c9b57662e44f9961f3edda516b3e4cadb1b2b57f",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
