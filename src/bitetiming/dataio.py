@@ -206,6 +206,17 @@ def write_session(session: SessionRecord, path: str | Path) -> None:
         f.writelines(map(_LINES["motion"], *_columns(session.motion_t), moving))
 
 
+def _read_text(path: Path) -> str:
+    """A file's text. A byte that is not UTF-8 raises ParseError naming the
+    line it sits on."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text: {e.reason}") from None
+
+
 # json.loads less its wrapper: no whitespace skipping, BOM check or
 # trailing-data check, so a result is taken only if it spans the whole line.
 _scan = json.JSONDecoder().scan_once
@@ -302,15 +313,14 @@ def read_session(path: str | Path) -> SessionRecord:
     """Read and validate one session file.
 
     Raises:
-        ParseError: malformed JSON, missing or non-numeric fields, with the
-            line number.
+        ParseError: bytes that are not UTF-8, malformed JSON, missing or
+            non-numeric fields, with the line number.
         SchemaVersionError: the header declares an unknown schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header line")
 
@@ -380,12 +390,12 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
 
     Sessions are returned sorted by (participant, scenario, listed path) so
     dataset order never depends on manifest order. Raises ParseError naming
-    the manifest when it is not JSON, its ``sessions`` is not a list of path
-    strings, or it lists one file twice.
+    the manifest when it is not UTF-8 JSON, its ``sessions`` is not a list of
+    path strings (a NUL character included), or it lists one file twice.
     """
     manifest_path = Path(manifest_path)
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise ParseError(f"{manifest_path}: invalid JSON: {e.msg}") from e
     if not isinstance(doc, dict) or "schema" not in doc:
@@ -396,7 +406,8 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
             f"expected {MANIFEST_SCHEMA!r}"
         )
     rels = doc.get("sessions")
-    if type(rels) is not list or not all(type(rel) is str for rel in rels):
+    # A NUL cannot be in a path: the OS call would raise a bare ValueError.
+    if type(rels) is not list or not all(type(r) is str and "\0" not in r for r in rels):
         raise ParseError(f"{manifest_path}: 'sessions' must be a list of path strings")
     seen = set()
     for rel in rels:

@@ -57,9 +57,10 @@ def build_feature_vector(
     layout; the six statistics per half and axis are [max, min, mean,
     population std, range, RMS].
 
-    Each channel-half is gathered into a (windows, samples) array and reduced
-    along its rows, which gives every row bit for bit the statistics of its
-    half-window reduced alone.
+    Each channel's distinct half-windows are gathered into one (halves,
+    samples) array and reduced along its rows, once per distinct half-window
+    even where one window's second half is the next window's first. Every
+    row is bit for bit the statistics of its half-window reduced alone.
 
     Raises:
         InsufficientDataError: a window reaches outside its sample grid.
@@ -88,18 +89,18 @@ def build_feature_vector(
 
     out = np.empty((imu_stop.size, FEATURE_DIM), dtype=np.float64)
     stats = out.reshape(imu_stop.size, len(HALF_NAMES), len(AXIS_NAMES), len(STAT_NAMES))
-    for h in range(len(HALF_NAMES)):
-        for a, (x, stop, width) in enumerate(channels):
-            half = width // 2
-            block = x[stop[:, None] + np.arange(half * (h - 2) + 1, half * (h - 1) + 1)]
-            x_max = block.max(axis=1)
-            x_min = block.min(axis=1)
-            stats[:, h, a, 0] = x_max
-            stats[:, h, a, 1] = x_min
-            stats[:, h, a, 2] = block.mean(axis=1)
-            stats[:, h, a, 3] = block.std(axis=1)
-            stats[:, h, a, 4] = x_max - x_min
-            stats[:, h, a, 5] = np.sqrt(np.mean(block * block, axis=1))
+    for a, (x, stop, width) in enumerate(channels):
+        # Half 1 ends ``half`` samples before the stop. At the session hop it
+        # is the previous window's half 2, so each distinct half reduces once.
+        half = width // 2
+        ends, inverse = np.unique(np.concatenate([stop - half, stop]), return_inverse=True)
+        block = x[ends[:, None] + np.arange(1 - half, 1)]
+        x_max, x_min = block.max(axis=1), block.min(axis=1)
+        reduced = np.column_stack([
+            x_max, x_min, block.mean(axis=1), block.std(axis=1), x_max - x_min,
+            np.sqrt(np.mean(block * block, axis=1)),
+        ])
+        stats[:, :, a] = reduced[inverse.reshape(len(HALF_NAMES), -1).T]
     return out
 
 

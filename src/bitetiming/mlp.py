@@ -439,15 +439,18 @@ def load_model(path: str | Path) -> MlpModel:
 
     Raises:
         SchemaVersionError: the document declares an unknown schema.
-        IntegrityError: checksum mismatch (tampered or corrupted file), a
-            feature layout this build does not produce, a missing field,
-            parameters that do not fit ``layer_dims`` and the ablation, a
-            non-finite parameter, a normalization std that is not positive,
-            or a ``train_config`` value of the wrong JSON type.
+        IntegrityError: bytes that are not UTF-8 or not JSON, a checksum
+            mismatch (tampered or corrupted file), a feature layout this
+            build does not produce, a missing field, parameters that do not
+            fit ``layer_dims`` and the ablation, a non-finite parameter, a
+            normalization std that is not positive, or a ``train_config``
+            value of the wrong JSON type.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise IntegrityError(f"{path}: not UTF-8 text: {e.reason}") from None
     except json.JSONDecodeError as e:
         raise IntegrityError(f"{path}: not valid JSON: {e.msg}") from e
     if not isinstance(doc, dict) or "schema" not in doc:

@@ -40,6 +40,7 @@ from .dataio import (
     _field,
     _number,
     _parse_line,
+    _read_text,
     _string,
     _typed,
     validate_session,
@@ -495,6 +496,12 @@ def _taper(t: np.ndarray, seg: Segment, floor: float, span: float = 1.0) -> np.n
     return 1.0 - (1.0 - floor) * ramp
 
 
+def _segment_bounds(t: np.ndarray, script: BehaviorScript) -> list[list[int]]:
+    """[lo, hi) sample positions of each segment in the sorted times ``t``."""
+    ends = [(seg.start_t, seg.end_t) for seg in script.segments]
+    return np.searchsorted(t, ends).reshape(-1, 2).tolist()
+
+
 def _synth_imu(
     rng: np.random.Generator,
     t: np.ndarray,
@@ -502,35 +509,39 @@ def _synth_imu(
     style: ParticipantStyle,
 ) -> np.ndarray:
     """Accelerometer (n, 3) for one session: gravity on z, idle noise, and
-    the lean, chewing, head-motion and talking signatures of the script."""
+    the lean, chewing, head-motion and talking signatures of the script.
+
+    ``t`` must be strictly increasing: each segment's samples
+    ``start_t <= t < end_t`` are then the slice between its two sorted
+    positions.
+    """
     n = t.size
     ax = rng.normal(0.0, style.idle_accel_sigma, n)
     ay = rng.normal(0.0, style.idle_accel_sigma, n)
     az = GRAVITY_MPS2 + rng.normal(0.0, style.idle_accel_sigma, n)
-    for seg in script.segments:
-        mask = (t >= seg.start_t) & (t < seg.end_t)
-        count = int(mask.sum())
-        rel = t[mask] - seg.start_t
+    for seg, (lo, hi) in zip(script.segments, _segment_bounds(t, script)):
+        seg_t = t[lo:hi]
+        rel = seg_t - seg.start_t
         if seg.state is BehaviorState.IDLE:
             # Anticipatory lean: the participant settles toward the utensil
             # the longer they sit ready, a slow forward drift on ax.
             lean = np.minimum(rel / ANTICIPATION_RAMP_S, 1.0)
-            ax[mask] += style.anticipation_amp * lean
+            ax[lo:hi] += style.anticipation_amp * lean
         elif seg.state is BehaviorState.CHEWING:
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            taper = _taper(t[mask], seg, floor=0.25)
+            taper = _taper(seg_t, seg, floor=0.25)
             osc = 2.0 * np.pi * style.chew_rate_hz * rel + phase
-            ay[mask] += style.chew_accel_amp * np.sin(osc) * taper
-            az[mask] += 0.6 * style.chew_accel_amp * np.sin(osc + 1.1) * taper
+            ay[lo:hi] += style.chew_accel_amp * np.sin(osc) * taper
+            az[lo:hi] += 0.6 * style.chew_accel_amp * np.sin(osc + 1.1) * taper
         elif seg.state is BehaviorState.HEAD_MOTION:
             f1, f2 = rng.uniform(0.3, 0.9, 2)
             p1, p2 = rng.uniform(0.0, 2.0 * np.pi, 2)
-            ax[mask] += style.head_motion_amp * np.sin(2 * np.pi * f1 * rel + p1)
-            ay[mask] += 0.8 * style.head_motion_amp * np.sin(2 * np.pi * f2 * rel + p2)
-            ax[mask] += rng.normal(0.0, style.idle_accel_sigma * 3.0, count)
+            ax[lo:hi] += style.head_motion_amp * np.sin(2 * np.pi * f1 * rel + p1)
+            ay[lo:hi] += 0.8 * style.head_motion_amp * np.sin(2 * np.pi * f2 * rel + p2)
+            ax[lo:hi] += rng.normal(0.0, style.idle_accel_sigma * 3.0, seg_t.size)
         elif seg.state is BehaviorState.TALKING:
             # Speech barely moves the head; only a touch of extra jitter.
-            ay[mask] += rng.normal(0.0, style.idle_accel_sigma * 0.5, count)
+            ay[lo:hi] += rng.normal(0.0, style.idle_accel_sigma * 0.5, seg_t.size)
     return np.stack([ax, ay, az], axis=1)
 
 
@@ -541,25 +552,27 @@ def _synth_mic(
     style: ParticipantStyle,
 ) -> np.ndarray:
     """Throat-mic amplitude in [-1, 1]. The partner's speech is inaudible:
-    a throat mic picks up the wearer only."""
+    a throat mic picks up the wearer only. ``t`` must be strictly increasing,
+    as for ``_synth_imu``."""
     amp = rng.normal(0.0, style.idle_mic_sigma, t.size)
-    for seg in script.segments:
-        mask = (t >= seg.start_t) & (t < seg.end_t)
-        count = int(mask.sum())
-        rel = t[mask] - seg.start_t
+    for seg, (lo, hi) in zip(script.segments, _segment_bounds(t, script)):
+        seg_t = t[lo:hi]
+        rel = seg_t - seg.start_t
         if seg.state is BehaviorState.CHEWING:
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            taper = _taper(t[mask], seg, floor=0.25)
+            taper = _taper(seg_t, seg, floor=0.25)
             env = np.maximum(
                 np.sin(2.0 * np.pi * style.chew_rate_hz * rel + phase), 0.0
             ) ** 4
-            amp[mask] += style.chew_mic_amp * env * rng.normal(0.0, 1.0, count) * taper
+            amp[lo:hi] += (
+                style.chew_mic_amp * env * rng.normal(0.0, 1.0, seg_t.size) * taper
+            )
         elif seg.state is BehaviorState.TALKING:
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            taper = _taper(t[mask], seg, floor=0.3, span=0.5)
+            taper = _taper(seg_t, seg, floor=0.3, span=0.5)
             syllabic = 0.55 + 0.45 * np.sin(2.0 * np.pi * 3.1 * rel + phase)
-            amp[mask] += (
-                style.talk_mic_amp * syllabic * rng.normal(0.0, 1.0, count) * taper
+            amp[lo:hi] += (
+                style.talk_mic_amp * syllabic * rng.normal(0.0, 1.0, seg_t.size) * taper
             )
     return np.clip(amp, -1.0, 1.0)
 
@@ -852,12 +865,12 @@ def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
 def read_session_log(path: str | Path) -> SessionLog:
     """Read back a closed-loop trace written by write_session_log.
 
-    Raises ParseError naming ``path:line`` for malformed JSON, a missing
-    field or one of the wrong type, and an unknown track, command or phase;
-    SchemaVersionError for an unknown schema.
+    Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
+    malformed JSON, a missing field or one of the wrong type, and an unknown
+    track, command or phase; SchemaVersionError for an unknown schema.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header line")
     header = _parse_line(path, 1, lines[0])

@@ -340,6 +340,15 @@ def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, 
     assert err[0].startswith("error:") and str(model_path) in err[0] and "train_config" in err[0]
 
 
+def test_simulate_names_a_model_that_is_not_utf8(tmp_path, capsys):
+    model_path = tmp_path / "bad.json"
+    model_path.write_bytes(b"\xff")
+    rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {model_path}: not UTF-8 text: invalid start byte"]
+
+
 @pytest.mark.parametrize("duration", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["synth", "simulate"])
 def test_non_finite_durations_fail_at_once(tmp_path, capsys, command, duration):

@@ -104,6 +104,23 @@ def test_read_session_names_bad_line(tmp_path):
         read_session(path)
 
 
+def test_read_session_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"imu"', b'"im\xffu"')
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:4: not UTF-8 text"):
+        read_session(path)
+
+
+def test_load_dataset_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"schema": "waffle-manifest/1",\n"sessions": ["\xff.jsonl"]}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}:2: not UTF-8 text"):
+        load_dataset(manifest)
+
+
 def test_read_session_unknown_track(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -507,7 +524,8 @@ def test_load_dataset_schema_guard(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sessions", [[5], None, "ab", ["x.jsonl", ["y.jsonl"]], "missing"]
+    "sessions",
+    [[5], None, "ab", ["x.jsonl", ["y.jsonl"]], "missing", ["x.jsonl", "a\u0000b.jsonl"]],
 )
 def test_load_dataset_requires_a_list_of_path_strings(tmp_path, sessions):
     manifest = tmp_path / "manifest.json"

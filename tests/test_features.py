@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_features, brute_force_stats, make_window, window_features
 
@@ -19,6 +21,7 @@ from bitetiming.features import (
     feature_names,
     fit_normalizer,
 )
+from bitetiming.signals import IMU_WINDOW_SAMPLES, MIC_WINDOW_SAMPLES
 
 
 def axis_stats(half):
@@ -154,6 +157,56 @@ def test_build_feature_vector_rows_match_single_windows():
             row, brute_force_features(imu[:, i - 199 : i + 1], mic[m - 99 : m + 1]),
             rtol=1e-12, atol=1e-15,
         )
+
+
+def per_half_feature_vector(imu, mic, imu_stop, mic_stop):
+    """build_feature_vector as it was before shared halves: every half of
+    every window gathered and reduced on its own. Kept as the reference."""
+    channels = [(x, imu_stop, IMU_WINDOW_SAMPLES) for x in imu]
+    channels.append((mic, mic_stop, MIC_WINDOW_SAMPLES))
+    out = np.empty((imu_stop.size, FEATURE_DIM), dtype=np.float64)
+    stats = out.reshape(imu_stop.size, 2, 4, 6)
+    for h in range(2):
+        for a, (x, stop, width) in enumerate(channels):
+            half = width // 2
+            block = x[stop[:, None] + np.arange(half * (h - 2) + 1, half * (h - 1) + 1)]
+            x_max = block.max(axis=1)
+            x_min = block.min(axis=1)
+            stats[:, h, a, 0] = x_max
+            stats[:, h, a, 1] = x_min
+            stats[:, h, a, 2] = block.mean(axis=1)
+            stats[:, h, a, 3] = block.std(axis=1)
+            stats[:, h, a, 4] = x_max - x_min
+            stats[:, h, a, 5] = np.sqrt(np.mean(block * block, axis=1))
+    return out
+
+
+def draw_stops(data, n_windows, width):
+    """Stop indices whose strides are often exactly half a window (the
+    session hop), otherwise anything from repeats through overlaps to gaps
+    wider than a window; sometimes in shuffled order."""
+    stride = st.one_of(st.just(width // 2), st.integers(0, 2 * width + 7))
+    strides = data.draw(st.lists(stride, min_size=n_windows, max_size=n_windows))
+    first = width - 1 + data.draw(st.integers(0, width))
+    stops = np.cumsum([first] + strides)[:n_windows].tolist()
+    if data.draw(st.booleans()):
+        stops = data.draw(st.permutations(stops))
+    return np.array(stops, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_windows=st.integers(0, 12), data=st.data())
+def test_build_feature_vector_matches_the_per_half_reference(n_windows, data):
+    imu_stop = draw_stops(data, n_windows, IMU_WINDOW_SAMPLES)
+    mic_stop = draw_stops(data, n_windows, MIC_WINDOW_SAMPLES)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = max(imu_stop.max(initial=0) + 1, IMU_WINDOW_SAMPLES) + data.draw(st.integers(0, 30))
+    m = max(mic_stop.max(initial=0) + 1, MIC_WINDOW_SAMPLES) + data.draw(st.integers(0, 30))
+    imu, mic = rng.normal(0.0, 1.0, (3, n)), rng.uniform(-1.0, 1.0, m)
+    got = build_feature_vector(imu, mic, imu_stop, mic_stop)
+    want = per_half_feature_vector(imu, mic, imu_stop, mic_stop)
+    assert got.shape == want.shape == (n_windows, FEATURE_DIM)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ablation_indices():

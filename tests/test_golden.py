@@ -7,6 +7,13 @@ refactor, not just across two runs of the same code (acceptance criterion
 an imu quaternion; every other hash is as first recorded. Float artifacts
 depend on the numpy build; the hashes were recorded with numpy 2.4.x on
 x86-64 OpenBLAS.
+
+The chain's sessions last 40 s and hold five to seven behavior segments.
+``GOLDEN_LONG`` pins the shape of a long closed-loop run instead: one 600 s
+social session of 73 segments, written through ``write_session``, and the
+waffle level-4 log that ``simulate`` writes for the same session with the
+chain's model. Its hashes were recorded before segments were synthesized
+over slices and shared half-windows were reduced once.
 """
 
 import hashlib
@@ -15,6 +22,8 @@ import numpy as np
 import pytest
 
 from bitetiming.cli import main
+from bitetiming.dataio import write_session
+from bitetiming.sim import synthesize_scenario
 
 GOLDEN_NUMPY = "2.4"
 GOLDEN = {
@@ -30,24 +39,51 @@ GOLDEN = {
     "reports/summary.txt": "51be6d206d0634aa4db7fe07d1872253a444419a87e0ae84a1d103f343d1a00d",
     "sim.jsonl": "afb70ee8db9948a2d6dda165de4d9fb63f677180e6860facc65ad4104d4c38f3",
 }
+GOLDEN_LONG = {
+    "session.jsonl": "ec61a54436b378966137ceeba02fc8f75172fb133fefe3171ef7b84de2356f4e",
+    "sim.jsonl": "c1462898cb128487eb897ab02870d85bb6f57b63841590e39f8bd328e957f7db",
+}
 
-
-@pytest.mark.skipif(
+golden_numpy = pytest.mark.skipif(
     not np.__version__.startswith(GOLDEN_NUMPY + "."),
     reason=f"golden hashes were recorded with numpy {GOLDEN_NUMPY}",
 )
-def test_tiny_chain_matches_golden_hashes(tmp_path):
-    data, model = tmp_path / "data", tmp_path / "model.json"
+
+
+def sha256_tree(root):
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The README chain's artifacts, in a directory of their own."""
+    root = tmp_path_factory.mktemp("chain")
+    data, model = root / "data", root / "model.json"
     manifest = str(data / "manifest.json")
     assert main(["synth", "--out", str(data), "--participants", "2", "--duration", "40", "--seed", "5"]) == 0
     assert main(["train", "--manifest", manifest, "--out", str(model), "--epochs", "2"]) == 0
-    assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "reports"), "--epochs", "2"]) == 0
+    assert main(["eval", "--manifest", manifest, "--out", str(root / "reports"), "--epochs", "2"]) == 0
     assert main(
-        ["simulate", "--model", str(model), "--level", "4", "--duration", "40", "--out", str(tmp_path / "sim.jsonl")]
+        ["simulate", "--model", str(model), "--level", "4", "--duration", "40", "--out", str(root / "sim.jsonl")]
     ) == 0
-    hashes = {
-        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.rglob("*"))
-        if p.is_file()
-    }
-    assert hashes == GOLDEN
+    return root
+
+
+@golden_numpy
+def test_tiny_chain_matches_golden_hashes(chain):
+    assert sha256_tree(chain) == GOLDEN
+
+
+@golden_numpy
+def test_long_social_session_matches_golden_hashes(chain, tmp_path):
+    source = synthesize_scenario("sim", "social", 600.0, seed=7)
+    write_session(source.session, tmp_path / "session.jsonl")
+    assert main(
+        ["simulate", "--model", str(chain / "model.json"), "--level", "4", "--scenario", "social",
+         "--duration", "600", "--out", str(tmp_path / "sim.jsonl")]
+    ) == 0
+    assert sha256_tree(tmp_path) == GOLDEN_LONG

@@ -461,6 +461,14 @@ def test_load_rejects_non_json(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    path.write_bytes(path.read_bytes().replace(b'"schema"', b'"sch\xffema"', 1))
+    with pytest.raises(IntegrityError, match=f"^{path}: not UTF-8 text"):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("model")

@@ -22,6 +22,8 @@ from bitetiming.policy import (
     map_assertiveness,
 )
 from bitetiming.sim import (
+    ANTICIPATION_RAMP_S,
+    GRAVITY_MPS2,
     BehaviorScript,
     BehaviorState,
     OracleLabeler,
@@ -40,6 +42,9 @@ from bitetiming.sim import (
     step_robot,
     synthesize_scenario,
     write_session_log,
+    _synth_imu,
+    _synth_mic,
+    _taper,
 )
 
 def drive(state, commands):
@@ -215,6 +220,95 @@ def test_segment_at_matches_a_linear_scan(lengths, data):
             if s.start_t <= t:
                 expected = s
         assert script.segment_at(t) is expected
+
+
+def masked_synth_imu(rng, t, script, style):
+    """_synth_imu as it was before segments became slices: one boolean mask
+    per segment over the whole track. Kept as the reference."""
+    n = t.size
+    ax = rng.normal(0.0, style.idle_accel_sigma, n)
+    ay = rng.normal(0.0, style.idle_accel_sigma, n)
+    az = GRAVITY_MPS2 + rng.normal(0.0, style.idle_accel_sigma, n)
+    for seg in script.segments:
+        mask = (t >= seg.start_t) & (t < seg.end_t)
+        count = int(mask.sum())
+        rel = t[mask] - seg.start_t
+        if seg.state is BehaviorState.IDLE:
+            lean = np.minimum(rel / ANTICIPATION_RAMP_S, 1.0)
+            ax[mask] += style.anticipation_amp * lean
+        elif seg.state is BehaviorState.CHEWING:
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            taper = _taper(t[mask], seg, floor=0.25)
+            osc = 2.0 * np.pi * style.chew_rate_hz * rel + phase
+            ay[mask] += style.chew_accel_amp * np.sin(osc) * taper
+            az[mask] += 0.6 * style.chew_accel_amp * np.sin(osc + 1.1) * taper
+        elif seg.state is BehaviorState.HEAD_MOTION:
+            f1, f2 = rng.uniform(0.3, 0.9, 2)
+            p1, p2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+            ax[mask] += style.head_motion_amp * np.sin(2 * np.pi * f1 * rel + p1)
+            ay[mask] += 0.8 * style.head_motion_amp * np.sin(2 * np.pi * f2 * rel + p2)
+            ax[mask] += rng.normal(0.0, style.idle_accel_sigma * 3.0, count)
+        elif seg.state is BehaviorState.TALKING:
+            ay[mask] += rng.normal(0.0, style.idle_accel_sigma * 0.5, count)
+    return np.stack([ax, ay, az], axis=1)
+
+
+def masked_synth_mic(rng, t, script, style):
+    """_synth_mic as it was before segments became slices (the reference)."""
+    amp = rng.normal(0.0, style.idle_mic_sigma, t.size)
+    for seg in script.segments:
+        mask = (t >= seg.start_t) & (t < seg.end_t)
+        count = int(mask.sum())
+        rel = t[mask] - seg.start_t
+        if seg.state is BehaviorState.CHEWING:
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            taper = _taper(t[mask], seg, floor=0.25)
+            env = np.maximum(
+                np.sin(2.0 * np.pi * style.chew_rate_hz * rel + phase), 0.0
+            ) ** 4
+            amp[mask] += style.chew_mic_amp * env * rng.normal(0.0, 1.0, count) * taper
+        elif seg.state is BehaviorState.TALKING:
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            taper = _taper(t[mask], seg, floor=0.3, span=0.5)
+            syllabic = 0.55 + 0.45 * np.sin(2.0 * np.pi * 3.1 * rel + phase)
+            amp[mask] += (
+                style.talk_mic_amp * syllabic * rng.normal(0.0, 1.0, count) * taper
+            )
+    return np.clip(amp, -1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lengths=st.lists(st.floats(0.001, 3.0), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_synth_tracks_match_the_masked_reference(lengths, data):
+    # Sample times land exactly on segment starts and ends, before the
+    # first segment, past the last one's end, and sparsely enough to leave
+    # segments without samples.
+    segments, start = [], 0.0
+    for length in lengths:
+        state = data.draw(st.sampled_from(list(BehaviorState)))
+        segments.append(seg(start, start + length, state))
+        start += length
+    script = BehaviorScript(duration=start, segments=tuple(segments))
+    boundaries = [s.start_t for s in segments] + [start]
+    t = np.unique(
+        data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(boundaries), st.floats(-1.0, start + 2.0)),
+                max_size=80,
+            )
+        )
+    ).astype(np.float64)
+    style = sample_style(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for synth, reference in ((_synth_imu, masked_synth_imu), (_synth_mic, masked_synth_mic)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = synth(rng, t, script, style), reference(ref_rng, t, script, style)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # The same number of draws: every later track would shift otherwise.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_oracle_individual_rules():
@@ -536,6 +630,16 @@ def test_session_log_round_trip(long_scn, tmp_path):
     path2 = tmp_path / "run2.jsonl"
     write_session_log(run_session(long_scn.session, FixedIntervalPolicy()), path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_session_log_names_the_line_of_a_byte_that_is_not_utf8(long_scn, tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_session_log(run_session(long_scn.session, FixedIntervalPolicy()), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b'"policy"', b'"pol\xc3icy"', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError, match=f"^{path}:5: not UTF-8 text"):
+        read_session_log(path)
 
 
 def test_session_log_read_errors(tmp_path):
