@@ -222,10 +222,21 @@ def _read_text(path: Path) -> str:
 _scan = json.JSONDecoder().scan_once
 
 
+def _json_reason(e: ValueError | RecursionError) -> str:
+    """Why json.loads refused a text. Besides JSONDecodeError it raises a bare
+    ValueError for an integer past Python's digit limit and RecursionError
+    for nesting past the recursion limit."""
+    if isinstance(e, json.JSONDecodeError):
+        return e.msg
+    if isinstance(e, RecursionError):
+        return "nested too deeply"
+    return "an integer has too many digits"
+
+
 def _parse_line(path: Path, lineno: int, line: str) -> dict:
     try:
         rec, end = _scan(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     else:
         if end == len(line) and type(rec) is dict:
@@ -233,8 +244,8 @@ def _parse_line(path: Path, lineno: int, line: str) -> dict:
     # Anything else goes through json.loads, which words the error.
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{path}:{lineno}: invalid JSON: {_json_reason(e)}") from e
     if not isinstance(rec, dict):
         raise ParseError(f"{path}:{lineno}: expected a JSON object")
     return rec
@@ -394,10 +405,11 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     path strings (a NUL character included), or it lists one file twice.
     """
     manifest_path = Path(manifest_path)
+    text = _read_text(manifest_path)
     try:
-        doc = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{manifest_path}: invalid JSON: {e.msg}") from e
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{manifest_path}: invalid JSON: {_json_reason(e)}") from e
     if not isinstance(doc, dict) or "schema" not in doc:
         raise ParseError(f"{manifest_path}: expected an object with a 'schema' field")
     if doc["schema"] != MANIFEST_SCHEMA:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import float_rows
+from .dataio import _json_reason, _scan, float_rows
 from .errors import DivergenceError, IntegrityError, SchemaVersionError
 from .features import (
     FEATURE_DIM,
@@ -363,6 +363,51 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _members(text: str) -> tuple[dict, dict] | None:
+    """The object a JSON text holds and the span of each member's value. None
+    for any other text; json.loads then parses it and words the error."""
+    ws = json.decoder.WHITESPACE.match
+    doc, spans = {}, {}
+    i = ws(text, 0).end()
+    if text[i : i + 1] != "{":
+        return None
+    try:
+        while True:
+            key, i = _scan(text, ws(text, i + 1).end())
+            i = ws(text, i).end()
+            if type(key) is not str or text[i : i + 1] != ":":
+                return None
+            start = ws(text, i + 1).end()
+            # A duplicated key keeps its first place and its last value.
+            doc[key], end = _scan(text, start)
+            spans[key] = (start, end)
+            i = ws(text, end).end()
+            if text[i : i + 1] != ",":
+                break
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if text[i : i + 1] != "}" or ws(text, i + 1).end() != len(text):
+        return None
+    return doc, spans
+
+
+def _checksum_matches(stored, payload: dict, text: str, spans: dict) -> bool:
+    """Whether ``stored`` is the checksum of ``payload``, parsed from ``text``.
+
+    "weights" sorts last, so the canonical text is the other members' with
+    the file's weights text spliced in, less its whitespace. On a miss (such
+    as numbers not in json's own form), re-encoding the payload decides."""
+    start, end = spans.get("weights", (0, 0))
+    weights = text[start:end]
+    if weights and '"' not in weights and max(payload) == "weights":
+        rest = {k: v for k, v in payload.items() if k != "weights"}
+        canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+        canonical = canonical[:-1] + ',"weights":' + "".join(weights.split()) + "}"
+        if hashlib.sha256(canonical.encode("utf-8")).hexdigest() == stored:
+            return True
+    return stored == _payload_checksum(payload)
+
+
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Write a model as one self-describing JSON document."""
     payload = _model_payload(model)
@@ -442,17 +487,18 @@ def load_model(path: str | Path) -> MlpModel:
         IntegrityError: bytes that are not UTF-8 or not JSON, a checksum
             mismatch (tampered or corrupted file), a feature layout this
             build does not produce, a missing field, parameters that do not
-            fit ``layer_dims`` and the ablation, a non-finite parameter, a
-            normalization std that is not positive, or a ``train_config``
-            value of the wrong JSON type.
+            fit ``layer_dims`` and the ablation, a parameter that is not
+            finite or too large for a float, a normalization std that is
+            not positive, or a ``train_config`` value of the wrong JSON type.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        doc, spans = _members(text) or (json.loads(text), {})
     except UnicodeDecodeError as e:
         raise IntegrityError(f"{path}: not UTF-8 text: {e.reason}") from None
-    except json.JSONDecodeError as e:
-        raise IntegrityError(f"{path}: not valid JSON: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        raise IntegrityError(f"{path}: not valid JSON: {_json_reason(e)}") from e
     if not isinstance(doc, dict) or "schema" not in doc:
         raise IntegrityError(f"{path}: expected an object with a 'schema' field")
     if doc["schema"] != MODEL_SCHEMA:
@@ -460,9 +506,8 @@ def load_model(path: str | Path) -> MlpModel:
             f"{path}: model schema {doc['schema']!r} is not supported, "
             f"expected {MODEL_SCHEMA!r}"
         )
-    stored_checksum = doc.get("checksum")
     payload = {k: v for k, v in doc.items() if k != "checksum"}
-    if stored_checksum != _payload_checksum(payload):
+    if not _checksum_matches(doc.get("checksum"), payload, text, spans):
         raise IntegrityError(f"{path}: checksum mismatch, file was modified")
     if doc.get("feature_order_id") != FEATURE_ORDER_ID:
         raise IntegrityError(
@@ -474,7 +519,7 @@ def load_model(path: str | Path) -> MlpModel:
         return _model_from_doc(doc)
     except KeyError as e:
         raise IntegrityError(f"{path}: missing field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise IntegrityError(f"{path}: {e}") from None
 
 

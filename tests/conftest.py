@@ -5,6 +5,7 @@ import math
 import signal
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from bitetiming.features import build_feature_vector
@@ -84,6 +85,15 @@ def brute_force_features(imu, mic):
             out.extend(brute_force_stats(imu[axis, imu_cols]))
         out.extend(brute_force_stats(mic[mic_cols]))
     return np.array(out)
+
+
+# JSON values json.loads refuses with a builtins error, not JSONDecodeError:
+# an integer past Python's digit limit and nesting past the recursion limit.
+# Each comes with the reason a loader's error gives.
+JSON_LIMITS = [
+    pytest.param("1" * 5000, "an integer has too many digits", id="digits"),
+    pytest.param("[" * 10**5 + "]" * 10**5, "nested too deeply", id="nesting"),
+]
 
 
 # Replacement values for a mutated JSON field: each JSON type, a numeric and

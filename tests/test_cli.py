@@ -4,12 +4,14 @@ import filecmp
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import time_limit
+from conftest import JSON_LIMITS, time_limit
 
 from bitetiming.cli import main
-from bitetiming.mlp import load_model
+from bitetiming.features import NormalizationStats
+from bitetiming.mlp import init_mlp, load_model, save_model
 from bitetiming.policy import Command
 from bitetiming.sim import read_session_log
 
@@ -347,6 +349,33 @@ def test_simulate_names_a_model_that_is_not_utf8(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {model_path}: not UTF-8 text: invalid start byte"]
+
+
+def test_simulate_names_a_model_whose_weight_does_not_fit_a_float(tmp_path, capsys):
+    model = init_mlp((48, 4, 1), seed=0)
+    model.normalization = NormalizationStats(np.zeros(48), np.ones(48))
+    model_path = tmp_path / "big.json"
+    save_model(model, model_path)
+    doc = json.loads(model_path.read_text())
+    doc["weights"][0][0][0] = 10**400
+    del doc["checksum"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    model_path.write_text(json.dumps(doc))
+    rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {model_path}: int too large to convert to float"]
+
+
+@pytest.mark.parametrize("value, message", JSON_LIMITS)
+def test_train_names_a_manifest_with_a_huge_integer_or_deep_nesting(tmp_path, capsys, value, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(f'{{"schema": "waffle-manifest/1", "sessions": {value}}}')
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}: invalid JSON: {message}"]
 
 
 @pytest.mark.parametrize("duration", ["inf", "nan"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_json
+from conftest import JSON_LIMITS, mutate_json
 
 from bitetiming.dataio import (
     BiteEvent,
@@ -118,6 +118,25 @@ def test_load_dataset_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(b'{"schema": "waffle-manifest/1",\n"sessions": ["\xff.jsonl"]}\n')
     with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}:2: not UTF-8 text"):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize("value, message", JSON_LIMITS)
+def test_read_session_names_the_line_of_a_huge_integer_or_deep_nesting(tmp_path, value, message):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = f'{{"track":"imu","t":{value},"ax":0.1,"ay":0.2,"az":9.8}}\n'
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: invalid JSON: {message}$"):
+        read_session(path)
+
+
+@pytest.mark.parametrize("value, message", JSON_LIMITS)
+def test_load_dataset_names_the_manifest_of_a_huge_integer_or_deep_nesting(tmp_path, value, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(f'{{"schema": "waffle-manifest/1", "sessions": {value}}}')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}: invalid JSON: {message}$"):
         load_dataset(manifest)
 
 

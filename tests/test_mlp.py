@@ -3,24 +3,30 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_json, same_json, window_table
+from conftest import JSON_LIMITS, mutate_json, same_json, window_table
 
+from bitetiming import mlp
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
 from bitetiming.features import (
     ABLATIONS,
+    FEATURE_ORDER_ID,
     ablation_indices,
     apply_normalizer,
     fit_normalizer,
 )
 from bitetiming.mlp import (
+    MODEL_SCHEMA,
     MlpModel,
     TrainConfig,
+    _model_from_doc,
     _model_payload,
     _sample_dropout_masks,
     forward,
@@ -438,6 +444,8 @@ def set_first(*keys, value):
         (set_first("weights", value=math.nan), "must be finite"),
         (set_first("biases", value=-math.inf), "must be finite"),
         (lambda doc: doc.update(normalization=None), "normalization is not an object"),
+        (set_first("weights", value=10**400), "int too large to convert to float"),
+        (set_first("normalization", "std", value=10**400), "int too large to convert"),
     ],
 )
 def test_load_rejects_unusable_parameters(tmp_path, mutate, message):
@@ -461,12 +469,77 @@ def test_load_rejects_non_json(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("value, message", JSON_LIMITS)
+def test_load_names_the_file_of_a_huge_integer_or_deep_nesting(tmp_path, value, message):
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    path.write_text(path.read_text().replace('"dropout_p": 0.1', f'"dropout_p": {value}', 1))
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: not valid JSON: {message}$"):
+        load_model(path)
+
+
 def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     path.write_bytes(path.read_bytes().replace(b'"schema"', b'"sch\xffema"', 1))
     with pytest.raises(IntegrityError, match=f"^{path}: not UTF-8 text"):
         load_model(path)
+
+
+# load_model as it stood when it re-encoded every parameter to check the
+# checksum, frozen here as the reference for its verdicts.
+def reference_load_model(path):
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise IntegrityError(f"{path}: not UTF-8 text: {e.reason}") from None
+    except json.JSONDecodeError as e:
+        raise IntegrityError(f"{path}: not valid JSON: {e.msg}") from e
+    if not isinstance(doc, dict) or "schema" not in doc:
+        raise IntegrityError(f"{path}: expected an object with a 'schema' field")
+    if doc["schema"] != MODEL_SCHEMA:
+        raise SchemaVersionError(
+            f"{path}: model schema {doc['schema']!r} is not supported, "
+            f"expected {MODEL_SCHEMA!r}"
+        )
+    if doc.get("checksum") != resign(dict(doc))["checksum"]:
+        raise IntegrityError(f"{path}: checksum mismatch, file was modified")
+    if doc.get("feature_order_id") != FEATURE_ORDER_ID:
+        raise IntegrityError(
+            f"{path}: model was built for feature layout "
+            f"{doc.get('feature_order_id')!r}, this build produces "
+            f"{FEATURE_ORDER_ID!r}"
+        )
+    try:
+        return _model_from_doc(doc)
+    except KeyError as e:
+        raise IntegrityError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise IntegrityError(f"{path}: {e}") from None
+
+
+def verdict(load, path):
+    """The payload a loader returns, or the type and message it raises."""
+    try:
+        return _model_payload(load(path))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_parent_verdict(path):
+    got, want = verdict(load_model, path), verdict(reference_load_model, path)
+    assert same_json(got, want) if isinstance(want, dict) else got == want
+    return got
+
+
+# The ways a model file is laid out: save_model's own and three json.dumps ones.
+LAYOUTS = {
+    "save_model": lambda doc: json.dumps(doc, indent=1) + "\n",
+    "default": json.dumps,
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "indent=4": lambda doc: json.dumps(doc, indent=4),
+}
 
 
 @pytest.fixture(scope="module")
@@ -483,14 +556,17 @@ def model_dir(tmp_path_factory):
 @given(data=st.data())
 def test_load_model_mutations_load_or_name_the_file(model_dir, data):
     # Delete or replace one value anywhere in a model file, down to a single
-    # weight, and recompute the checksum. The loader either returns a model
-    # that saves back to the mutated document and predicts finite values for
+    # weight, recompute the checksum and write it in one of the layouts. The
+    # loader gives the reference's verdict: it either returns a model that
+    # saves back to the mutated document and predicts finite values for
     # finite rows, or raises a package ValueError naming the file.
     doc = json.loads((model_dir / "base.json").read_text())
     del doc["checksum"]
     mutate_json(data, doc)
+    layout = data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")
     path = model_dir / "mutated.json"
-    path.write_text(json.dumps(resign(dict(doc))))
+    path.write_text(LAYOUTS[layout](resign(dict(doc))))
+    assert_parent_verdict(path)
     try:
         model = load_model(path)
     except ValueError as e:
@@ -500,6 +576,195 @@ def test_load_model_mutations_load_or_name_the_file(model_dir, data):
         assert same_json(_model_payload(model), doc)
         y_hat = np.asarray(predict(model, np.zeros((2, 48))))
         assert y_hat.shape == (2,) and np.isfinite(y_hat).all()
+
+
+def written_as(number, text):
+    """A mutation that sets the first weight to ``number`` and writes it as
+    ``text``, a form json.dumps does not produce, keeping the signature."""
+
+    def write(doc):
+        set_first("weights", value=number)(doc)
+        saved = LAYOUTS["save_model"](resign(doc))
+        assert saved.count(repr(number)) == 1
+        return saved.replace(repr(number), text)
+
+    return write
+
+
+def signed(mutate, layout="save_model"):
+    """A mutation of the document, re-signed and written in ``layout``."""
+
+    def write(doc):
+        mutate(doc)
+        return LAYOUTS[layout](resign(doc))
+
+    return write
+
+
+def decoy_weights(last):
+    """The signed file with a second, unsigned "weights" member before or
+    after the others; the object keeps the value of the last one."""
+
+    def write(doc):
+        members = LAYOUTS["save_model"](resign(doc)).strip()[1:-1]
+        decoy = '"weights": [[[9.5]]]'
+        return "{" + (f"{members},\n{decoy}" if last else f"{decoy},\n{members}") + "}\n"
+
+    return write
+
+
+def respaced_string(doc):
+    """A string in the weights, signed without the space the file holds."""
+    set_first("weights", value="ab")(doc)
+    return LAYOUTS["save_model"](resign(doc)).replace('"ab"', '"a b"')
+
+
+def unsorted_splice(doc):
+    """A key after "weights", signed over the members in the file's order,
+    weights last: a text json.dumps never writes."""
+    doc["zzz"] = 1
+    weights = json.dumps(doc.pop("weights"), separators=(",", ":"))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    text = text[:-1] + ',"weights":' + weights + "}"
+    doc["weights"] = json.loads(weights)
+    doc["checksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return LAYOUTS["save_model"](doc)
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (written_as(12.5, "12.50"), None),
+        (written_as(1.25e-05, "1.25E-5"), None),
+        (lambda doc: LAYOUTS["save_model"](resign(doc)).replace("\n", "\r\n\t"), None),
+        (signed(lambda doc: doc.update(zzz=1)), None),
+        (signed(lambda doc: doc.update(zzz=1), "compact"), None),
+        (signed(lambda doc: doc["normalization"].update(weights=[[1.0]])), None),
+        (signed(set_first("weights", value="0.5")), "values must be lists of numbers"),
+        (signed(lambda doc: doc.pop("weights")), "missing field 'weights'"),
+        (decoy_weights(last=False), None),
+        (decoy_weights(last=True), "checksum mismatch"),
+        (respaced_string, "checksum mismatch"),
+        (unsorted_splice, "checksum mismatch"),
+    ],
+    ids=[
+        "12.50",
+        "1.25E-5",
+        "crlf-tab",
+        "key-after-weights",
+        "key-after-weights-compact",
+        "weights-in-normalization",
+        "string-in-weights",
+        "no-weights",
+        "duplicate-weights-first",
+        "duplicate-weights-last",
+        "respaced-string",
+        "unsorted-splice",
+    ],
+)
+def test_load_model_gives_the_parent_verdict_on_unusual_files(model_dir, write, message):
+    doc = json.loads((model_dir / "base.json").read_text())
+    del doc["checksum"]
+    path = model_dir / "unusual.json"
+    path.write_text(write(doc))
+    got = assert_parent_verdict(path)
+    if message is None:
+        assert isinstance(got, dict)
+    else:
+        assert got[0] is IntegrityError and got[1].startswith(f"{path}: ")
+        assert message in got[1]
+
+
+def test_an_untouched_model_file_loads_without_re_encoding_its_parameters(
+    tmp_path, monkeypatch
+):
+    model = trained_toy_model()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+
+    def refuse(payload):
+        raise AssertionError("load_model re-encoded the parameters")
+
+    monkeypatch.setattr(mlp, "_payload_checksum", refuse)
+    loaded = load_model(path)
+    assert loaded.layer_dims == model.layer_dims
+    for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def object_texts(draw):
+    """A non-empty JSON object's text in a drawn layout. Written by hand, its
+    keys may repeat."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "weights", "é", '"q"', ""]) | st.text(max_size=3), json_values),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    indent = draw(st.sampled_from([None, 0, 1, 4, "\t"]))
+    item_sep, key_sep = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\r\n", " :\t")]))
+    dump = lambda v: json.dumps(v, indent=indent, separators=(item_sep, key_sep))
+    if draw(st.booleans()):
+        text = json.dumps(dict(pairs), indent=indent, separators=(item_sep, key_sep),
+                          sort_keys=draw(st.booleans()))
+    else:
+        text = "{" + item_sep.join(dump(k) + key_sep + dump(v) for k, v in pairs) + "}"
+    pad = st.sampled_from(["", " ", "\n", " \t\r\n"])
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=object_texts())
+def test_member_scanner_matches_json_loads(text):
+    doc, spans = mlp._members(text)
+    want = json.loads(text)
+    assert list(doc) == list(want) and same_json(doc, want)
+    assert spans.keys() == doc.keys()
+    for key, (start, end) in spans.items():
+        assert same_json(json.loads(text[start:end]), doc[key])
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=json_values, tail=st.sampled_from(["", " x", " 1", "{}", ",", "]", "}"]))
+@example(value={}, tail="")
+@example(value={"a": 1}, tail="")
+def test_member_scanner_takes_only_one_non_empty_object(value, tail):
+    text = json.dumps(value) + tail
+    if isinstance(value, dict) and value and not tail:
+        assert mlp._members(text) is not None
+    else:
+        assert mlp._members(text) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " { } ",
+        '{"a": 1,}',
+        '{"a": 1 ,\n}',
+        '{"a" 1}',
+        '{1: 2}',
+        '{"a": 1}}',
+        '\ufeff{"a": 1}',
+        '{"a": 1',
+        '{"a": ' + "1" * 5000 + "}",
+        '{"a": ' + "[" * 10**5 + "]" * 10**5 + "}",
+    ],
+    ids=lambda text: text if len(text) < 20 else f"{text[:6]}...{len(text)}",
+)
+def test_member_scanner_hands_other_texts_to_json_loads(text):
+    assert mlp._members(text) is None
 
 
 def test_model_digest_tracks_parameters():

@@ -1,13 +1,14 @@
 """Feeding-robot simulator, behavior scripts, oracle labeler, synthesis."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate_json, same_json, time_limit
+from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
 
 from bitetiming.dataio import derive_time_to_bite, load_dataset, validate_session
 from bitetiming.errors import ParseError, ProtocolError, SchemaVersionError
@@ -639,6 +640,14 @@ def test_session_log_names_the_line_of_a_byte_that_is_not_utf8(long_scn, tmp_pat
     lines[4] = lines[4].replace(b'"policy"', b'"pol\xc3icy"', 1)
     path.write_bytes(b"".join(lines))
     with pytest.raises(ParseError, match=f"^{path}:5: not UTF-8 text"):
+        read_session_log(path)
+
+
+@pytest.mark.parametrize("value, message", JSON_LIMITS)
+def test_session_log_names_the_line_of_a_huge_integer_or_deep_nesting(tmp_path, value, message):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(LOG_HEADER) + "\n" + f'{{"track":"policy","t":{value}}}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid JSON: {message}$"):
         read_session_log(path)
 
 
