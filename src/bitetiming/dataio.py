@@ -1,47 +1,49 @@
 """Session file format, dataset manifests, and ground-truth label derivation.
 
-A session file is line-delimited JSON: one header line followed by one record
-per line. The header is ``{"schema": "waffle/1", "participant": ...,
-"scenario": ...}`` and every other line carries a ``track`` field:
+A ``waffle/2`` session file is line-delimited JSON: a header line
+``{"schema": "waffle/2", "participant": ..., "scenario": ...}``, one line per
+bite, and one line of column arrays per sensor track:
 
-    {"track": "imu", "t": .., "ax": .., "ay": .., "az": ..}
-    {"track": "mic", "t": .., "amp": ..}
     {"track": "bite", "staging_arrival_t": .., "feeding_arrival_t": ..,
      "bite_complete_t": ..}
-    {"track": "motion", "t": .., "moving": 0 or 1}
+    {"track": "imu", "t": [..], "ax": [..], "ay": [..], "az": [..]}
+    {"track": "mic", "t": [..], "amp": [..]}
+    {"track": "motion", "t": [..], "moving": [0 or 1, ..]}
 
 Timestamps are seconds from session start, accelerations m/s^2, microphone
-amplitude normalized to [-1, 1]. Keys a line does not need are ignored, so
-files that also carry an imu orientation (``qw``, ``qx``, ``qy``, ``qz``)
-still load. A dataset manifest is a single JSON document
-``{"schema": "waffle-manifest/1", "sessions": [paths...]}`` with paths
-relative to the manifest's directory.
+amplitude normalized to [-1, 1]. A track without a line is empty, and no
+track appears twice. Only ``waffle/2`` is written, but ``waffle/1`` files,
+with one line per sample (``{"track": "imu", "t": .., "ax": .., ...}``),
+still load into the same columns through the same checks. Keys a line does
+not read are ignored, such as the imu orientation (``qw``..``qz``) of older
+writers. A dataset manifest is ``{"schema": "waffle-manifest/1", "sessions":
+[paths...]}`` with paths relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, SchemaVersionError, TrackValidationError
 
-SESSION_SCHEMA = "waffle/1"
+SESSION_SCHEMA = "waffle/2"
+_OLD_SESSION_SCHEMA = "waffle/1"
 MANIFEST_SCHEMA = "waffle-manifest/1"
 
 SCENARIOS = ("individual", "social")
 
-# The fields read from each kind of sample line.
+# The columns of each sensor track.
 _FIELDS = {
     "imu": ("t", "ax", "ay", "az"),
     "mic": ("t", "amp"),
     "motion": ("t", "moving"),
 }
-_GETTERS = {kind: itemgetter(*keys) for kind, keys in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ class SessionRecord:
 
 
 def _require_increasing(t: np.ndarray, track: str) -> None:
-    bad = np.nonzero(np.diff(t) <= 0)[0]
+    # A comparison, not np.diff: the difference of two finite floats can overflow.
+    bad = np.nonzero(t[1:] <= t[:-1])[0]
     if bad.size:
         i = int(bad[0]) + 1
         raise TrackValidationError(
@@ -112,45 +115,25 @@ def validate_session(session: SessionRecord) -> None:
         raise TrackValidationError(
             f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
         )
-    _require_finite(session.imu_t, "imu", "timestamp")
-    if session.imu_t.size:
-        _require_increasing(session.imu_t, "imu")
-    if session.imu_accel.shape != (session.imu_t.size, 3):
-        raise TrackValidationError(
-            f"imu accel shape {session.imu_accel.shape} does not match "
-            f"{session.imu_t.size} timestamps"
-        )
-    _require_finite(session.imu_accel, "imu", "acceleration")
-    _require_finite(session.mic_t, "mic", "timestamp")
-    if session.mic_t.size:
-        _require_increasing(session.mic_t, "mic")
-    if session.mic_amp.shape != session.mic_t.shape:
-        raise TrackValidationError(
-            f"mic amp shape {session.mic_amp.shape} does not match "
-            f"{session.mic_t.size} timestamps"
-        )
-    _require_finite(session.mic_amp, "mic", "amplitude")
+    for track, t, values, what, width in (
+        ("imu", session.imu_t, session.imu_accel, "acceleration", (3,)),
+        ("mic", session.mic_t, session.mic_amp, "amplitude", ()),
+        ("motion", session.motion_t, session.motion_moving, "label", ()),
+    ):
+        _require_finite(t, track, "timestamp")
+        _require_increasing(t, track)
+        if values.shape != t.shape + width:
+            raise TrackValidationError(
+                f"{track} {what} shape {values.shape} does not match {t.size} timestamps"
+            )
+        if track != "motion":  # a label is checked against {0, 1} below
+            _require_finite(values, track, what)
     bad = np.nonzero(np.abs(session.mic_amp) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
         raise TrackValidationError(
             f"mic amplitude at sample {i} is {session.mic_amp[i]!r}, "
             f"outside [-1, 1]"
-        )
-    for i in range(1, len(session.bites)):
-        prev, cur = session.bites[i - 1], session.bites[i]
-        if cur.staging_arrival_t < prev.bite_complete_t:
-            raise TrackValidationError(
-                f"bite {i} starts staging at {cur.staging_arrival_t} before "
-                f"bite {i - 1} completes at {prev.bite_complete_t}"
-            )
-    _require_finite(session.motion_t, "motion", "timestamp")
-    if session.motion_t.size:
-        _require_increasing(session.motion_t, "motion")
-    if session.motion_moving.shape != session.motion_t.shape:
-        raise TrackValidationError(
-            f"motion moving shape {session.motion_moving.shape} does not "
-            f"match {session.motion_t.size} timestamps"
         )
     bad = np.nonzero(~np.isin(session.motion_moving, (0, 1)))[0]
     if bad.size:
@@ -159,51 +142,46 @@ def validate_session(session: SessionRecord) -> None:
             f"motion label at sample {i} is {session.motion_moving[i]}, "
             f"expected 0 or 1"
         )
+    for i, cur in enumerate(session.bites):
+        times = (cur.staging_arrival_t, cur.feeding_arrival_t, cur.bite_complete_t)
+        # A comparison, not math.isfinite: it cannot overflow on a huge int.
+        if not all(abs(v) < math.inf for v in times):
+            raise TrackValidationError(f"bite {i} timestamps {times} are not all finite")
+        prev = session.bites[i - 1]
+        if i and cur.staging_arrival_t < prev.bite_complete_t:
+            raise TrackValidationError(
+                f"bite {i} starts staging at {cur.staging_arrival_t} before "
+                f"bite {i - 1} completes at {prev.bite_complete_t}"
+            )
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _bite_line(b: BiteEvent) -> str:
-    rec = {
-        "track": "bite",
-        "staging_arrival_t": b.staging_arrival_t,
-        "feeding_arrival_t": b.feeding_arrival_t,
-        "bite_complete_t": b.bite_complete_t,
-    }
-    return _encode(rec) + "\n"
-
-
-def _line_format(track: str, keys: tuple[str, ...]):
-    fields = ",".join(f'"{key}":{{!r}}' for key in keys)
-    return f'{{{{"track":"{track}",{fields}}}}}\n'.format
-
-
-# One line template per sample kind. For a finite float, repr is exactly what
-# json writes, and write_session validates before it formats.
-_LINES = {track: _line_format(track, keys) for track, keys in _FIELDS.items()}
-
-
-def _columns(*arrays: np.ndarray) -> list[list[float]]:
-    """The columns of arrays laid side by side, as lists of Python floats."""
-    return np.column_stack(arrays).astype(np.float64, copy=False).T.tolist()
+    return _encode({"track": "bite", **vars(b)}) + "\n"
 
 
 def write_session(session: SessionRecord, path: str | Path) -> None:
-    """Write one session to ``path`` in the line-delimited format."""
+    """Write one session to ``path`` in the ``waffle/2`` format.
+
+    Each track is one call of json's C encoder, which writes a finite float
+    as its repr, so the columns read back bit for bit.
+    """
     validate_session(session)
-    header = {
-        "schema": SESSION_SCHEMA,
-        "participant": session.participant_id,
-        "scenario": session.scenario,
+    header = {"schema": SESSION_SCHEMA, "participant": session.participant_id,
+              "scenario": session.scenario}
+    columns = {
+        "imu": np.column_stack((session.imu_t, session.imu_accel)).T.astype(np.float64).tolist(),
+        "mic": np.stack((session.mic_t, session.mic_amp)).astype(np.float64).tolist(),
+        "motion": [session.motion_t.astype(np.float64).tolist(),
+                   session.motion_moving.astype(np.int64).tolist()],
     }
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
-        f.writelines(map(_LINES["imu"], *_columns(session.imu_t, session.imu_accel)))
-        f.writelines(map(_LINES["mic"], *_columns(session.mic_t, session.mic_amp)))
         f.writelines(map(_bite_line, session.bites))
-        moving = session.motion_moving.astype(np.int64).tolist()
-        f.writelines(map(_LINES["motion"], *_columns(session.motion_t), moving))
+        for track, keys in _FIELDS.items():
+            f.write(_encode({"track": track, **dict(zip(keys, columns[track]))}) + "\n")
 
 
 def _read_text(path: Path) -> str:
@@ -261,19 +239,29 @@ def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
         ) from None
 
 
-def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str):
+def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str, at: str = ""):
+    """``rec[key]`` if its type is one of ``types``; ``at`` places a column
+    value in the error message."""
     value = _field(path, lineno, rec, key)
     # type(), not isinstance(): a JSON true is a bool, which is an int.
     if type(value) not in types:
         raise ParseError(
             f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            f"is not {what}: {value!r}"
+            f"is not {what}{at}: {value!r}"
         )
     return value
 
 
-def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
-    return _typed(path, lineno, rec, key, (int, float), "a number")
+def _number(path: Path, lineno: int, rec: dict, key: str, at: str = "") -> float:
+    value = _typed(path, lineno, rec, key, (int, float), "a number", at)
+    try:
+        float(value)
+    except OverflowError:
+        raise ParseError(
+            f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
+            f"does not fit a float{at}"
+        ) from None
+    return value
 
 
 def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
@@ -299,33 +287,46 @@ def float_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _stack(path: Path, lines: list[str], track: str, rows: list[tuple]) -> np.ndarray:
-    """One track's rows as a float64 (n, len(_FIELDS[track])) array.
-
-    Only when a value is not a JSON number are the lines scanned again, to
-    name the first one holding it.
-    """
+def _track(
+    path: Path, track: str, linenos: list[int], recs: list[dict], columnar: bool
+) -> np.ndarray:
+    """One track's columns as a float64 (columns, samples) array, from its one
+    line of column arrays (``columnar``) or its lines of one sample each.
+    Values are looked at one by one only to name a bad one."""
     keys = _FIELDS[track]
     try:
-        return float_rows(rows).reshape(-1, len(keys))
-    except OverflowError as e:
-        raise ParseError(f"{path}: {track} values do not fit a float: {e}") from e
-    except ValueError:
-        pass
-    for lineno, line in enumerate(lines[1:], start=2):
-        rec = json.loads(line) if line.strip() else {}
-        if rec.get("track") == track:
+        if columnar:
+            columns = [recs[0][key] if recs else [] for key in keys]
+        else:
+            columns = [[rec[key] for rec in recs] for key in keys]
+    except KeyError:
+        for lineno, rec in zip(linenos, recs):
             for key in keys:
-                _number(path, lineno, rec, key)
-    raise ParseError(f"{path}: {track} values are not numbers")
+                _field(path, lineno, rec, key)
+    for key, column in zip(keys, columns):
+        if type(column) is not list:
+            raise ParseError(f"{path}:{linenos[0]}: {track!r} field {key!r} is not a list")
+    if len(set(map(len, columns))) > 1:
+        lengths = ", ".join(f"{key} {len(column)}" for key, column in zip(keys, columns))
+        raise ParseError(f"{path}:{linenos[0]}: {track!r} columns differ in length: {lengths}")
+    try:
+        return float_rows(columns)
+    except (ValueError, OverflowError):
+        for i, values in enumerate(zip(*columns)):
+            lineno = linenos[0 if columnar else i]
+            for key, value in zip(keys, values):
+                _number(path, lineno, {"track": track, key: value}, key, f" at index {i}")
+        raise
 
 
 def read_session(path: str | Path) -> SessionRecord:
-    """Read and validate one session file.
+    """Read and validate one ``waffle/2`` or ``waffle/1`` session file.
 
     Raises:
-        ParseError: bytes that are not UTF-8, malformed JSON, missing or
-            non-numeric fields, with the line number.
+        ParseError: bytes that are not UTF-8, malformed JSON, a missing
+            field, a value that is not a number or does not fit a float, a
+            column that is not a list or differs in length from its track's,
+            a repeated track; with the line number and a value's index.
         SchemaVersionError: the header declares an unknown schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
@@ -339,14 +340,15 @@ def read_session(path: str | Path) -> SessionRecord:
     schema = header.get("schema")
     if schema is None:
         raise ParseError(f"{path}:1: header is missing the 'schema' field")
-    if schema != SESSION_SCHEMA:
+    if schema not in (SESSION_SCHEMA, _OLD_SESSION_SCHEMA):
         raise SchemaVersionError(
-            f"{path}: schema {schema!r} is not supported, expected {SESSION_SCHEMA!r}"
+            f"{path}: schema {schema!r} is not supported, expected "
+            f"{SESSION_SCHEMA!r} or {_OLD_SESSION_SCHEMA!r}"
         )
     participant = _string(path, 1, header, "participant")
     scenario = _string(path, 1, header, "scenario")
 
-    rows: dict[str, list[tuple]] = {"imu": [], "mic": [], "motion": []}
+    tracks: dict[str, tuple[list[int], list[dict]]] = {}  # line numbers, records
     bites: list[BiteEvent] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -359,24 +361,21 @@ def read_session(path: str | Path) -> SessionRecord:
         # A tuple, not the dict: a track such as {} cannot be hashed.
         if track not in ("imu", "mic", "motion"):
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
-        try:
-            rows[track].append(_GETTERS[track](rec))
-        except KeyError as e:
-            _field(path, lineno, rec, e.args[0])
+        linenos, recs = tracks.setdefault(track, ([], []))
+        if recs and schema == SESSION_SCHEMA:
+            raise ParseError(
+                f"{path}:{lineno}: track {track!r} appears twice, first on line {linenos[0]}"
+            )
+        linenos.append(lineno)
+        recs.append(rec)
 
-    imu = _stack(path, lines, "imu", rows["imu"])
-    mic = _stack(path, lines, "mic", rows["mic"])
-    motion = _stack(path, lines, "motion", rows["motion"])
+    imu, mic, motion = (
+        _track(path, track, *tracks.get(track, ([], [])), schema == SESSION_SCHEMA)
+        for track in _FIELDS
+    )
     session = SessionRecord(
-        participant_id=participant,
-        scenario=scenario,
-        imu_t=imu[:, 0],
-        imu_accel=imu[:, 1:],
-        mic_t=mic[:, 0],
-        mic_amp=mic[:, 1],
-        bites=bites,
-        motion_t=motion[:, 0],
-        motion_moving=motion[:, 1],
+        participant, scenario, imu_t=imu[0], imu_accel=imu[1:].T, mic_t=mic[0],
+        mic_amp=mic[1], bites=bites, motion_t=motion[0], motion_moving=motion[1],
     )
     try:
         validate_session(session)

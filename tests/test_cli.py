@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,22 +141,56 @@ def test_train_rejects_a_manifest_whose_sessions_are_not_paths(tmp_path, capsys)
     assert err == [f"error: {manifest}: 'sessions' must be a list of path strings"]
 
 
-def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
-    # A copy of one synthesized session whose second imu line has "ax": {}.
+def edited_session(dataset_dir, tmp_path, track, edit, which=0):
+    """A one-session manifest over a copy of p01_individual.jsonl whose
+    ``which``-th ``track`` line went through ``edit``. Returns the manifest,
+    the session copy and the edited line's number."""
     lines = (dataset_dir / "p01_individual.jsonl").read_text().splitlines()
-    rec = json.loads(lines[2])
-    rec["ax"] = {}
-    lines[2] = json.dumps(rec)
+    index = [i for i, line in enumerate(lines) if json.loads(line).get("track") == track][which]
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec)
     session = tmp_path / "p01_individual.jsonl"
     session.write_text("\n".join(lines) + "\n")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(
         json.dumps({"schema": "waffle-manifest/1", "sessions": [session.name]})
     )
+    return manifest, session, index + 1
+
+
+def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
+    # A copy of one synthesized session whose second imu sample has "ax": {}.
+    manifest, session, lineno = edited_session(
+        dataset_dir, tmp_path, "imu", lambda rec: rec["ax"].__setitem__(1, {})
+    )
     rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {session}:3: 'imu' field 'ax' is not a number: {{}}"]
+    assert err == [f"error: {session}:{lineno}: 'imu' field 'ax' is not a number at index 1: {{}}"]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            {"feeding_arrival_t": 10**399, "bite_complete_t": 10**400},
+            "{session}:{lineno}: 'bite' field 'feeding_arrival_t' does not fit a float",
+        ),
+        ({"bite_complete_t": float("inf")}, "{session}: bite [0-9]+ timestamps .* are not all finite"),
+    ],
+    ids=["too-large", "infinite"],
+)
+def test_train_rejects_a_last_bite_that_is_not_a_finite_float(dataset_dir, tmp_path, capsys, fields, message):
+    manifest, session, lineno = edited_session(
+        dataset_dir, tmp_path, "bite", lambda rec: rec.update(fields), which=-1
+    )
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch("error: " + message.format(session=re.escape(str(session)), lineno=lineno), err[0])
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_eval_writes_reports(dataset_dir, tmp_path, capsys):

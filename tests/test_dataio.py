@@ -51,6 +51,29 @@ def assert_sessions_equal(a, b):
     np.testing.assert_array_equal(a.motion_moving, b.motion_moving)
 
 
+def reference_write_session(session, path):
+    """The waffle/1 writer, frozen: one line per sample, each a dict through
+    json's encoder. Files it writes must keep loading."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [{"schema": "waffle/1", "participant": session.participant_id, "scenario": session.scenario}]
+    for t, (ax, ay, az) in zip(session.imu_t.tolist(), session.imu_accel.tolist()):
+        lines.append({"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az})
+    for t, amp in zip(session.mic_t.tolist(), session.mic_amp.tolist()):
+        lines.append({"track": "mic", "t": t, "amp": amp})
+    for b in session.bites:
+        lines.append(
+            {
+                "track": "bite",
+                "staging_arrival_t": b.staging_arrival_t,
+                "feeding_arrival_t": b.feeding_arrival_t,
+                "bite_complete_t": b.bite_complete_t,
+            }
+        )
+    for t, moving in zip(session.motion_t.tolist(), session.motion_moving.tolist()):
+        lines.append({"track": "motion", "t": t, "moving": int(moving)})
+    Path(path).write_text("".join(encode(rec) + "\n" for rec in lines), encoding="utf-8")
+
+
 def test_bite_event_requires_ordered_timestamps():
     with pytest.raises(TrackValidationError):
         BiteEvent(staging_arrival_t=2.0, feeding_arrival_t=1.0, bite_complete_t=3.0)
@@ -106,7 +129,7 @@ def test_read_session_names_bad_line(tmp_path):
 
 def test_read_session_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "s.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[3] = lines[3].replace(b'"imu"', b'"im\xffu"')
     path.write_bytes(b"".join(lines))
@@ -191,9 +214,18 @@ def test_validation_rejects_non_finite(tmp_path, column, index, value, message):
         write_session(session, tmp_path / "nf.jsonl")
 
 
+def test_validation_accepts_timestamps_whose_difference_overflows(tmp_path):
+    # 1e308 - (-1e308) overflows a float; pytest turns numpy's overflow
+    # warning into an error.
+    session = small_session()
+    session.motion_t = np.array([-1e308, 1e308, 1.5e308])
+    write_session(session, tmp_path / "s.jsonl")
+    assert_sessions_equal(read_session(tmp_path / "s.jsonl"), session)
+
+
 def test_read_session_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[3])  # the third imu line
     rec["ax"] = float("nan")
@@ -220,7 +252,7 @@ def rewrite_line(path, index, **fields):
 
 def test_read_session_rejects_fractional_motion_label(tmp_path):
     path = tmp_path / "frac.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     # Line 12 is motion sample 1, after the header, 5 imu, 4 mic, 1 bite and
     # 1 motion line.
     rewrite_line(path, 12, moving=0.7)
@@ -233,7 +265,7 @@ def test_read_session_rejects_fractional_motion_label(tmp_path):
 @pytest.mark.parametrize("value", ["abc", {}, [1.0, 2.0]])
 def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
     path = tmp_path / "nan.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     rewrite_line(path, 3, ax=value)  # the third imu line
     with pytest.raises(ParseError, match=f"{path}:4: 'imu' field 'ax' is not a number"):
         read_session(path)
@@ -241,7 +273,7 @@ def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
 
 def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
     path = tmp_path / "bite.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     rewrite_line(path, 10, feeding_arrival_t="1.0")
     with pytest.raises(
         ParseError, match=f"{path}:11: 'bite' field 'feeding_arrival_t' is not a number"
@@ -270,7 +302,7 @@ def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, fiel
 )
 def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, field, value):
     path = tmp_path / "s.jsonl"
-    write_session(small_session(), path)
+    reference_write_session(small_session(), path)
     rewrite_line(path, index, **{field: value})
     with pytest.raises(
         ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number"
@@ -278,22 +310,147 @@ def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, fiel
         read_session(path)
 
 
+def rewrite_track(path, track, edit):
+    """Apply ``edit`` to the record of one track line of a waffle/2 file and
+    return that line's number."""
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line).get("track") == track)
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1
+
+
+@pytest.mark.parametrize(
+    "track, key, index, value, message",
+    [
+        ("imu", "ax", 2, "abc", "'imu' field 'ax' is not a number at index 2: 'abc'"),
+        ("imu", "az", 0, True, "'imu' field 'az' is not a number at index 0: True"),
+        ("mic", "amp", 3, "0.5", "'mic' field 'amp' is not a number at index 3: '0.5'"),
+        ("mic", "t", 1, {}, "'mic' field 't' is not a number at index 1: {}"),
+        ("motion", "moving", 1, None, "'motion' field 'moving' is not a number at index 1: None"),
+        ("imu", "t", 4, 10**400, "'imu' field 't' does not fit a float at index 4"),
+    ],
+)
+def test_read_session_names_the_column_and_index_of_a_bad_value(tmp_path, track, key, index, value, message):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lineno = rewrite_track(path, track, lambda rec: rec[key].__setitem__(index, value))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+        read_session(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda rec: rec.update(ax=1.5), "'imu' field 'ax' is not a list", id="not-a-list"),
+        pytest.param(lambda rec: rec.update(ax=None), "'imu' field 'ax' is not a list", id="null"),
+        pytest.param(
+            lambda rec: rec["ay"].pop(), "'imu' columns differ in length: t 5, ax 5, ay 4, az 5", id="length"
+        ),
+        pytest.param(lambda rec: rec.pop("az"), "'imu' line is missing field 'az'", id="missing"),
+    ],
+)
+def test_read_session_names_the_line_of_a_malformed_column(tmp_path, edit, message):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lineno = rewrite_track(path, "imu", edit)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+        read_session(path)
+
+
+def test_read_session_rejects_a_track_that_appears_twice(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[3])["track"] == "mic"
+    path.write_text("\n".join(lines[:4] + lines[3:]) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:5: track 'mic' appears twice, first on line 4$"):
+        read_session(path)
+
+
+def test_read_session_reads_a_missing_track_as_empty(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lines = [line for line in path.read_text().splitlines() if '"track":"motion"' not in line]
+    path.write_text("\n".join(lines) + "\n")
+    session = read_session(path)
+    assert session.motion_t.shape == (0,) and session.motion_moving.dtype == np.int64
+    assert session.imu_accel.shape == (5, 3)
+
+
+@pytest.mark.parametrize(
+    "track, key, index, value, message",
+    [
+        ("imu", "ax", 2, float("nan"), "imu acceleration at sample 2 is not finite"),
+        ("mic", "t", 1, float("inf"), "mic timestamp at sample 1 is not finite"),
+        ("motion", "moving", 1, 0.7, "motion label at sample 1 is 0.7"),
+    ],
+)
+def test_read_session_validates_columns_with_the_path(tmp_path, track, key, index, value, message):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    rewrite_track(path, track, lambda rec: rec[key].__setitem__(index, value))
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(f'{path}: {message}')}"):
+        read_session(path)
+
+
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (reference_write_session, 11)])
+def test_read_session_names_the_line_of_a_bite_too_large_for_a_float(tmp_path, writer, lineno):
+    path = tmp_path / "s.jsonl"
+    writer(small_session(), path)
+    rewrite_line(path, lineno - 1, feeding_arrival_t=10**399, bite_complete_t=10**400)
+    with pytest.raises(
+        ParseError, match=f"^{re.escape(str(path))}:{lineno}: 'bite' field 'feeding_arrival_t' does not fit a float$"
+    ):
+        read_session(path)
+
+
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (reference_write_session, 11)])
+def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno):
+    path = tmp_path / "s.jsonl"
+    writer(small_session(), path)
+    rewrite_line(path, lineno - 1, bite_complete_t=float("inf"))  # written as Infinity
+    with pytest.raises(
+        TrackValidationError, match=re.escape(f"{path}: bite 0 timestamps (0.5, 1.0, inf) are not all finite")
+    ):
+        read_session(path)
+
+
+def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path):
+    session = small_session()
+    session.bites = [BiteEvent(0.5, 1.0, 1.5), BiteEvent(2.0, 3.0, float("inf"))]
+    with pytest.raises(TrackValidationError, match="bite 1 timestamps"):
+        write_session(session, tmp_path / "s.jsonl")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
-    write_session(small_session(), path / "base.jsonl")
+    reference_write_session(small_session(), path / "base.jsonl")
+    write_session(small_session(), path / "base2.jsonl")
     return path
+
+
+def motion_labels_in(lines):
+    """The moving labels a waffle/1 or waffle/2 file's motion lines hold."""
+    records = [json.loads(line) for line in lines[1:]]
+    moving = [r["moving"] for r in records if r.get("track") == "motion"]
+    return [m for value in moving for m in (value if isinstance(value, list) else [value])]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    value=st.sampled_from(("delete", "abc", "1.5", {}, None, 0.7)),
+    value=st.sampled_from(("delete", "abc", "1.5", {}, None, 0.7, True, 10**400)),
 )
 def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
-    # Mutate one field of one line: delete it, or set it to a string, an
-    # object, JSON null or 0.7. The loader either returns a valid session or
-    # raises a package ValueError that names the file.
+    # Mutate one field of one line of a waffle/1 file: delete it, or set it
+    # to a string, an object, JSON null, 0.7, a boolean or an integer too
+    # large for a float. The loader either returns a valid session or raises
+    # a package ValueError that names the file.
     lines = (fuzz_dir / "base.jsonl").read_text().splitlines()
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     rec = json.loads(lines[index])
@@ -311,9 +468,47 @@ def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
         assert type(e).__module__ == "bitetiming.errors"
         assert str(path) in str(e)
     else:
-        records = [json.loads(line) for line in lines[1:]]
-        moving = [r["moving"] for r in records if r.get("track") == "motion"]
-        assert session.motion_moving.tolist() == moving
+        assert session.motion_moving.tolist() == motion_labels_in(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(("element", "column", "length", "delete", "repeat")))
+def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mutation):
+    # Mutate one track line of a waffle/2 file: set one element of a column
+    # to a non-number, a numeric string, a boolean or an integer too large
+    # for a float; replace a whole column by a non-list; grow or shrink a
+    # column; or delete or repeat the line. The loader either returns a
+    # valid session or raises a package ValueError that names the file.
+    lines = (fuzz_dir / "base2.jsonl").read_text().splitlines()
+    tracks = [i for i, line in enumerate(lines) if json.loads(line).get("track") in ("imu", "mic", "motion")]
+    index = data.draw(st.sampled_from(tracks), label="line")
+    rec = json.loads(lines[index])
+    key = data.draw(st.sampled_from(sorted(set(rec) - {"track"})), label="column")
+    column = rec[key]
+    if mutation == "delete":
+        del lines[index]
+    elif mutation == "repeat":
+        lines.insert(index, lines[index])
+    else:
+        if mutation == "element":
+            i = data.draw(st.integers(0, len(column) - 1), label="index")
+            column[i] = data.draw(st.sampled_from(("abc", "1.5", {}, None, True, 10**400, 0.7, -3)), label="value")
+        elif mutation == "column":
+            rec[key] = data.draw(st.sampled_from(("abc", 1.5, {}, None, True)), label="value")
+        elif data.draw(st.booleans(), label="grow"):
+            column.append(column[-1])
+        else:
+            column.pop()
+        lines[index] = json.dumps(rec)
+    path = fuzz_dir / "mutated2.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        session = read_session(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    else:
+        assert session.motion_moving.tolist() == motion_labels_in(lines)
 
 
 def reference_parse_line(path, lineno, line):
@@ -385,29 +580,6 @@ def test_read_session_parses_line_by_line(tmp_path):
         read_session(path)
 
 
-def reference_write_session(session, path):
-    """The writer before column-wise formatting: one dict per line through
-    json's encoder."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = [{"schema": "waffle/1", "participant": session.participant_id, "scenario": session.scenario}]
-    for t, (ax, ay, az) in zip(session.imu_t.tolist(), session.imu_accel.tolist()):
-        lines.append({"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az})
-    for t, amp in zip(session.mic_t.tolist(), session.mic_amp.tolist()):
-        lines.append({"track": "mic", "t": t, "amp": amp})
-    for b in session.bites:
-        lines.append(
-            {
-                "track": "bite",
-                "staging_arrival_t": b.staging_arrival_t,
-                "feeding_arrival_t": b.feeding_arrival_t,
-                "bite_complete_t": b.bite_complete_t,
-            }
-        )
-    for t, moving in zip(session.motion_t.tolist(), session.motion_moving.tolist()):
-        lines.append({"track": "motion", "t": t, "moving": int(moving)})
-    Path(path).write_text("".join(encode(rec) + "\n" for rec in lines), encoding="utf-8")
-
-
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-7, -1e-7, 1e16, -1e16, 1.0, -3.0, 1e22)
 FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 AMPLITUDES = st.one_of(
@@ -444,12 +616,59 @@ def write_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("write")
 
 
+def documented_layout(session):
+    """The waffle/2 records of a session, as the module docstring lays them
+    out: the header, the bites, then one line of column arrays per track."""
+    bites = [
+        {"track": "bite", "staging_arrival_t": b.staging_arrival_t,
+         "feeding_arrival_t": b.feeding_arrival_t, "bite_complete_t": b.bite_complete_t}
+        for b in session.bites
+    ]
+    ax, ay, az = session.imu_accel.T.tolist()
+    return [
+        {"schema": "waffle/2", "participant": session.participant_id, "scenario": session.scenario},
+        *bites,
+        {"track": "imu", "t": session.imu_t.tolist(), "ax": ax, "ay": ay, "az": az},
+        {"track": "mic", "t": session.mic_t.tolist(), "amp": session.mic_amp.tolist()},
+        {"track": "motion", "t": session.motion_t.tolist(), "moving": [int(m) for m in session.motion_moving]},
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(session=finite_sessions())
 def test_write_session_matches_the_json_encoder(write_dir, session):
     write_session(session, write_dir / "columns.jsonl")
-    reference_write_session(session, write_dir / "reference.jsonl")
-    assert (write_dir / "columns.jsonl").read_bytes() == (write_dir / "reference.jsonl").read_bytes()
+    expected = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in documented_layout(session))
+    assert (write_dir / "columns.jsonl").read_text() == expected
+
+
+def with_quaternions(path, quaternion):
+    """Rewrite a waffle/1 file as older writers did: qw, qx, qy, qz after az
+    on every imu line."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec.get("track") == "imu":
+            rec.update(zip(("qw", "qx", "qy", "qz"), quaternion))
+        lines.append(encode(rec) + "\n")
+    path.write_text("".join(lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(session=finite_sessions(), quaternion=st.none() | st.tuples(FINITE, FINITE, FINITE, FINITE))
+def test_waffle1_and_waffle2_files_load_into_identical_arrays(write_dir, session, quaternion):
+    old, new = write_dir / "old.jsonl", write_dir / "new.jsonl"
+    reference_write_session(session, old)
+    if quaternion is not None:
+        with_quaternions(old, quaternion)
+    write_session(session, new)
+    a, b = read_session(old), read_session(new)
+    assert_sessions_equal(a, b)
+    assert_sessions_equal(b, session)
+    for column in ("imu_t", "imu_accel", "mic_t", "mic_amp", "motion_t", "motion_moving"):
+        assert getattr(a, column).dtype == getattr(b, column).dtype, column
+        assert getattr(a, column).shape == getattr(b, column).shape, column
 
 
 EXTRA_KEYS = st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)
@@ -458,23 +677,18 @@ EXTRA_KEYS = st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)
 @settings(max_examples=100, deadline=None)
 @given(session=finite_sessions(), data=st.data())
 def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
-    # Older waffle/1 writers put an imu orientation (qw, qx, qy, qz) after
-    # az on every imu line. That, or any other key a line does not read,
-    # before or after the keys read, on some or all lines, loads into the
-    # same arrays.
+    # Any key a line does not read, before or after the keys read, on some
+    # or all lines of a waffle/1 or waffle/2 file, loads into the same
+    # arrays.
     path = write_dir / "plain.jsonl"
-    write_session(session, path)
+    writer = data.draw(st.sampled_from((write_session, reference_write_session)), label="writer")
+    writer(session, path)
     expected = read_session(path)
-    old_writer = data.draw(st.booleans(), label="old writer")
     lines = []
     for line in path.read_text().splitlines():
         rec = json.loads(line)
-        if old_writer:
-            if rec.get("track") == "imu":
-                rec.update(zip(("qw", "qx", "qy", "qz"), data.draw(st.tuples(FINITE, FINITE, FINITE, FINITE))))
-        else:
-            extra = st.dictionaries(EXTRA_KEYS.filter(lambda k: k not in rec), JSON_VALUES, max_size=2)
-            rec = {**data.draw(extra), **rec, **data.draw(extra)}
+        extra = st.dictionaries(EXTRA_KEYS.filter(lambda k: k not in rec), JSON_VALUES, max_size=2)
+        rec = {**data.draw(extra), **rec, **data.draw(extra)}
         lines.append(json.dumps(rec, separators=(",", ":")))
     path.write_text("\n".join(lines) + "\n")
     assert_sessions_equal(read_session(path), expected)

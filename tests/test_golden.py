@@ -4,7 +4,10 @@ The hashes were recorded before windows became a columnar table, so this
 test pins every artifact of the README chain byte for byte across that
 refactor, not just across two runs of the same code (acceptance criterion
 10). The four session files were re-recorded when sessions stopped carrying
-an imu quaternion; every other hash is as first recorded. Float artifacts
+an imu quaternion, and again, with ``session.jsonl`` of ``GOLDEN_LONG``, when
+session files became ``waffle/2`` (one line of column arrays per track
+instead of one line per sample). Their arrays did not change, so every
+model, loss, report and log hash is as first recorded. Float artifacts
 depend on the numpy build; the hashes were recorded with numpy 2.4.x on
 x86-64 OpenBLAS.
 
@@ -28,10 +31,10 @@ from bitetiming.sim import synthesize_scenario
 GOLDEN_NUMPY = "2.4"
 GOLDEN = {
     "data/manifest.json": "3e389eb9ddad338bde8dc9a131ca73b64d8b67f31dcace7ab9a8061fa737f6aa",
-    "data/p01_individual.jsonl": "ef3cf65077adff49eb39d9cef75c6e2cf7299060d2085c0dc239977396db66e2",
-    "data/p01_social.jsonl": "52dfc1b9c28562f2225b20e4ccf5ad561c9398c4a8a2c68f13ee6422360bed94",
-    "data/p02_individual.jsonl": "f8d420a40aff64a68e6b68ed28af896eda76927eadecca38ad0154573bfc4f90",
-    "data/p02_social.jsonl": "73abf8a132e569c931694f76aa621e63f9988fc5eda773dcf5ef237160d8e47d",
+    "data/p01_individual.jsonl": "a9da4b837eccd028c0410309e84de35218f0f4bdf08f4a2211c1830d5cec9be5",
+    "data/p01_social.jsonl": "e8b5a1c56ed02f123068f77d461b962837e5e01ad8ea2137bb6d3e0a8c419e53",
+    "data/p02_individual.jsonl": "45191f3ff860509553709805f200120a23aca0b8d671b64fa84b010082485a53",
+    "data/p02_social.jsonl": "376733b39812da834f5bf6a7a312b8def074718ad7eac1537cafe1713b3d6dbe",
     "model.json": "f2ffd17aa14634d8e8387a49c9b57662e44f9961f3edda516b3e4cadb1b2b57f",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
@@ -40,7 +43,7 @@ GOLDEN = {
     "sim.jsonl": "afb70ee8db9948a2d6dda165de4d9fb63f677180e6860facc65ad4104d4c38f3",
 }
 GOLDEN_LONG = {
-    "session.jsonl": "ec61a54436b378966137ceeba02fc8f75172fb133fefe3171ef7b84de2356f4e",
+    "session.jsonl": "6b4516885f1843c21a436e293d5a0a7abd19c6b527bfd2b194a813180b5692a4",
     "sim.jsonl": "c1462898cb128487eb897ab02870d85bb6f57b63841590e39f8bd328e957f7db",
 }
 

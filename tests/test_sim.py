@@ -735,6 +735,15 @@ def test_session_log_names_the_line_of_a_wrongly_typed_field(
         read_session_log(path)
 
 
+def test_session_log_names_the_line_of_a_bite_too_large_for_a_float(tmp_path):
+    bite = {"track": "bite", "staging_arrival_t": 0.5, "feeding_arrival_t": 10**399, "bite_complete_t": 10**400}
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (LOG_HEADER, LOG_TICK, bite)))
+    message = f"{path}:3: 'bite' field 'feeding_arrival_t' does not fit a float"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_session_log(path)
+
+
 @pytest.fixture(scope="module")
 def log_dir(tmp_path_factory, long_scn):
     # A waffle log: ticks with and without a prediction, gaps and bites.
