@@ -2,22 +2,25 @@
 
 A ``waffle/2`` session file is line-delimited JSON: a header line
 ``{"schema": "waffle/2", "participant": ..., "scenario": ...}``, one line per
-bite, and one line of column arrays per sensor track:
+bite, and one line per column of each sensor track, holding the column's
+values as a JSON array:
 
     {"track": "bite", "staging_arrival_t": .., "feeding_arrival_t": ..,
      "bite_complete_t": ..}
-    {"track": "imu", "t": [..], "ax": [..], "ay": [..], "az": [..]}
-    {"track": "mic", "t": [..], "amp": [..]}
-    {"track": "motion", "t": [..], "moving": [0 or 1, ..]}
+    {"track": "imu", "t": [..]}     then "ax", "ay", "az"
+    {"track": "mic", "t": [..]}     then "amp"
+    {"track": "motion", "t": [..]}  then "moving": [0 or 1, ..]
 
 Timestamps are seconds from session start, accelerations m/s^2, microphone
-amplitude normalized to [-1, 1]. A track without a line is empty, and no
-track appears twice. Only ``waffle/2`` is written, but ``waffle/1`` files,
-with one line per sample (``{"track": "imu", "t": .., "ax": .., ...}``),
-still load into the same columns through the same checks. Keys a line does
-not read are ignored, such as the imu orientation (``qw``..``qz``) of older
-writers. A dataset manifest is ``{"schema": "waffle-manifest/1", "sessions":
-[paths...]}`` with paths relative to the manifest's directory.
+amplitude normalized to [-1, 1]. A reader also takes several columns of one
+track on one line. Each column appears once, and the columns of a track have
+equal lengths; a track without a line is empty. Only ``waffle/2`` is
+written, but ``waffle/1`` files, with one line per sample (``{"track":
+"imu", "t": .., "ax": .., ...}``), still load into the same columns through
+the same checks. Keys a line does not read are ignored, such as the imu
+orientation (``qw``..``qz``) of older writers. A dataset manifest is
+``{"schema": "waffle-manifest/1", "sessions": [paths...]}`` with paths
+relative to the manifest's directory.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,9 @@ _FIELDS = {
     "mic": ("t", "amp"),
     "motion": ("t", "moving"),
 }
+# A waffle/1 sample line's values, as a tuple: unlike a list, the garbage
+# collector stops tracking it.
+_GETTERS = {track: itemgetter(*keys) for track, keys in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -115,25 +122,53 @@ def validate_session(session: SessionRecord) -> None:
         raise TrackValidationError(
             f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
         )
-    for track, t, values, what, width in (
-        ("imu", session.imu_t, session.imu_accel, "acceleration", (3,)),
-        ("mic", session.mic_t, session.mic_amp, "amplitude", ()),
-        ("motion", session.motion_t, session.motion_moving, "label", ()),
-    ):
-        _require_finite(t, track, "timestamp")
-        _require_increasing(t, track)
-        if values.shape != t.shape + width:
-            raise TrackValidationError(
-                f"{track} {what} shape {values.shape} does not match {t.size} timestamps"
-            )
-        if track != "motion":  # a label is checked against {0, 1} below
-            _require_finite(values, track, what)
+    _require_finite(session.imu_t, "imu", "timestamp")
+    if session.imu_t.size:
+        _require_increasing(session.imu_t, "imu")
+    if session.imu_accel.shape != (session.imu_t.size, 3):
+        raise TrackValidationError(
+            f"imu accel shape {session.imu_accel.shape} does not match "
+            f"{session.imu_t.size} timestamps"
+        )
+    _require_finite(session.imu_accel, "imu", "acceleration")
+    _require_finite(session.mic_t, "mic", "timestamp")
+    if session.mic_t.size:
+        _require_increasing(session.mic_t, "mic")
+    if session.mic_amp.shape != session.mic_t.shape:
+        raise TrackValidationError(
+            f"mic amp shape {session.mic_amp.shape} does not match "
+            f"{session.mic_t.size} timestamps"
+        )
+    _require_finite(session.mic_amp, "mic", "amplitude")
     bad = np.nonzero(np.abs(session.mic_amp) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
         raise TrackValidationError(
             f"mic amplitude at sample {i} is {session.mic_amp[i]!r}, "
             f"outside [-1, 1]"
+        )
+    for i, b in enumerate(session.bites):
+        times = (b.staging_arrival_t, b.feeding_arrival_t, b.bite_complete_t)
+        try:
+            finite = all(map(math.isfinite, times))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise TrackValidationError(f"bite {i} timestamps {times} are not all finite")
+    for i in range(1, len(session.bites)):
+        prev, cur = session.bites[i - 1], session.bites[i]
+        if cur.staging_arrival_t < prev.bite_complete_t:
+            raise TrackValidationError(
+                f"bite {i} starts staging at {cur.staging_arrival_t} before "
+                f"bite {i - 1} completes at {prev.bite_complete_t}"
+            )
+    _require_finite(session.motion_t, "motion", "timestamp")
+    if session.motion_t.size:
+        _require_increasing(session.motion_t, "motion")
+    if session.motion_moving.shape != session.motion_t.shape:
+        raise TrackValidationError(
+            f"motion moving shape {session.motion_moving.shape} does not "
+            f"match {session.motion_t.size} timestamps"
         )
     bad = np.nonzero(~np.isin(session.motion_moving, (0, 1)))[0]
     if bad.size:
@@ -142,46 +177,45 @@ def validate_session(session: SessionRecord) -> None:
             f"motion label at sample {i} is {session.motion_moving[i]}, "
             f"expected 0 or 1"
         )
-    for i, cur in enumerate(session.bites):
-        times = (cur.staging_arrival_t, cur.feeding_arrival_t, cur.bite_complete_t)
-        # A comparison, not math.isfinite: it cannot overflow on a huge int.
-        if not all(abs(v) < math.inf for v in times):
-            raise TrackValidationError(f"bite {i} timestamps {times} are not all finite")
-        prev = session.bites[i - 1]
-        if i and cur.staging_arrival_t < prev.bite_complete_t:
-            raise TrackValidationError(
-                f"bite {i} starts staging at {cur.staging_arrival_t} before "
-                f"bite {i - 1} completes at {prev.bite_complete_t}"
-            )
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _bite_line(b: BiteEvent) -> str:
-    return _encode({"track": "bite", **vars(b)}) + "\n"
+    rec = {
+        "track": "bite",
+        "staging_arrival_t": b.staging_arrival_t,
+        "feeding_arrival_t": b.feeding_arrival_t,
+        "bite_complete_t": b.bite_complete_t,
+    }
+    return _encode(rec) + "\n"
 
 
 def write_session(session: SessionRecord, path: str | Path) -> None:
     """Write one session to ``path`` in the ``waffle/2`` format.
 
-    Each track is one call of json's C encoder, which writes a finite float
+    Each column is one call of json's C encoder, which writes a finite float
     as its repr, so the columns read back bit for bit.
     """
     validate_session(session)
-    header = {"schema": SESSION_SCHEMA, "participant": session.participant_id,
-              "scenario": session.scenario}
+    header = {
+        "schema": SESSION_SCHEMA,
+        "participant": session.participant_id,
+        "scenario": session.scenario,
+    }
     columns = {
-        "imu": np.column_stack((session.imu_t, session.imu_accel)).T.astype(np.float64).tolist(),
-        "mic": np.stack((session.mic_t, session.mic_amp)).astype(np.float64).tolist(),
-        "motion": [session.motion_t.astype(np.float64).tolist(),
-                   session.motion_moving.astype(np.int64).tolist()],
+        "imu": (session.imu_t, *session.imu_accel.T),
+        "mic": (session.mic_t, session.mic_amp),
+        "motion": (session.motion_t, session.motion_moving),
     }
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
         f.writelines(map(_bite_line, session.bites))
         for track, keys in _FIELDS.items():
-            f.write(_encode({"track": track, **dict(zip(keys, columns[track]))}) + "\n")
+            for key, column in zip(keys, columns[track]):
+                values = column.astype(np.int64 if key == "moving" else np.float64).tolist()
+                f.write(_encode({"track": track, key: values}) + "\n")
 
 
 def _read_text(path: Path) -> str:
@@ -287,36 +321,37 @@ def float_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _track(
-    path: Path, track: str, linenos: list[int], recs: list[dict], columnar: bool
-) -> np.ndarray:
-    """One track's columns as a float64 (columns, samples) array, from its one
-    line of column arrays (``columnar``) or its lines of one sample each.
-    Values are looked at one by one only to name a bad one."""
-    keys = _FIELDS[track]
+def _column(path: Path, track: str, key: str, values, linenos: list[int]) -> np.ndarray:
+    """One column of a track as a float64 array. Value i sits on line
+    ``linenos[i]``, or on the last line listed. Values are looked at one by
+    one only to name a bad one."""
     try:
-        if columnar:
-            columns = [recs[0][key] if recs else [] for key in keys]
-        else:
-            columns = [[rec[key] for rec in recs] for key in keys]
-    except KeyError:
-        for lineno, rec in zip(linenos, recs):
-            for key in keys:
-                _field(path, lineno, rec, key)
-    for key, column in zip(keys, columns):
-        if type(column) is not list:
-            raise ParseError(f"{path}:{linenos[0]}: {track!r} field {key!r} is not a list")
-    if len(set(map(len, columns))) > 1:
-        lengths = ", ".join(f"{key} {len(column)}" for key, column in zip(keys, columns))
-        raise ParseError(f"{path}:{linenos[0]}: {track!r} columns differ in length: {lengths}")
-    try:
-        return float_rows(columns)
+        return float_rows([values])[0]
     except (ValueError, OverflowError):
-        for i, values in enumerate(zip(*columns)):
-            lineno = linenos[0 if columnar else i]
-            for key, value in zip(keys, values):
-                _number(path, lineno, {"track": track, key: value}, key, f" at index {i}")
+        for i, value in enumerate(values):
+            lineno = linenos[min(i, len(linenos) - 1)]
+            _number(path, lineno, {"track": track, key: value}, key, f" at index {i}")
         raise
+
+
+def _track(path: Path, track: str, columns: dict[str, tuple[int, np.ndarray]]) -> np.ndarray:
+    """A track's columns, each with the line it came from, as a float64
+    (columns, samples) array. A track without a column is empty."""
+    keys = _FIELDS[track]
+    if not columns:
+        return np.empty((len(keys), 0))
+    for key in keys:
+        if key not in columns:
+            raise ParseError(f"{path}: {track!r} track has no {key!r} column")
+    first, t = columns[keys[0]]
+    for key in keys[1:]:
+        lineno, values = columns[key]
+        if values.size != t.size:
+            raise ParseError(
+                f"{path}:{lineno}: {track!r} field {key!r} has {values.size} values, "
+                f"{keys[0]!r} on line {first} has {t.size}"
+            )
+    return np.stack([columns[key][1] for key in keys])
 
 
 def read_session(path: str | Path) -> SessionRecord:
@@ -325,8 +360,9 @@ def read_session(path: str | Path) -> SessionRecord:
     Raises:
         ParseError: bytes that are not UTF-8, malformed JSON, a missing
             field, a value that is not a number or does not fit a float, a
-            column that is not a list or differs in length from its track's,
-            a repeated track; with the line number and a value's index.
+            column that is not a list, appears twice or differs in length
+            from its track's first; with the line number and a value's
+            index.
         SchemaVersionError: the header declares an unknown schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
@@ -348,7 +384,12 @@ def read_session(path: str | Path) -> SessionRecord:
     participant = _string(path, 1, header, "participant")
     scenario = _string(path, 1, header, "scenario")
 
-    tracks: dict[str, tuple[list[int], list[dict]]] = {}  # line numbers, records
+    # Each track's columns as (line, float64 array). A waffle/2 column is
+    # converted as soon as its line is parsed; waffle/1 sample rows are
+    # gathered per track first, with their lines.
+    columns: dict[str, dict] = {track: {} for track in _FIELDS}
+    rows: dict[str, list[tuple]] = {track: [] for track in _FIELDS}
+    linenos: dict[str, list[int]] = {track: [] for track in _FIELDS}
     bites: list[BiteEvent] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -361,21 +402,39 @@ def read_session(path: str | Path) -> SessionRecord:
         # A tuple, not the dict: a track such as {} cannot be hashed.
         if track not in ("imu", "mic", "motion"):
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
-        linenos, recs = tracks.setdefault(track, ([], []))
-        if recs and schema == SESSION_SCHEMA:
-            raise ParseError(
-                f"{path}:{lineno}: track {track!r} appears twice, first on line {linenos[0]}"
-            )
-        linenos.append(lineno)
-        recs.append(rec)
+        if schema == _OLD_SESSION_SCHEMA:
+            try:
+                rows[track].append(_GETTERS[track](rec))
+            except KeyError as e:
+                _field(path, lineno, rec, e.args[0])
+            linenos[track].append(lineno)
+            continue
+        for key in _FIELDS[track]:
+            if key not in rec:
+                continue
+            if key in columns[track]:
+                raise ParseError(
+                    f"{path}:{lineno}: {track!r} field {key!r} appears twice, "
+                    f"first on line {columns[track][key][0]}"
+                )
+            if type(rec[key]) is not list:
+                raise ParseError(f"{path}:{lineno}: {track!r} field {key!r} is not a list")
+            columns[track][key] = (lineno, _column(path, track, key, rec[key], [lineno]))
+    for track, keys in _FIELDS.items():
+        for key, values in zip(keys, zip(*rows[track])):
+            columns[track][key] = (linenos[track][0], _column(path, track, key, values, linenos[track]))
 
-    imu, mic, motion = (
-        _track(path, track, *tracks.get(track, ([], [])), schema == SESSION_SCHEMA)
-        for track in _FIELDS
-    )
+    imu, mic, motion = (_track(path, track, columns[track]) for track in _FIELDS)
     session = SessionRecord(
-        participant, scenario, imu_t=imu[0], imu_accel=imu[1:].T, mic_t=mic[0],
-        mic_amp=mic[1], bites=bites, motion_t=motion[0], motion_moving=motion[1],
+        participant_id=participant,
+        scenario=scenario,
+        imu_t=imu[0],
+        imu_accel=imu[1:].T,
+        mic_t=mic[0],
+        mic_amp=mic[1],
+        bites=bites,
+        motion_t=motion[0],
+        motion_moving=motion[1],
     )
     try:
         validate_session(session)

@@ -141,12 +141,13 @@ def test_train_rejects_a_manifest_whose_sessions_are_not_paths(tmp_path, capsys)
     assert err == [f"error: {manifest}: 'sessions' must be a list of path strings"]
 
 
-def edited_session(dataset_dir, tmp_path, track, edit, which=0):
+def edited_session(dataset_dir, tmp_path, track, key, edit, which=0):
     """A one-session manifest over a copy of p01_individual.jsonl whose
-    ``which``-th ``track`` line went through ``edit``. Returns the manifest,
-    the session copy and the edited line's number."""
+    ``which``-th ``track`` line holding ``key`` went through ``edit``.
+    Returns the manifest, the session copy and the edited line's number."""
     lines = (dataset_dir / "p01_individual.jsonl").read_text().splitlines()
-    index = [i for i, line in enumerate(lines) if json.loads(line).get("track") == track][which]
+    records = [json.loads(line) for line in lines]
+    index = [i for i, rec in enumerate(records) if rec.get("track") == track and key in rec][which]
     rec = json.loads(lines[index])
     edit(rec)
     lines[index] = json.dumps(rec)
@@ -162,7 +163,7 @@ def edited_session(dataset_dir, tmp_path, track, edit, which=0):
 def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
     # A copy of one synthesized session whose second imu sample has "ax": {}.
     manifest, session, lineno = edited_session(
-        dataset_dir, tmp_path, "imu", lambda rec: rec["ax"].__setitem__(1, {})
+        dataset_dir, tmp_path, "imu", "ax", lambda rec: rec["ax"].__setitem__(1, {})
     )
     rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
     assert rc == 1
@@ -183,7 +184,7 @@ def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, caps
 )
 def test_train_rejects_a_last_bite_that_is_not_a_finite_float(dataset_dir, tmp_path, capsys, fields, message):
     manifest, session, lineno = edited_session(
-        dataset_dir, tmp_path, "bite", lambda rec: rec.update(fields), which=-1
+        dataset_dir, tmp_path, "bite", "bite_complete_t", lambda rec: rec.update(fields), which=-1
     )
     rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
     assert rc == 1

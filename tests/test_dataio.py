@@ -310,11 +310,11 @@ def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, fiel
         read_session(path)
 
 
-def rewrite_track(path, track, edit):
-    """Apply ``edit`` to the record of one track line of a waffle/2 file and
-    return that line's number."""
+def rewrite_column(path, track, key, edit):
+    """Apply ``edit`` to the record of the line holding column ``key`` of
+    ``track`` in a waffle/2 file and return that line's number."""
     lines = path.read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if json.loads(line).get("track") == track)
+    index = next(i for i, line in enumerate(lines) if json.loads(line).get("track") == track and key in json.loads(line))
     rec = json.loads(lines[index])
     edit(rec)
     lines[index] = json.dumps(rec)
@@ -336,38 +336,65 @@ def rewrite_track(path, track, edit):
 def test_read_session_names_the_column_and_index_of_a_bad_value(tmp_path, track, key, index, value, message):
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    lineno = rewrite_track(path, track, lambda rec: rec[key].__setitem__(index, value))
+    lineno = rewrite_column(path, track, key, lambda rec: rec[key].__setitem__(index, value))
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
         read_session(path)
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "key, edit, message",
     [
-        pytest.param(lambda rec: rec.update(ax=1.5), "'imu' field 'ax' is not a list", id="not-a-list"),
-        pytest.param(lambda rec: rec.update(ax=None), "'imu' field 'ax' is not a list", id="null"),
+        pytest.param("ax", lambda rec: rec.update(ax=1.5), "'imu' field 'ax' is not a list", id="not-a-list"),
+        pytest.param("ax", lambda rec: rec.update(ax=None), "'imu' field 'ax' is not a list", id="null"),
         pytest.param(
-            lambda rec: rec["ay"].pop(), "'imu' columns differ in length: t 5, ax 5, ay 4, az 5", id="length"
+            "ay", lambda rec: rec["ay"].pop(), "'imu' field 'ay' has 4 values, 't' on line 3 has 5", id="length"
         ),
-        pytest.param(lambda rec: rec.pop("az"), "'imu' line is missing field 'az'", id="missing"),
     ],
 )
-def test_read_session_names_the_line_of_a_malformed_column(tmp_path, edit, message):
+def test_read_session_names_the_line_of_a_malformed_column(tmp_path, key, edit, message):
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    lineno = rewrite_track(path, "imu", edit)
+    lineno = rewrite_column(path, "imu", key, edit)
     with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
         read_session(path)
 
 
-def test_read_session_rejects_a_track_that_appears_twice(tmp_path):
+def test_read_session_names_a_missing_column(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_session(small_session(), path)
+    lines = [line for line in path.read_text().splitlines() if '"az"' not in line]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'imu' track has no 'az' column$"):
+        read_session(path)
+
+
+def test_read_session_rejects_a_column_that_appears_twice(tmp_path):
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[3])["track"] == "mic"
-    path.write_text("\n".join(lines[:4] + lines[3:]) + "\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:5: track 'mic' appears twice, first on line 4$"):
+    assert json.loads(lines[6]) == {"track": "mic", "t": small_session().mic_t.tolist()}
+    path.write_text("\n".join(lines[:7] + lines[6:]) + "\n")
+    with pytest.raises(
+        ParseError, match=f"^{re.escape(str(path))}:8: 'mic' field 't' appears twice, first on line 7$"
+    ):
         read_session(path)
+
+
+def test_read_session_takes_several_columns_of_a_track_on_one_line(tmp_path):
+    # Several columns of a track on one line, in any order, and imu over two lines.
+    session = small_session()
+    ax, ay, az = session.imu_accel.T.tolist()
+    records = [
+        {"schema": "waffle/2", "participant": session.participant_id, "scenario": session.scenario},
+        {"track": "imu", "az": az, "t": session.imu_t.tolist(), "ay": ay},
+        {"track": "imu", "ax": ax},
+        {"track": "mic", "t": session.mic_t.tolist(), "amp": session.mic_amp.tolist()},
+        {"track": "motion", "t": session.motion_t.tolist(), "moving": session.motion_moving.tolist()},
+        *({"track": "bite", **vars(b)} for b in session.bites),
+    ]
+    path = tmp_path / "s.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert_sessions_equal(read_session(path), session)
 
 
 def test_read_session_reads_a_missing_track_as_empty(tmp_path):
@@ -391,7 +418,7 @@ def test_read_session_reads_a_missing_track_as_empty(tmp_path):
 def test_read_session_validates_columns_with_the_path(tmp_path, track, key, index, value, message):
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    rewrite_track(path, track, lambda rec: rec[key].__setitem__(index, value))
+    rewrite_column(path, track, key, lambda rec: rec[key].__setitem__(index, value))
     with pytest.raises(TrackValidationError, match=f"^{re.escape(f'{path}: {message}')}"):
         read_session(path)
 
@@ -418,9 +445,11 @@ def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno
         read_session(path)
 
 
-def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path):
+@pytest.mark.parametrize("bite", [BiteEvent(2.0, 3.0, float("inf")), BiteEvent(2.0, 10**399, 10**400)])
+def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite):
+    # An int too large for a float would be written but not read back.
     session = small_session()
-    session.bites = [BiteEvent(0.5, 1.0, 1.5), BiteEvent(2.0, 3.0, float("inf"))]
+    session.bites = [BiteEvent(0.5, 1.0, 1.5), bite]
     with pytest.raises(TrackValidationError, match="bite 1 timestamps"):
         write_session(session, tmp_path / "s.jsonl")
     assert not (tmp_path / "s.jsonl").exists()
@@ -437,7 +466,7 @@ def fuzz_dir(tmp_path_factory):
 def motion_labels_in(lines):
     """The moving labels a waffle/1 or waffle/2 file's motion lines hold."""
     records = [json.loads(line) for line in lines[1:]]
-    moving = [r["moving"] for r in records if r.get("track") == "motion"]
+    moving = [r["moving"] for r in records if r.get("track") == "motion" and "moving" in r]
     return [m for value in moving for m in (value if isinstance(value, list) else [value])]
 
 
@@ -474,7 +503,7 @@ def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), mutation=st.sampled_from(("element", "column", "length", "delete", "repeat")))
 def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mutation):
-    # Mutate one track line of a waffle/2 file: set one element of a column
+    # Mutate one column line of a waffle/2 file: set one element of a column
     # to a non-number, a numeric string, a boolean or an integer too large
     # for a float; replace a whole column by a non-list; grow or shrink a
     # column; or delete or repeat the line. The loader either returns a
@@ -618,19 +647,22 @@ def write_dir(tmp_path_factory):
 
 def documented_layout(session):
     """The waffle/2 records of a session, as the module docstring lays them
-    out: the header, the bites, then one line of column arrays per track."""
+    out: the header, the bites, then one line per column of each track."""
     bites = [
         {"track": "bite", "staging_arrival_t": b.staging_arrival_t,
          "feeding_arrival_t": b.feeding_arrival_t, "bite_complete_t": b.bite_complete_t}
         for b in session.bites
     ]
     ax, ay, az = session.imu_accel.T.tolist()
+    columns = [
+        ("imu", "t", session.imu_t.tolist()), ("imu", "ax", ax), ("imu", "ay", ay), ("imu", "az", az),
+        ("mic", "t", session.mic_t.tolist()), ("mic", "amp", session.mic_amp.tolist()),
+        ("motion", "t", session.motion_t.tolist()), ("motion", "moving", [int(m) for m in session.motion_moving]),
+    ]
     return [
         {"schema": "waffle/2", "participant": session.participant_id, "scenario": session.scenario},
         *bites,
-        {"track": "imu", "t": session.imu_t.tolist(), "ax": ax, "ay": ay, "az": az},
-        {"track": "mic", "t": session.mic_t.tolist(), "amp": session.mic_amp.tolist()},
-        {"track": "motion", "t": session.motion_t.tolist(), "moving": [int(m) for m in session.motion_moving]},
+        *({"track": track, key: values} for track, key, values in columns),
     ]
 
 
@@ -671,7 +703,10 @@ def test_waffle1_and_waffle2_files_load_into_identical_arrays(write_dir, session
         assert getattr(a, column).shape == getattr(b, column).shape, column
 
 
-EXTRA_KEYS = st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)
+# Not a column name: on a waffle/2 line, another column of the track is read.
+EXTRA_KEYS = (st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)).filter(
+    lambda k: k not in ("t", "ax", "ay", "az", "amp", "moving")
+)
 
 
 @settings(max_examples=100, deadline=None)

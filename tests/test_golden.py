@@ -5,7 +5,7 @@ test pins every artifact of the README chain byte for byte across that
 refactor, not just across two runs of the same code (acceptance criterion
 10). The four session files were re-recorded when sessions stopped carrying
 an imu quaternion, and again, with ``session.jsonl`` of ``GOLDEN_LONG``, when
-session files became ``waffle/2`` (one line of column arrays per track
+session files became ``waffle/2`` (one line per column of each track
 instead of one line per sample). Their arrays did not change, so every
 model, loss, report and log hash is as first recorded. Float artifacts
 depend on the numpy build; the hashes were recorded with numpy 2.4.x on
@@ -31,10 +31,10 @@ from bitetiming.sim import synthesize_scenario
 GOLDEN_NUMPY = "2.4"
 GOLDEN = {
     "data/manifest.json": "3e389eb9ddad338bde8dc9a131ca73b64d8b67f31dcace7ab9a8061fa737f6aa",
-    "data/p01_individual.jsonl": "a9da4b837eccd028c0410309e84de35218f0f4bdf08f4a2211c1830d5cec9be5",
-    "data/p01_social.jsonl": "e8b5a1c56ed02f123068f77d461b962837e5e01ad8ea2137bb6d3e0a8c419e53",
-    "data/p02_individual.jsonl": "45191f3ff860509553709805f200120a23aca0b8d671b64fa84b010082485a53",
-    "data/p02_social.jsonl": "376733b39812da834f5bf6a7a312b8def074718ad7eac1537cafe1713b3d6dbe",
+    "data/p01_individual.jsonl": "7987d0af2ca10a1583dee85b41801de01ae938f4ac8866427377d01994a4185f",
+    "data/p01_social.jsonl": "59badabdd217a9e8de26bb486e0e5dd313473e9f228a5d0745f0a5e7144a5d27",
+    "data/p02_individual.jsonl": "41a50191dca12ffeec1c3bae6da57dc1a9a971e996a40449faf613874e3a5614",
+    "data/p02_social.jsonl": "3917759e2c008d0ff21f2b32f26a171e762134aac758b10f14f4ec5f3925df80",
     "model.json": "f2ffd17aa14634d8e8387a49c9b57662e44f9961f3edda516b3e4cadb1b2b57f",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
@@ -43,7 +43,7 @@ GOLDEN = {
     "sim.jsonl": "afb70ee8db9948a2d6dda165de4d9fb63f677180e6860facc65ad4104d4c38f3",
 }
 GOLDEN_LONG = {
-    "session.jsonl": "6b4516885f1843c21a436e293d5a0a7abd19c6b527bfd2b194a813180b5692a4",
+    "session.jsonl": "597b788d3c807760038154250564b827eeb2d21eb798cbe38f333e2db3f7c73a",
     "sim.jsonl": "c1462898cb128487eb897ab02870d85bb6f57b63841590e39f8bd328e957f7db",
 }
 
