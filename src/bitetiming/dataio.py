@@ -14,22 +14,20 @@ values as a JSON array:
 Timestamps are seconds from session start, accelerations m/s^2, microphone
 amplitude normalized to [-1, 1]. A reader also takes several columns of one
 track on one line. Each column appears once, and the columns of a track have
-equal lengths; a track without a line is empty. Only ``waffle/2`` is
-written, but ``waffle/1`` files, with one line per sample (``{"track":
-"imu", "t": .., "ax": .., ...}``), still load into the same columns through
-the same checks. Keys a line does not read are ignored, such as the imu
-orientation (``qw``..``qz``) of older writers. A dataset manifest is
-``{"schema": "waffle-manifest/1", "sessions": [paths...]}`` with paths
-relative to the manifest's directory.
+equal lengths; a track without a line is empty. Keys a line does not read are
+ignored. No other session schema is read: a file of an older one is refused,
+and ``bitetiming synth`` with its seed writes the same dataset again. A
+dataset manifest is ``{"schema": "waffle-manifest/1", "sessions": [paths...]}``
+with paths relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,6 @@ import numpy as np
 from .errors import ParseError, SchemaVersionError, TrackValidationError
 
 SESSION_SCHEMA = "waffle/2"
-_OLD_SESSION_SCHEMA = "waffle/1"
 MANIFEST_SCHEMA = "waffle-manifest/1"
 
 SCENARIOS = ("individual", "social")
@@ -48,9 +45,6 @@ _FIELDS = {
     "mic": ("t", "amp"),
     "motion": ("t", "moving"),
 }
-# A waffle/1 sample line's values, as a tuple: unlike a list, the garbage
-# collector stops tracking it.
-_GETTERS = {track: itemgetter(*keys) for track, keys in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,7 @@ def validate_session(session: SessionRecord) -> None:
             f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
         )
     _require_finite(session.imu_t, "imu", "timestamp")
-    if session.imu_t.size:
-        _require_increasing(session.imu_t, "imu")
+    _require_increasing(session.imu_t, "imu")
     if session.imu_accel.shape != (session.imu_t.size, 3):
         raise TrackValidationError(
             f"imu accel shape {session.imu_accel.shape} does not match "
@@ -132,8 +125,7 @@ def validate_session(session: SessionRecord) -> None:
         )
     _require_finite(session.imu_accel, "imu", "acceleration")
     _require_finite(session.mic_t, "mic", "timestamp")
-    if session.mic_t.size:
-        _require_increasing(session.mic_t, "mic")
+    _require_increasing(session.mic_t, "mic")
     if session.mic_amp.shape != session.mic_t.shape:
         raise TrackValidationError(
             f"mic amp shape {session.mic_amp.shape} does not match "
@@ -163,8 +155,7 @@ def validate_session(session: SessionRecord) -> None:
                 f"bite {i - 1} completes at {prev.bite_complete_t}"
             )
     _require_finite(session.motion_t, "motion", "timestamp")
-    if session.motion_t.size:
-        _require_increasing(session.motion_t, "motion")
+    _require_increasing(session.motion_t, "motion")
     if session.motion_moving.shape != session.motion_t.shape:
         raise TrackValidationError(
             f"motion moving shape {session.motion_moving.shape} does not "
@@ -263,6 +254,32 @@ def _parse_line(path: Path, lineno: int, line: str) -> dict:
     return rec
 
 
+def _records(path: Path, schema: str) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """The header of a line-delimited JSON file of ``schema``, and its other
+    non-blank lines as (line number, object) pairs, parsed as they are drawn.
+
+    Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
+    malformed JSON or a header without a schema, and for an empty file;
+    SchemaVersionError for another schema.
+    """
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file, expected a header line")
+    header = _parse_line(path, 1, lines[0])
+    if header.get("schema") is None:
+        raise ParseError(f"{path}:1: header is missing the 'schema' field")
+    if header["schema"] != schema:
+        raise SchemaVersionError(
+            f"{path}: schema {header['schema']!r} is not supported, expected {schema!r}"
+        )
+    records = (
+        (lineno, _parse_line(path, lineno, line))
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    )
+    return header, records
+
+
 def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
     try:
         return rec[key]
@@ -321,15 +338,13 @@ def float_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _column(path: Path, track: str, key: str, values, linenos: list[int]) -> np.ndarray:
-    """One column of a track as a float64 array. Value i sits on line
-    ``linenos[i]``, or on the last line listed. Values are looked at one by
-    one only to name a bad one."""
+def _column(path: Path, lineno: int, track: str, key: str, values) -> np.ndarray:
+    """One column of a track, from line ``lineno``, as a float64 array.
+    Values are looked at one by one only to name a bad one."""
     try:
         return float_rows([values])[0]
     except (ValueError, OverflowError):
         for i, value in enumerate(values):
-            lineno = linenos[min(i, len(linenos) - 1)]
             _number(path, lineno, {"track": track, key: value}, key, f" at index {i}")
         raise
 
@@ -355,7 +370,7 @@ def _track(path: Path, track: str, columns: dict[str, tuple[int, np.ndarray]]) -
 
 
 def read_session(path: str | Path) -> SessionRecord:
-    """Read and validate one ``waffle/2`` or ``waffle/1`` session file.
+    """Read and validate one ``waffle/2`` session file.
 
     Raises:
         ParseError: bytes that are not UTF-8, malformed JSON, a missing
@@ -363,38 +378,19 @@ def read_session(path: str | Path) -> SessionRecord:
             column that is not a list, appears twice or differs in length
             from its track's first; with the line number and a value's
             index.
-        SchemaVersionError: the header declares an unknown schema.
+        SchemaVersionError: the header declares another schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected a header line")
-
-    header = _parse_line(path, 1, lines[0])
-    schema = header.get("schema")
-    if schema is None:
-        raise ParseError(f"{path}:1: header is missing the 'schema' field")
-    if schema not in (SESSION_SCHEMA, _OLD_SESSION_SCHEMA):
-        raise SchemaVersionError(
-            f"{path}: schema {schema!r} is not supported, expected "
-            f"{SESSION_SCHEMA!r} or {_OLD_SESSION_SCHEMA!r}"
-        )
+    header, records = _records(path, SESSION_SCHEMA)
     participant = _string(path, 1, header, "participant")
     scenario = _string(path, 1, header, "scenario")
 
-    # Each track's columns as (line, float64 array). A waffle/2 column is
-    # converted as soon as its line is parsed; waffle/1 sample rows are
-    # gathered per track first, with their lines.
+    # Each track's columns as (line, float64 array).
     columns: dict[str, dict] = {track: {} for track in _FIELDS}
-    rows: dict[str, list[tuple]] = {track: [] for track in _FIELDS}
-    linenos: dict[str, list[int]] = {track: [] for track in _FIELDS}
     bites: list[BiteEvent] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = _parse_line(path, lineno, line)
+    for lineno, rec in records:
         track = rec.get("track")
         if track == "bite":
             bites.append(_bite(path, lineno, rec))
@@ -402,13 +398,6 @@ def read_session(path: str | Path) -> SessionRecord:
         # A tuple, not the dict: a track such as {} cannot be hashed.
         if track not in ("imu", "mic", "motion"):
             raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
-        if schema == _OLD_SESSION_SCHEMA:
-            try:
-                rows[track].append(_GETTERS[track](rec))
-            except KeyError as e:
-                _field(path, lineno, rec, e.args[0])
-            linenos[track].append(lineno)
-            continue
         for key in _FIELDS[track]:
             if key not in rec:
                 continue
@@ -419,10 +408,7 @@ def read_session(path: str | Path) -> SessionRecord:
                 )
             if type(rec[key]) is not list:
                 raise ParseError(f"{path}:{lineno}: {track!r} field {key!r} is not a list")
-            columns[track][key] = (lineno, _column(path, track, key, rec[key], [lineno]))
-    for track, keys in _FIELDS.items():
-        for key, values in zip(keys, zip(*rows[track])):
-            columns[track][key] = (linenos[track][0], _column(path, track, key, values, linenos[track]))
+            columns[track][key] = (lineno, _column(path, lineno, track, key, rec[key]))
 
     imu, mic, motion = (_track(path, track, columns[track]) for track in _FIELDS)
     session = SessionRecord(

@@ -39,15 +39,14 @@ from .dataio import (
     _encode,
     _field,
     _number,
-    _parse_line,
-    _read_text,
+    _records,
     _string,
     _typed,
     validate_session,
     write_manifest,
     write_session,
 )
-from .errors import ParseError, ProtocolError, SchemaVersionError
+from .errors import InsufficientDataError, ParseError, ProtocolError
 from .mlp import predict
 from .pipeline import session_features
 from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs
@@ -691,13 +690,14 @@ def generate_dataset(
     Participant styles are stable across their scenarios. Returns the
     manifest path.
     """
-    _check_duration(duration)  # before anything is written
+    _check_duration(duration)  # checked, like each style, before anything is written
+    rngs = (np.random.default_rng([seed, p]) for p in range(n_participants))
+    styles = [sample_style(rng, style_spread) for rng in rngs]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     session_paths = []
-    for p in range(n_participants):
+    for p, style in enumerate(styles):
         pid = f"p{p + 1:02d}"
-        style = sample_style(np.random.default_rng([seed, p]), style_spread)
         for s_idx, scenario in enumerate(SCENARIOS):
             record = generate_synthetic_session(
                 pid, scenario, duration, seed=[seed, p, s_idx + 1], style=style
@@ -763,6 +763,9 @@ def run_session(
     if isinstance(policy, MouthOpenPolicy) and oracle is None:
         raise ValueError("the mouth-open policy needs the source's oracle")
 
+    for track, t in (("imu", source.imu_t), ("mic", source.mic_t)):
+        if not t.size:
+            raise InsufficientDataError(f"cannot replay a session whose {track} track is empty")
     duration = min(float(source.imu_t[-1]), float(source.mic_t[-1]))
 
     if predictor is not None:
@@ -867,28 +870,18 @@ def read_session_log(path: str | Path) -> SessionLog:
 
     Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
     malformed JSON, a missing field or one of the wrong type, and an unknown
-    track, command or phase; SchemaVersionError for an unknown schema.
+    track, command or phase, and for a header without a schema;
+    SchemaVersionError for another schema.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected a header line")
-    header = _parse_line(path, 1, lines[0])
-    if header.get("schema") != LOG_SCHEMA:
-        raise SchemaVersionError(
-            f"{path}: schema {header.get('schema')!r} is not supported, "
-            f"expected {LOG_SCHEMA!r}"
-        )
+    header, records = _records(path, LOG_SCHEMA)
     log = SessionLog(
         policy_name=_string(path, 1, header, "policy"),
         participant_id=_string(path, 1, header, "participant"),
         scenario=_string(path, 1, header, "scenario"),
         duration=_number(path, 1, header, "duration"),
     )
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = _parse_line(path, lineno, line)
+    for lineno, rec in records:
         track = rec.get("track")
         if track == "bite":
             log.bites.append(_bite(path, lineno, rec))

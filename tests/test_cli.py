@@ -141,6 +141,22 @@ def test_train_rejects_a_manifest_whose_sessions_are_not_paths(tmp_path, capsys)
     assert err == [f"error: {manifest}: 'sessions' must be a list of path strings"]
 
 
+def test_train_refuses_a_waffle1_session(tmp_path, capsys):
+    # A session in the one-line-per-sample layout that preceded waffle/2.
+    session = tmp_path / "p01_individual.jsonl"
+    session.write_text(
+        '{"schema":"waffle/1","participant":"p01","scenario":"individual"}\n'
+        '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'
+    )
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": [session.name]}))
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {session}: schema 'waffle/1' is not supported, expected 'waffle/2'"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def edited_session(dataset_dir, tmp_path, track, key, edit, which=0):
     """A one-session manifest over a copy of p01_individual.jsonl whose
     ``which``-th ``track`` line holding ``key`` went through ``edit``.
@@ -428,11 +444,18 @@ def test_non_finite_durations_fail_at_once(tmp_path, capsys, command, duration):
 
 
 def test_synth_with_a_short_duration_writes_nothing(tmp_path, capsys):
-    out = tmp_path / "d"
-    rc = main(["synth", "--out", str(out), "--duration", "10"])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == ["error: sessions must last at least 30 s, got 10.0"]
-    assert not out.exists()
+    # Nor with a style spread outside [0, 1]: every argument is checked first.
+    cases = [
+        (["--duration", "10"], "sessions must last at least 30 s, got 10.0"),
+        (["--duration", "30", "--style-spread", "1.5"], "style_spread must lie in [0, 1], got 1.5"),
+        (["--duration", "30", "--style-spread", "nan"], "style_spread must lie in [0, 1], got nan"),
+    ]
+    for i, (args, message) in enumerate(cases):
+        out = tmp_path / f"d{i}"
+        rc = main(["synth", "--out", str(out / "data"), "--participants", "1", *args])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

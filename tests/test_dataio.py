@@ -51,29 +51,6 @@ def assert_sessions_equal(a, b):
     np.testing.assert_array_equal(a.motion_moving, b.motion_moving)
 
 
-def reference_write_session(session, path):
-    """The waffle/1 writer, frozen: one line per sample, each a dict through
-    json's encoder. Files it writes must keep loading."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = [{"schema": "waffle/1", "participant": session.participant_id, "scenario": session.scenario}]
-    for t, (ax, ay, az) in zip(session.imu_t.tolist(), session.imu_accel.tolist()):
-        lines.append({"track": "imu", "t": t, "ax": ax, "ay": ay, "az": az})
-    for t, amp in zip(session.mic_t.tolist(), session.mic_amp.tolist()):
-        lines.append({"track": "mic", "t": t, "amp": amp})
-    for b in session.bites:
-        lines.append(
-            {
-                "track": "bite",
-                "staging_arrival_t": b.staging_arrival_t,
-                "feeding_arrival_t": b.feeding_arrival_t,
-                "bite_complete_t": b.bite_complete_t,
-            }
-        )
-    for t, moving in zip(session.motion_t.tolist(), session.motion_moving.tolist()):
-        lines.append({"track": "motion", "t": t, "moving": int(moving)})
-    Path(path).write_text("".join(encode(rec) + "\n" for rec in lines), encoding="utf-8")
-
-
 def test_bite_event_requires_ordered_timestamps():
     with pytest.raises(TrackValidationError):
         BiteEvent(staging_arrival_t=2.0, feeding_arrival_t=1.0, bite_complete_t=3.0)
@@ -97,10 +74,17 @@ def test_read_session_rejects_non_monotone_imu(tmp_path):
 
 
 def test_read_session_schema_guard(tmp_path):
-    path = tmp_path / "future.jsonl"
-    path.write_text('{"schema":"waffle/9","participant":"p","scenario":"individual"}\n')
-    with pytest.raises(SchemaVersionError):
-        read_session(path)
+    # A future schema, and waffle/1's one line per sample, which preceded
+    # waffle/2 and is no longer read.
+    path = tmp_path / "s.jsonl"
+    for schema, track_line in [
+        ("waffle/9", ""),
+        ("waffle/1", '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'),
+    ]:
+        path.write_text(f'{{"schema":"{schema}","participant":"p","scenario":"individual"}}\n' + track_line)
+        message = f"{path}: schema {schema!r} is not supported, expected 'waffle/2'"
+        with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
+            read_session(path)
 
 
 def test_read_session_header_errors(tmp_path):
@@ -108,7 +92,7 @@ def test_read_session_header_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_session(path)
-    path.write_text('{"schema":"waffle/1","participant":"p"}\n')
+    path.write_text('{"schema":"waffle/2","participant":"p"}\n')
     with pytest.raises(ParseError, match="scenario"):
         read_session(path)
     path.write_text('{"participant":"p","scenario":"individual"}\n')
@@ -119,8 +103,8 @@ def test_read_session_header_errors(tmp_path):
 def test_read_session_names_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
-        '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'
+        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
+        '{"track":"imu","t":[0.0],"ax":[0.1],"ay":[0.2],"az":[9.8]}\n'
         "{not json}\n"
     )
     with pytest.raises(ParseError, match=":3:"):
@@ -129,7 +113,7 @@ def test_read_session_names_bad_line(tmp_path):
 
 def test_read_session_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "s.jsonl"
-    reference_write_session(small_session(), path)
+    write_session(small_session(), path)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[3] = lines[3].replace(b'"imu"', b'"im\xffu"')
     path.write_bytes(b"".join(lines))
@@ -166,20 +150,20 @@ def test_load_dataset_names_the_manifest_of_a_huge_integer_or_deep_nesting(tmp_p
 def test_read_session_unknown_track(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
-        '{"track":"gaze","t":0.0}\n'
+        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
+        '{"track":"gaze","t":[0.0]}\n'
     )
-    with pytest.raises(ParseError, match="gaze"):
+    with pytest.raises(ParseError, match=":2: unknown track 'gaze'"):
         read_session(path)
 
 
 def test_read_session_missing_field_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
-        '{"track":"mic","t":0.0}\n'
+        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
+        '{"track":"bite","staging_arrival_t":0.0,"feeding_arrival_t":0.5}\n'
     )
-    with pytest.raises(ParseError, match=":2:.*amp"):
+    with pytest.raises(ParseError, match=":2: 'bite' line is missing field 'bite_complete_t'"):
         read_session(path)
 
 
@@ -225,12 +209,9 @@ def test_validation_accepts_timestamps_whose_difference_overflows(tmp_path):
 
 def test_read_session_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.jsonl"
-    reference_write_session(small_session(), path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[3])  # the third imu line
-    rec["ax"] = float("nan")
-    lines[3] = json.dumps(rec)  # written as NaN, which json.loads accepts
-    path.write_text("\n".join(lines) + "\n")
+    write_session(small_session(), path)
+    # The third ax value, written as NaN, which json.loads accepts.
+    rewrite_column(path, "imu", "ax", lambda rec: rec["ax"].__setitem__(2, float("nan")))
     with pytest.raises(
         TrackValidationError, match=f"{path}: imu acceleration at sample 2"
     ):
@@ -252,10 +233,8 @@ def rewrite_line(path, index, **fields):
 
 def test_read_session_rejects_fractional_motion_label(tmp_path):
     path = tmp_path / "frac.jsonl"
-    reference_write_session(small_session(), path)
-    # Line 12 is motion sample 1, after the header, 5 imu, 4 mic, 1 bite and
-    # 1 motion line.
-    rewrite_line(path, 12, moving=0.7)
+    write_session(small_session(), path)
+    rewrite_column(path, "motion", "moving", lambda rec: rec["moving"].__setitem__(1, 0.7))
     with pytest.raises(
         TrackValidationError, match=f"{path}: motion label at sample 1 is 0.7"
     ):
@@ -265,18 +244,18 @@ def test_read_session_rejects_fractional_motion_label(tmp_path):
 @pytest.mark.parametrize("value", ["abc", {}, [1.0, 2.0]])
 def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
     path = tmp_path / "nan.jsonl"
-    reference_write_session(small_session(), path)
-    rewrite_line(path, 3, ax=value)  # the third imu line
-    with pytest.raises(ParseError, match=f"{path}:4: 'imu' field 'ax' is not a number"):
+    write_session(small_session(), path)
+    lineno = rewrite_column(path, "imu", "ax", lambda rec: rec["ax"].__setitem__(2, value))
+    with pytest.raises(ParseError, match=f"{path}:{lineno}: 'imu' field 'ax' is not a number at index 2"):
         read_session(path)
 
 
 def test_read_session_names_the_line_of_a_non_numeric_bite(tmp_path):
     path = tmp_path / "bite.jsonl"
-    reference_write_session(small_session(), path)
-    rewrite_line(path, 10, feeding_arrival_t="1.0")
+    write_session(small_session(), path)
+    rewrite_line(path, 1, feeding_arrival_t="1.0")
     with pytest.raises(
-        ParseError, match=f"{path}:11: 'bite' field 'feeding_arrival_t' is not a number"
+        ParseError, match=f"{path}:2: 'bite' field 'feeding_arrival_t' is not a number"
     ):
         read_session(path)
 
@@ -294,18 +273,19 @@ def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, fiel
         read_session(path)
 
 
-# Line indices count from 0: the header, 5 imu lines, 4 mic lines, 1 bite
-# line, then 3 motion lines.
+# Line indices count from 0: the header, the bite, then the imu t, ax, ay
+# and az, the mic t and amp, and the motion t and moving columns.
 @pytest.mark.parametrize(
     "index, field, value",
-    [(3, "ax", "1.5"), (3, "az", True), (7, "amp", "0.5"), (12, "moving", True)],
+    [(3, "ax", "1.5"), (5, "az", True), (7, "amp", "0.5"), (9, "moving", True)],
 )
 def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, field, value):
     path = tmp_path / "s.jsonl"
-    reference_write_session(small_session(), path)
-    rewrite_line(path, index, **{field: value})
+    write_session(small_session(), path)
+    rec = json.loads(path.read_text().splitlines()[index])
+    rewrite_line(path, index, **{field: [value, *rec[field][1:]]})
     with pytest.raises(
-        ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number"
+        ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number at index 0"
     ):
         read_session(path)
 
@@ -423,7 +403,14 @@ def test_read_session_validates_columns_with_the_path(tmp_path, track, key, inde
         read_session(path)
 
 
-@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (reference_write_session, 11)])
+def bites_last(session, path):
+    """Write a waffle/2 file whose bite lines follow the track columns."""
+    write_session(session, path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(sorted(lines, key=lambda line: '"track":"bite"' in line)))
+
+
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (bites_last, 10)])
 def test_read_session_names_the_line_of_a_bite_too_large_for_a_float(tmp_path, writer, lineno):
     path = tmp_path / "s.jsonl"
     writer(small_session(), path)
@@ -434,7 +421,7 @@ def test_read_session_names_the_line_of_a_bite_too_large_for_a_float(tmp_path, w
         read_session(path)
 
 
-@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (reference_write_session, 11)])
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (bites_last, 10)])
 def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno):
     path = tmp_path / "s.jsonl"
     writer(small_session(), path)
@@ -458,16 +445,14 @@ def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
-    reference_write_session(small_session(), path / "base.jsonl")
-    write_session(small_session(), path / "base2.jsonl")
+    write_session(small_session(), path / "base.jsonl")
     return path
 
 
 def motion_labels_in(lines):
-    """The moving labels a waffle/1 or waffle/2 file's motion lines hold."""
+    """The moving labels a waffle/2 file's motion lines hold."""
     records = [json.loads(line) for line in lines[1:]]
-    moving = [r["moving"] for r in records if r.get("track") == "motion" and "moving" in r]
-    return [m for value in moving for m in (value if isinstance(value, list) else [value])]
+    return [m for r in records if r.get("track") == "motion" for m in r.get("moving", [])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,7 +461,7 @@ def motion_labels_in(lines):
     value=st.sampled_from(("delete", "abc", "1.5", {}, None, 0.7, True, 10**400)),
 )
 def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
-    # Mutate one field of one line of a waffle/1 file: delete it, or set it
+    # Mutate one field of one line of a waffle/2 file: delete it, or set it
     # to a string, an object, JSON null, 0.7, a boolean or an integer too
     # large for a float. The loader either returns a valid session or raises
     # a package ValueError that names the file.
@@ -508,7 +493,7 @@ def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mut
     # for a float; replace a whole column by a non-list; grow or shrink a
     # column; or delete or repeat the line. The loader either returns a
     # valid session or raises a package ValueError that names the file.
-    lines = (fuzz_dir / "base2.jsonl").read_text().splitlines()
+    lines = (fuzz_dir / "base.jsonl").read_text().splitlines()
     tracks = [i for i, line in enumerate(lines) if json.loads(line).get("track") in ("imu", "mic", "motion")]
     index = data.draw(st.sampled_from(tracks), label="line")
     rec = json.loads(lines[index])
@@ -600,9 +585,9 @@ def test_read_session_parses_line_by_line(tmp_path):
     # the original line count. Each line on its own is what gets parsed.
     path = tmp_path / "merged.jsonl"
     path.write_text(
-        '{"schema":"waffle/1","participant":"p","scenario":"individual"}\n'
-        '{"track":"mic","t":0.0,"amp":"x\n'
-        'y"}\n'
+        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
+        '{"track":"mic","t":[0.0],"amp":["x\n'
+        'y"]}\n'
         "{},{}\n"
     )
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid JSON"):
@@ -674,35 +659,6 @@ def test_write_session_matches_the_json_encoder(write_dir, session):
     assert (write_dir / "columns.jsonl").read_text() == expected
 
 
-def with_quaternions(path, quaternion):
-    """Rewrite a waffle/1 file as older writers did: qw, qx, qy, qz after az
-    on every imu line."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = []
-    for line in path.read_text().splitlines():
-        rec = json.loads(line)
-        if rec.get("track") == "imu":
-            rec.update(zip(("qw", "qx", "qy", "qz"), quaternion))
-        lines.append(encode(rec) + "\n")
-    path.write_text("".join(lines))
-
-
-@settings(max_examples=100, deadline=None)
-@given(session=finite_sessions(), quaternion=st.none() | st.tuples(FINITE, FINITE, FINITE, FINITE))
-def test_waffle1_and_waffle2_files_load_into_identical_arrays(write_dir, session, quaternion):
-    old, new = write_dir / "old.jsonl", write_dir / "new.jsonl"
-    reference_write_session(session, old)
-    if quaternion is not None:
-        with_quaternions(old, quaternion)
-    write_session(session, new)
-    a, b = read_session(old), read_session(new)
-    assert_sessions_equal(a, b)
-    assert_sessions_equal(b, session)
-    for column in ("imu_t", "imu_accel", "mic_t", "mic_amp", "motion_t", "motion_moving"):
-        assert getattr(a, column).dtype == getattr(b, column).dtype, column
-        assert getattr(a, column).shape == getattr(b, column).shape, column
-
-
 # Not a column name: on a waffle/2 line, another column of the track is read.
 EXTRA_KEYS = (st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)).filter(
     lambda k: k not in ("t", "ax", "ay", "az", "amp", "moving")
@@ -713,11 +669,9 @@ EXTRA_KEYS = (st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)).f
 @given(session=finite_sessions(), data=st.data())
 def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
     # Any key a line does not read, before or after the keys read, on some
-    # or all lines of a waffle/1 or waffle/2 file, loads into the same
-    # arrays.
+    # or all lines of a file, loads into the same arrays.
     path = write_dir / "plain.jsonl"
-    writer = data.draw(st.sampled_from((write_session, reference_write_session)), label="writer")
-    writer(session, path)
+    write_session(session, path)
     expected = read_session(path)
     lines = []
     for line in path.read_text().splitlines():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
 
-from bitetiming.dataio import derive_time_to_bite, load_dataset, validate_session
-from bitetiming.errors import ParseError, ProtocolError, SchemaVersionError
+from bitetiming.dataio import derive_time_to_bite, load_dataset, read_session, validate_session, write_session
+from bitetiming.errors import InsufficientDataError, ParseError, ProtocolError, SchemaVersionError
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     AlwaysFeedPolicy,
@@ -539,11 +539,19 @@ def test_mouth_open_session_triggers_at_staging_only(long_scn):
             assert tick.phase is Phase.AT_STAGING
 
 
-def test_run_session_input_validation(long_scn):
+def test_run_session_input_validation(long_scn, tmp_path):
     with pytest.raises(ValueError, match="predictor"):
         run_session(long_scn.session, WafflePolicy(AssertivenessThreshold(6.0)))
     with pytest.raises(ValueError, match="oracle"):
         run_session(long_scn.session, MouthOpenPolicy())
+    # read_session takes a file whose track has no lines as an empty track.
+    path = tmp_path / "s.jsonl"
+    for track in ("imu", "mic"):
+        write_session(long_scn.session, path)
+        lines = [line for line in path.read_text().splitlines() if f'"track":"{track}"' not in line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InsufficientDataError, match=f"^cannot replay a session whose {track} track is empty$"):
+            run_session(read_session(path), AlwaysFeedPolicy())
 
 
 def test_waffle_session_gaps_fail_safe(long_scn):
@@ -678,6 +686,7 @@ def test_session_log_read_errors(tmp_path):
     cases = [
         (header + "{not json}\n", ":2: invalid JSON"),
         (header.replace('"policy":"always-feed",', ""), ":1: .*'policy'"),
+        (header.replace('"schema":"waffle-log/1",', ""), ":1: header is missing the 'schema' field$"),
         (header + tick.replace('"command":"proceed",', ""), ":2: .*'command'"),
         (header + tick.replace('"proceed"', '"hover"'), ":2: unknown command 'hover'"),
         (header + tick.replace('"at_staging"', '"orbit"'), ":2: unknown phase 'orbit'"),
