@@ -9,7 +9,9 @@ network never chases arbitrarily distant bites.
 
 Trained models serialize to a single self-describing JSON document carrying
 layer dimensions, parameters, normalization statistics, the feature layout
-id, and the training configuration, so inference needs nothing else.
+id, and the training configuration, so inference needs nothing else. The
+document is json's canonical encoding of that payload behind a checksum of
+its own bytes, so loading refuses any re-formatted or edited file.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _json_reason, _scan, float_rows
+from .dataio import _json_reason, float_rows
 from .errors import DivergenceError, IntegrityError, SchemaVersionError
 from .features import (
     FEATURE_DIM,
@@ -35,7 +37,7 @@ from .features import (
 )
 from .pipeline import WindowTable
 
-MODEL_SCHEMA = "bitetiming-model/1"
+MODEL_SCHEMA = "bitetiming-model/2"
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DROPOUT_P = 0.1
 LABEL_CAP_SECONDS = 10.0
@@ -358,63 +360,24 @@ def _model_payload(model: MlpModel) -> dict:
     }
 
 
-def _payload_checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(model: MlpModel) -> str:
+    """The payload as json's C encoder writes it: keys sorted, no spaces."""
+    return json.dumps(_model_payload(model), sort_keys=True, separators=(",", ":"))
 
 
-def _members(text: str) -> tuple[dict, dict] | None:
-    """The object a JSON text holds and the span of each member's value. None
-    for any other text; json.loads then parses it and words the error."""
-    ws = json.decoder.WHITESPACE.match
-    doc, spans = {}, {}
-    i = ws(text, 0).end()
-    if text[i : i + 1] != "{":
-        return None
-    try:
-        while True:
-            key, i = _scan(text, ws(text, i + 1).end())
-            i = ws(text, i).end()
-            if type(key) is not str or text[i : i + 1] != ":":
-                return None
-            start = ws(text, i + 1).end()
-            # A duplicated key keeps its first place and its last value.
-            doc[key], end = _scan(text, start)
-            spans[key] = (start, end)
-            i = ws(text, end).end()
-            if text[i : i + 1] != ",":
-                break
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    if text[i : i + 1] != "}" or ws(text, i + 1).end() != len(text):
-        return None
-    return doc, spans
-
-
-def _checksum_matches(stored, payload: dict, text: str, spans: dict) -> bool:
-    """Whether ``stored`` is the checksum of ``payload``, parsed from ``text``.
-
-    "weights" sorts last, so the canonical text is the other members' with
-    the file's weights text spliced in, less its whitespace. On a miss (such
-    as numbers not in json's own form), re-encoding the payload decides."""
-    start, end = spans.get("weights", (0, 0))
-    weights = text[start:end]
-    if weights and '"' not in weights and max(payload) == "weights":
-        rest = {k: v for k, v in payload.items() if k != "weights"}
-        canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-        canonical = canonical[:-1] + ',"weights":' + "".join(weights.split()) + "}"
-        if hashlib.sha256(canonical.encode("utf-8")).hexdigest() == stored:
-            return True
-    return stored == _payload_checksum(payload)
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Write a model as one self-describing JSON document."""
-    payload = _model_payload(model)
-    payload["checksum"] = _payload_checksum(
-        {k: v for k, v in payload.items() if k != "checksum"}
-    )
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    """Write a model as one self-describing JSON document.
+
+    The file is ``{"checksum":"<digest>",`` then the canonical text that
+    ``model_digest`` hashes, less its opening brace, then a newline.
+    """
+    canonical = _canonical(model)
+    text = f'{{"checksum":"{_sha256(canonical)}",{canonical[1:]}\n'
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _model_from_doc(doc: dict) -> MlpModel:
@@ -483,18 +446,21 @@ def load_model(path: str | Path) -> MlpModel:
     """Load a saved model, verifying schema version and integrity.
 
     Raises:
-        SchemaVersionError: the document declares an unknown schema.
+        SchemaVersionError: the document declares another schema, such as
+            ``bitetiming-model/1``.
         IntegrityError: bytes that are not UTF-8 or not JSON, a checksum
-            mismatch (tampered or corrupted file), a feature layout this
-            build does not produce, a missing field, parameters that do not
-            fit ``layer_dims`` and the ablation, a parameter that is not
-            finite or too large for a float, a normalization std that is
-            not positive, or a ``train_config`` value of the wrong JSON type.
+            that is not the sha256 of the text after it (a file edited or
+            re-formatted since ``save_model`` wrote it), a feature layout
+            this build does not produce, a missing field, parameters that
+            do not fit ``layer_dims`` and the ablation, a parameter that is
+            not finite or too large for a float, a normalization std that
+            is not positive, or a ``train_config`` value of the wrong type.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-        doc, spans = _members(text) or (json.loads(text), {})
+        # Not read_text: its newline translation would hide an edited "\r".
+        text = path.read_bytes().decode("utf-8")
+        doc = json.loads(text)
     except UnicodeDecodeError as e:
         raise IntegrityError(f"{path}: not UTF-8 text: {e.reason}") from None
     except (ValueError, RecursionError) as e:
@@ -506,8 +472,9 @@ def load_model(path: str | Path) -> MlpModel:
             f"{path}: model schema {doc['schema']!r} is not supported, "
             f"expected {MODEL_SCHEMA!r}"
         )
-    payload = {k: v for k, v in doc.items() if k != "checksum"}
-    if not _checksum_matches(doc.get("checksum"), payload, text, spans):
+    stored = doc.get("checksum")
+    head = f'{{"checksum":"{stored}",'
+    if not text.startswith(head) or _sha256("{" + text[len(head) : -1]) != stored:
         raise IntegrityError(f"{path}: checksum mismatch, file was modified")
     if doc.get("feature_order_id") != FEATURE_ORDER_ID:
         raise IntegrityError(
@@ -524,5 +491,9 @@ def load_model(path: str | Path) -> MlpModel:
 
 
 def model_digest(model: MlpModel) -> str:
-    """Stable content hash of parameters plus normalization, for audits."""
-    return _payload_checksum(_model_payload(model))
+    """Stable content hash of a model's payload, for audits.
+
+    It covers the schema, parameters, normalization and training config,
+    and equals the checksum ``save_model`` stores for the model.
+    """
+    return _sha256(_canonical(model))

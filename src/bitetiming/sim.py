@@ -152,21 +152,14 @@ def step_robot(
             phase = Phase.APPROACHING
             elapsed = 0.0
             auto = command is Command.TRIGGER_FULL_TRAJECTORY
-            # The robot starts moving within this same tick.
-            distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
-            if distance <= _EPS:
-                distance = 0.0
-                phase = Phase.AT_FEEDING
-                feeding_t = clock
-                elapsed = 0.0
-    elif phase is Phase.APPROACHING:
-        if auto or command is Command.PROCEED:
-            distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
-            if distance <= _EPS:
-                distance = 0.0
-                phase = Phase.AT_FEEDING
-                feeding_t = clock
-                elapsed = 0.0
+    # A robot that leaves staging starts moving within this same tick.
+    if phase is Phase.APPROACHING and (auto or command is Command.PROCEED):
+        distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
+        if distance <= _EPS:
+            distance = 0.0
+            phase = Phase.AT_FEEDING
+            feeding_t = clock
+            elapsed = 0.0
     elif phase is Phase.AT_FEEDING:
         if elapsed >= TrajectoryConfig.bite_duration_s - _EPS:
             assert staging_t is not None and feeding_t is not None

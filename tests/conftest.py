@@ -1,6 +1,8 @@
 """Shared builders and hand-rolled oracles used across the test suite."""
 
 import contextlib
+import hashlib
+import json
 import math
 import signal
 
@@ -94,6 +96,19 @@ JSON_LIMITS = [
     pytest.param("1" * 5000, "an integer has too many digits", id="digits"),
     pytest.param("[" * 10**5 + "]" * 10**5, "nested too deeply", id="nesting"),
 ]
+
+
+def write_signed_model(path, doc):
+    """Write a model document in save_model's layout, with a fresh checksum.
+
+    The file is a "checksum" member holding the sha256 of the canonical text
+    of every other member, then that text less its opening brace, then a
+    newline: what save_model writes for a model with that payload.
+    """
+    payload = {k: v for k, v in doc.items() if k != "checksum"}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(f'{{"checksum":"{checksum}",{canonical[1:]}\n')
 
 
 # Replacement values for a mutated JSON field: each JSON type, a numeric and

@@ -1,14 +1,13 @@
 """End-to-end command-line flows, run in process."""
 
 import filecmp
-import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import JSON_LIMITS, time_limit
+from conftest import JSON_LIMITS, time_limit, write_signed_model
 
 from bitetiming.cli import main
 from bitetiming.features import NormalizationStats
@@ -382,10 +381,7 @@ def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, 
     assert main(["train", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(model_path), "--epochs", "1"]) == 0
     doc = json.loads(model_path.read_text())
     doc["train_config"]["momentum"] = 0.5
-    del doc["checksum"]
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    model_path.write_text(json.dumps(doc))
+    write_signed_model(model_path, doc)
     capsys.readouterr()
     rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
     assert rc == 1
@@ -410,14 +406,29 @@ def test_simulate_names_a_model_whose_weight_does_not_fit_a_float(tmp_path, caps
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
     doc["weights"][0][0][0] = 10**400
-    del doc["checksum"]
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    model_path.write_text(json.dumps(doc))
+    write_signed_model(model_path, doc)
     rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {model_path}: int too large to convert to float"]
+
+
+def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
+    model = init_mlp((48, 4, 1), seed=0)
+    model.normalization = NormalizationStats(np.zeros(48), np.ones(48))
+    model_path = tmp_path / "old.json"
+    save_model(model, model_path)
+    doc = json.loads(model_path.read_text())
+    doc["schema"] = "bitetiming-model/1"
+    model_path.write_text(json.dumps(doc, indent=1) + "\n")
+    rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: {model_path}: model schema 'bitetiming-model/1' is not supported, "
+        "expected 'bitetiming-model/2'"
+    ]
+    assert not (tmp_path / "log.jsonl").exists()
 
 
 @pytest.mark.parametrize("value, message", JSON_LIMITS)

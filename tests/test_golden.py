@@ -7,9 +7,11 @@ refactor, not just across two runs of the same code (acceptance criterion
 an imu quaternion, and again, with ``session.jsonl`` of ``GOLDEN_LONG``, when
 session files became ``waffle/2`` (one line per column of each track
 instead of one line per sample). Their arrays did not change, so every
-model, loss, report and log hash is as first recorded. Float artifacts
-depend on the numpy build; the hashes were recorded with numpy 2.4.x on
-x86-64 OpenBLAS.
+loss, report and log hash is as first recorded. ``model.json`` alone was
+re-recorded when models became ``bitetiming-model/2`` (the canonical text
+behind its checksum instead of an indented dump), with the same weights.
+Float artifacts depend on the numpy build; the hashes were recorded with
+numpy 2.4.x on x86-64 OpenBLAS.
 
 The chain's sessions last 40 s and hold five to seven behavior segments.
 ``GOLDEN_LONG`` pins the shape of a long closed-loop run instead: one 600 s
@@ -35,7 +37,7 @@ GOLDEN = {
     "data/p01_social.jsonl": "59badabdd217a9e8de26bb486e0e5dd313473e9f228a5d0745f0a5e7144a5d27",
     "data/p02_individual.jsonl": "41a50191dca12ffeec1c3bae6da57dc1a9a971e996a40449faf613874e3a5614",
     "data/p02_social.jsonl": "3917759e2c008d0ff21f2b32f26a171e762134aac758b10f14f4ec5f3925df80",
-    "model.json": "f2ffd17aa14634d8e8387a49c9b57662e44f9961f3edda516b3e4cadb1b2b57f",
+    "model.json": "6171c306f1f07a1a2dff9bf074c1540bcc94f39552c7626b010c3e6357be3347",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
     "reports/report.tsv": "24c27cb050872c792beef684ead0074fd62420437a0b5a674d29cae10ed9692b",
