@@ -431,9 +431,25 @@ def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
     rejects(lambda doc: doc["normalization"]["std"].__setitem__(0, "1.5"), "values must")
     rejects(lambda doc: [v.pop() for v in doc["normalization"].values()], "normalization")
     rejects(lambda doc: doc["train_config"].pop("seed"), r"invalid train_config: missing")
-    rejects(set_first("weights", value="0.5"), "values must be lists of numbers")
-    rejects(lambda doc: doc.pop("weights"), "missing field 'weights'")
 
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (set_first("weights", value="0.5"), "values must be lists of numbers"),
+        (lambda doc: doc.pop("weights"), "missing field 'weights'"),
+    ],
+    ids=["string-in-weights", "no-weights"],
+)
+def test_load_model_gives_the_parent_verdict_on_unusual_files(model_dir, mutate, message):
+    # Signed files that the bitetiming-model/1 loader refused for their
+    # weights; the /2 loader refuses them with the same message.
+    doc = json.loads((model_dir / "base.json").read_text())
+    mutate(doc)
+    path = model_dir / "unusual.json"
+    write_signed_model(path, doc)
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_model(path)
 
 @pytest.mark.parametrize(
     "key, value, message",
