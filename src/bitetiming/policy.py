@@ -78,7 +78,7 @@ def decide(y_hat: float, threshold: AssertivenessThreshold) -> Command:
     return Command.PROCEED if y_hat <= threshold.tau else Command.STOP
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TickInputs:
     """Everything a policy may look at during one control tick."""
 

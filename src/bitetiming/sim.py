@@ -23,6 +23,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,7 +48,8 @@ from .dataio import (
     write_session,
 )
 from .errors import InsufficientDataError, ParseError, ProtocolError
-from .mlp import predict
+from .features import ablation_indices
+from .mlp import _forward_cached
 from .pipeline import session_features
 from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs
 
@@ -87,7 +89,7 @@ class Phase(Enum):
     RETURNING = "returning"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RobotState:
     """Robot pose within the feeding cycle at the end of a control tick."""
 
@@ -179,18 +181,7 @@ def step_robot(
         distance = TrajectoryConfig.staging_distance_m
         elapsed = 0.0
 
-    return (
-        RobotState(
-            phase=phase,
-            distance_to_mouth=distance,
-            clock=clock,
-            phase_elapsed=elapsed,
-            auto_advance=auto,
-            staging_arrival_t=staging_t,
-            feeding_arrival_t=feeding_t,
-        ),
-        bite,
-    )
+    return RobotState(phase, distance, clock, elapsed, auto, staging_t, feeding_t), bite
 
 
 class BehaviorState(Enum):
@@ -213,6 +204,11 @@ class Segment:
     start_t: float
     end_t: float
     state: BehaviorState
+
+    def near_done(self, t: float) -> bool:
+        """Whether t lies in this segment's winding-down tail."""
+        frac = NEAR_DONE_FRACTION.get(self.state)
+        return frac is not None and t >= self.end_t - frac * (self.end_t - self.start_t)
 
 
 @dataclass(frozen=True)
@@ -249,11 +245,7 @@ class BehaviorScript:
         return self.segment_at(t).state
 
     def near_done_at(self, t: float) -> bool:
-        seg = self.segment_at(t)
-        frac = NEAR_DONE_FRACTION.get(seg.state)
-        if frac is None:
-            return False
-        return t >= seg.end_t - frac * (seg.end_t - seg.start_t)
+        return self.segment_at(t).near_done(t)
 
 
 @dataclass(frozen=True)
@@ -440,23 +432,24 @@ class OracleLabeler:
 
     def evaluate(self, t: float) -> tuple[str, Command]:
         """Return (rule_name, command) for the first rule matching time t."""
-        state = self.script.state_at(t)
-        near_done = self.script.near_done_at(t)
+        seg = self.script.segment_at(t)
+        state = seg.state
         if state is BehaviorState.HEAD_MOTION:
             return "stop_aversive_motion", Command.STOP
         if self.scenario == "social":
             assert self.partner_script is not None
             if state is BehaviorState.TALKING:
-                if near_done:
+                if seg.near_done(t):
                     return "proceed_talking_near_done", Command.PROCEED
                 return "stop_talking", Command.STOP
-            if self.partner_script.state_at(t) is BehaviorState.TALKING:
-                if self.partner_script.near_done_at(t):
+            partner = self.partner_script.segment_at(t)
+            if partner.state is BehaviorState.TALKING:
+                if partner.near_done(t):
                     return "stop_partner_near_done", Command.STOP
                 return "proceed_partner_talking", Command.PROCEED
         if state is not BehaviorState.CHEWING:
             return "proceed_not_chewing", Command.PROCEED
-        if near_done:
+        if seg.near_done(t):
             return "proceed_chewing_near_done", Command.PROCEED
         return "stop_chewing", Command.STOP
 
@@ -703,7 +696,7 @@ def generate_dataset(
     return manifest_path
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TickLog:
     """One control tick as seen by the policy (state before stepping)."""
 
@@ -731,8 +724,16 @@ class SessionLog:
 
 
 def model_predictor(model):
-    """Adapt a trained regressor to run_session's predictor interface."""
-    return lambda feature_row, window_end_t: float(predict(model, feature_row))
+    """Adapt a trained regressor to run_session's predictor interface. The
+    model is checked and its columns, z-score and weights bound once, so a
+    call is the arithmetic of a one-row ``predict``, with the same bits."""
+    stats, weights, biases = model.normalization, model.weights, model.biases
+    if stats is None:
+        raise ValueError("model has no normalization statistics; train or load first")
+    columns, mean, std = ablation_indices(model.ablation), stats.mean, stats.std
+    return lambda row, window_end_t: float(
+        _forward_cached(weights, biases, ((row[columns] - mean) / std)[None], None)[0][0]
+    )
 
 
 def run_session(
@@ -769,6 +770,7 @@ def run_session(
         last = np.append(ticks[1:] != ticks[:-1], True)
         row_of_tick = np.full(ticks[-1] + 1, -1, dtype=np.intp)
         row_of_tick[ticks[last]] = np.nonzero(last)[0]
+        row_of_tick = row_of_tick.tolist()
 
     policy.reset()
     state = initial_robot_state()
@@ -784,8 +786,8 @@ def run_session(
         y_hat = None
         gap = False
         if predictor is not None:
-            tick = int(round(t / CONTROL_TICK_SECONDS))
-            row = row_of_tick[tick] if tick < row_of_tick.size else -1
+            tick = round(t / CONTROL_TICK_SECONDS)
+            row = row_of_tick[tick] if tick < len(row_of_tick) else -1
             if row >= 0:
                 y_hat = float(predictor(features[row], t))
             else:
@@ -796,31 +798,22 @@ def run_session(
             and oracle is not None
             and oracle.command_at(t) is Command.PROCEED
         )
+        distance = state.distance_to_mouth
         command = policy.step(
-            TickInputs(
-                session_clock=t,
-                distance_to_mouth=state.distance_to_mouth,
-                at_staging=at_staging,
-                bite_completed=bite_just_completed,
-                y_hat=y_hat,
-                mouth_open_event=mouth_open,
-            )
+            TickInputs(t, distance, at_staging, bite_just_completed, y_hat, mouth_open)
         )
-        log.ticks.append(
-            TickLog(
-                t=t,
-                command=command,
-                distance_to_mouth=state.distance_to_mouth,
-                phase=state.phase,
-                y_hat=y_hat,
-                gap=gap,
-            )
-        )
+        log.ticks.append(TickLog(t, command, distance, state.phase, y_hat, gap))
         state, bite = step_robot(state, command)
         bite_just_completed = bite is not None
         if bite is not None:
             log.bites.append(bite)
     return log
+
+
+_TICK_LINE = (
+    '{{"track":"policy","t":{!r},"policy":{},"command":"{}","y_hat":{},'
+    '"distance":{!r},"phase":"{}","gap":{}}}\n'
+).format
 
 
 def write_session_log(log: SessionLog, path: str | Path) -> None:
@@ -832,22 +825,20 @@ def write_session_log(log: SessionLog, path: str | Path) -> None:
         "policy": log.policy_name,
         "duration": log.duration,
     }
+    policy = _encode(log.policy_name)
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
         for b in log.bites:
             f.write(_bite_line(b))
-        for tick in log.ticks:
-            rec = {
-                "track": "policy",
-                "t": tick.t,
-                "policy": log.policy_name,
-                "command": tick.command.value,
-                "y_hat": tick.y_hat,
-                "distance": tick.distance_to_mouth,
-                "phase": tick.phase.value,
-                "gap": tick.gap,
-            }
-            f.write(_encode(rec) + "\n")
+        # run_session and read_session_log give t and distance as an int or
+        # a finite float, whose repr is the text json writes for it.
+        f.writelines(
+            _TICK_LINE(
+                tick.t, policy, tick.command.value, _encode(tick.y_hat),
+                tick.distance_to_mouth, tick.phase.value, "true" if tick.gap else "false",
+            )
+            for tick in log.ticks
+        )
 
 
 def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
@@ -858,13 +849,22 @@ def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
         raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}") from None
 
 
+def _finite(path: Path, lineno: int, rec: dict, key: str) -> float:
+    value = _number(path, lineno, rec, key)
+    if not math.isfinite(value):
+        what = rec.get("track", "header")
+        raise ParseError(f"{path}:{lineno}: {what!r} field {key!r} is not finite: {value!r}")
+    return value
+
+
 def read_session_log(path: str | Path) -> SessionLog:
     """Read back a closed-loop trace written by write_session_log.
 
     Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
-    malformed JSON, a missing field or one of the wrong type, and an unknown
-    track, command or phase, and for a header without a schema;
-    SchemaVersionError for another schema.
+    malformed JSON, a missing field or one of the wrong type, a ``t``,
+    ``distance`` or ``duration`` that is not finite, and an unknown track,
+    command or phase, and for a header without a schema; SchemaVersionError
+    for another schema.
     """
     path = Path(path)
     header, records = _records(path, LOG_SCHEMA)
@@ -872,7 +872,7 @@ def read_session_log(path: str | Path) -> SessionLog:
         policy_name=_string(path, 1, header, "policy"),
         participant_id=_string(path, 1, header, "participant"),
         scenario=_string(path, 1, header, "scenario"),
-        duration=_number(path, 1, header, "duration"),
+        duration=_finite(path, 1, header, "duration"),
     )
     for lineno, rec in records:
         track = rec.get("track")
@@ -885,9 +885,9 @@ def read_session_log(path: str | Path) -> SessionLog:
             gap = "gap" in rec and _typed(path, lineno, rec, "gap", (bool,), "a boolean")
             log.ticks.append(
                 TickLog(
-                    t=_number(path, lineno, rec, "t"),
+                    t=_finite(path, lineno, rec, "t"),
                     command=_enum_field(path, lineno, rec, "command", Command),
-                    distance_to_mouth=_number(path, lineno, rec, "distance"),
+                    distance_to_mouth=_finite(path, lineno, rec, "distance"),
                     phase=_enum_field(path, lineno, rec, "phase", Phase),
                     y_hat=y_hat,
                     gap=gap,

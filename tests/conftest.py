@@ -4,7 +4,13 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import signal
+
+# One OpenBLAS thread unless the caller chose: at the suite's matrix sizes a
+# second thread buys no speed and only burns the other core. OpenBLAS reads
+# this once, when numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -1,5 +1,6 @@
 """Feeding-robot simulator, behavior scripts, oracle labeler, synthesis."""
 
+import dataclasses
 import json
 import re
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
 
-from bitetiming.dataio import derive_time_to_bite, load_dataset, read_session, validate_session, write_session
+from bitetiming.dataio import _encode, derive_time_to_bite, load_dataset, read_session, validate_session, write_session
 from bitetiming.errors import InsufficientDataError, ParseError, ProtocolError, SchemaVersionError
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
@@ -30,6 +32,7 @@ from bitetiming.sim import (
     OracleLabeler,
     Phase,
     Segment,
+    TickLog,
     TrajectoryConfig,
     generate_dataset,
     generate_synthetic_session,
@@ -692,6 +695,9 @@ def test_session_log_read_errors(tmp_path):
         (header + tick.replace('"at_staging"', '"orbit"'), ":2: unknown phase 'orbit'"),
         (header + tick.replace('"t":0.0', '"t":"0"'), ":2: .*'t' is not a number"),
         (header + '{"track":"bite","staging_arrival_t":0.5}\n', ":2: .*'feeding"),
+        (header + tick.replace('"t":0.0', '"t":NaN'), ":2: 'policy' field 't' is not finite: nan$"),
+        (header + tick.replace('"distance":0.381', '"distance":Infinity'), ":2: .*'distance' is not finite"),
+        (header.replace('"duration":1.0', '"duration":NaN'), ":1: 'header' field 'duration' is not finite"),
     ]
     for i, (text, message) in enumerate(cases):
         path = tmp_path / f"case{i}.jsonl"
@@ -816,13 +822,60 @@ def test_generate_dataset_layout(tmp_path):
     assert all(len(s.bites) >= 1 for s in sessions)
 
 
-def test_model_predictor_adapter(tmp_path):
-    from conftest import make_window, window_features, window_table
-    from bitetiming.mlp import TrainConfig, predict, train
+def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
+    # An integer t only comes from a file, so read one back first.
+    source = tmp_path / "int.jsonl"
+    source.write_text(json.dumps(LOG_HEADER) + "\n" + json.dumps(LOG_TICK | {"t": 3}) + "\n")
+    log = read_session_log(source)
+    assert type(log.ticks[0].t) is int
+    log.policy_name = 'w\u00e4ffle "2"'
+    cases = [
+        (0.1 + 0.2, None, True),
+        (1e16, 1.25, False),
+        (5e-324, float("nan"), True),
+        (1e-7, float("inf"), False),
+        (123.5, float("-inf"), False),
+        (7.0, -0.0, False),
+    ]
+    for t, y_hat, gap in cases:
+        log.ticks.append(TickLog(t, Command.STOP, t / 3, Phase.APPROACHING, y_hat, gap))
+    path = tmp_path / "log.jsonl"
+    write_session_log(log, path)
+    # The reference: the record each tick line was once encoded from.
+    expected = [
+        _encode({
+            "track": "policy",
+            "t": tick.t,
+            "policy": log.policy_name,
+            "command": tick.command.value,
+            "y_hat": tick.y_hat,
+            "distance": tick.distance_to_mouth,
+            "phase": tick.phase.value,
+            "gap": tick.gap,
+        })
+        for tick in log.ticks
+    ]
+    assert path.read_text().splitlines()[1:] == expected
+
+
+@pytest.fixture(scope="module")
+def ablation_models():
+    from conftest import window_table
+    from bitetiming.features import ABLATIONS
+    from bitetiming.mlp import TrainConfig, train
 
     rng = np.random.default_rng(14)
     rows = window_table(rng.normal(0.0, 1.0, (16, 48)), rng.uniform(1, 9, 16))
-    model, _ = train(rows, TrainConfig(epochs=1, batch_size=8))
-    fn = model_predictor(model)
-    row = window_features(*make_window(rng))
-    assert fn(row, 3.0) == float(predict(model, row))
+    return [train(rows, TrainConfig(epochs=1, batch_size=8), a)[0] for a in ABLATIONS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=arrays(np.float64, 48, elements=st.floats(-1e6, 1e6)))
+def test_model_predictor_adapter(ablation_models, row):
+    from bitetiming.mlp import predict
+
+    for model in ablation_models:
+        fn = model_predictor(model)
+        assert fn(row, 3.0).hex() == float(predict(model, row)).hex()
+        with pytest.raises(ValueError, match="no normalization statistics"):
+            model_predictor(dataclasses.replace(model, normalization=None))
