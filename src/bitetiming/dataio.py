@@ -220,11 +220,6 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}:{lineno}: not UTF-8 text: {e.reason}") from None
 
 
-# json.loads less its wrapper: no whitespace skipping, BOM check or
-# trailing-data check, so a result is taken only if it spans the whole line.
-_scan = json.JSONDecoder().scan_once
-
-
 def _json_reason(e: ValueError | RecursionError) -> str:
     """Why json.loads refused a text. Besides JSONDecodeError it raises a bare
     ValueError for an integer past Python's digit limit and RecursionError
@@ -237,14 +232,6 @@ def _json_reason(e: ValueError | RecursionError) -> str:
 
 
 def _parse_line(path: Path, lineno: int, line: str) -> dict:
-    try:
-        rec, end = _scan(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    else:
-        if end == len(line) and type(rec) is dict:
-            return rec
-    # Anything else goes through json.loads, which words the error.
     try:
         rec = json.loads(line)
     except (ValueError, RecursionError) as e:

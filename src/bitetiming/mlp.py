@@ -152,26 +152,6 @@ def _forward_cached(
     return activations[-1][:, 0], activations, pre_acts
 
 
-def forward(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
-    """Run the deterministic (dropout-free) pass on already-normalized features.
-
-    Args:
-        features: shape (input_dim,) or (batch, input_dim).
-
-    Returns a scalar for a single row, else a (batch,) vector.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(
-            f"features must have {model.input_dim} columns, got shape {x.shape}"
-        )
-    y_hat, _, _ = _forward_cached(model.weights, model.biases, x, None)
-    return float(y_hat[0]) if single else y_hat
-
-
 def _sample_dropout_masks(
     model: MlpModel, batch: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -338,8 +318,12 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
             f"got shape {x.shape}"
         )
     x = apply_normalizer(model.normalization, x[:, ablation_indices(model.ablation)])
-    out = forward(model, x)
-    return float(out[0]) if single else out
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(
+            f"features must have {model.input_dim} columns, got shape {x.shape}"
+        )
+    y_hat = _forward_cached(model.weights, model.biases, x, None)[0]
+    return float(y_hat[0]) if single else y_hat
 
 
 def _model_payload(model: MlpModel) -> dict:

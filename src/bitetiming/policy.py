@@ -181,13 +181,10 @@ class AlwaysFeedPolicy:
         return Command.PROCEED
 
 
-def make_policy(
-    name: str,
-    threshold: AssertivenessThreshold | None = None,
-):
-    """Construct a policy by its log name."""
+def make_policy(name: str, threshold: AssertivenessThreshold):
+    """Construct a policy by its log name; only waffle reads ``threshold``."""
     if name == "waffle":
-        return WafflePolicy(threshold or AssertivenessThreshold(DEFAULT_TAU))
+        return WafflePolicy(threshold)
     if name == "fixed-interval":
         return FixedIntervalPolicy()
     if name == "mouth-open":

@@ -241,12 +241,6 @@ class BehaviorScript:
         first or last segment, and a boundary time belongs to the later one."""
         return self.segments[max(0, bisect_right(self._starts, t) - 1)]
 
-    def state_at(self, t: float) -> BehaviorState:
-        return self.segment_at(t).state
-
-    def near_done_at(self, t: float) -> bool:
-        return self.segment_at(t).near_done(t)
-
 
 @dataclass(frozen=True)
 class ParticipantStyle:
@@ -342,9 +336,19 @@ _DURATION_RANGES = {
 _LEAD_IN_RANGE = (11.5, 14.0)
 
 
+# An hour: six times the longest session anything in the repository runs
+# (600 s). The behavior script grows by a segment every ~10 s, so a huge
+# duration would run until memory ran out rather than fail.
+MAX_SESSION_SECONDS = 3600.0
+
+
 def _check_duration(duration: float) -> None:
     if not 30.0 <= duration < np.inf:
         raise ValueError(f"sessions must last at least 30 s, got {duration}")
+    if duration > MAX_SESSION_SECONDS:
+        raise ValueError(
+            f"sessions must last at most {MAX_SESSION_SECONDS:g} s, got {duration}"
+        )
 
 
 def sample_behavior_script(
@@ -564,13 +568,12 @@ def _synth_mic(
 
 @dataclass
 class SyntheticScenario:
-    """A generated session together with the scripts that produced it."""
+    """A generated session with the behavior script and the oracle (which
+    holds any partner script) that produced it."""
 
     session: SessionRecord
     script: BehaviorScript
-    partner_script: BehaviorScript | None
     oracle: OracleLabeler
-    style: ParticipantStyle
 
 
 def _drive_oracle(
@@ -641,13 +644,7 @@ def synthesize_scenario(
         motion_moving=moving,
     )
     validate_session(session)
-    return SyntheticScenario(
-        session=session,
-        script=script,
-        partner_script=partner,
-        oracle=oracle,
-        style=style,
-    )
+    return SyntheticScenario(session=session, script=script, oracle=oracle)
 
 
 def generate_synthetic_session(

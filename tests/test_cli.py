@@ -454,6 +454,21 @@ def test_non_finite_durations_fail_at_once(tmp_path, capsys, command, duration):
     assert err == [f"error: sessions must last at least 30 s, got {duration}"]
 
 
+@pytest.mark.parametrize("duration", ["1e308", "3600.5"])
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_durations_past_an_hour_fail_at_once(tmp_path, capsys, command, duration):
+    # Finite but huge: the behavior script would grow a segment per ~10 s
+    # until memory ran out, and synth would leave its directory behind.
+    out = tmp_path / ("data" if command == "synth" else "log.jsonl")
+    extra = ["--participants", "1"] if command == "synth" else ["--policy", "always-feed"]
+    with time_limit(5.0):
+        rc = main([command, "--duration", duration, "--out", str(out), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: sessions must last at most 3600 s, got {float(duration)}"]
+    assert not out.exists()
+
+
 def test_synth_with_a_short_duration_writes_nothing(tmp_path, capsys):
     # Nor with a style spread outside [0, 1]: every argument is checked first.
     cases = [

@@ -526,7 +526,7 @@ def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mut
 
 
 def reference_parse_line(path, lineno, line):
-    """The per-line parser before the scanner fast path: json.loads alone."""
+    """An independent per-line parser: json.loads alone."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as e:
@@ -574,8 +574,8 @@ def json_lines(draw):
 @example(line='{"track":"mic","amp":"x')
 @example(line="")
 def test_parse_line_matches_json_loads(line):
-    # The scanner fast path returns what json.loads returns, or the error
-    # json.loads would have worded.
+    # A line parses to what json.loads returns, or fails with the error
+    # json.loads words.
     assert parse_outcome(_parse_line, line) == parse_outcome(reference_parse_line, line)
 
 

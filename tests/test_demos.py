@@ -1,6 +1,10 @@
-"""Every script in demos/ runs to completion against the package as it is."""
+"""Every script in demos/ runs to completion against the package as it is,
+and every name the README's Python examples import exists."""
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_there_are_demos():
@@ -24,3 +29,18 @@ def test_demo_exits_cleanly(tmp_path, demo):
     )
     assert result.returncode == 0, result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_imports_exist():
+    # Parsed, not run: the examples write datasets and train models.
+    imports = [
+        node
+        for block in README_PYTHON
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bitetiming"
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"README imports {missing} from {node.module}"

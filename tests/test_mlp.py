@@ -14,6 +14,7 @@ from conftest import JSON_LIMITS, mutate_json, same_json, window_table, write_si
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
 from bitetiming.features import (
     ABLATIONS,
+    NormalizationStats,
     ablation_indices,
     apply_normalizer,
     fit_normalizer,
@@ -22,8 +23,8 @@ from bitetiming.mlp import (
     MlpModel,
     TrainConfig,
     _model_payload,
+    _forward_cached,
     _sample_dropout_masks,
-    forward,
     init_mlp,
     load_model,
     loss_and_gradients,
@@ -64,14 +65,19 @@ def test_init_validation():
         init_mlp((48, 1), seed=0, dropout_p=1.0)
 
 
+def identity_normalized(model, dim=48):
+    model.normalization = NormalizationStats(mean=np.zeros(dim), std=np.ones(dim))
+    return model
+
+
 def test_forward_zero_network_outputs_bias():
-    model = init_mlp((48, 8, 1), seed=0)
+    model = identity_normalized(init_mlp((48, 8, 1), seed=0))
     for w in model.weights:
         w[:] = 0.0
     model.biases[-1][:] = 2.75
     rng = np.random.default_rng(0)
-    assert forward(model, rng.normal(0.0, 1.0, 48)) == 2.75
-    out = forward(model, rng.normal(0.0, 1.0, (5, 48)))
+    assert predict(model, rng.normal(0.0, 1.0, 48)) == 2.75
+    out = predict(model, rng.normal(0.0, 1.0, (5, 48)))
     np.testing.assert_array_equal(out, np.full(5, 2.75))
 
 
@@ -82,19 +88,19 @@ def test_forward_toy_network_by_hand():
         biases=[np.array([0.0]), np.array([0.0]), np.array([-1.0])],
         dropout_p=0.1,
     )
-    # relu(2*1) = 2 -> relu(2*0.5) = 1 -> 1*3 - 1 = 2
-    assert forward(model, np.array([2.0])) == 2.0
-    # negative pre-activation dies at the first relu
-    assert forward(model, np.array([-2.0])) == -1.0
+    y_hat = _forward_cached(model.weights, model.biases, np.array([[2.0], [-2.0]]), None)[0]
+    # relu(2*1) = 2 -> relu(2*0.5) = 1 -> 1*3 - 1 = 2; a negative
+    # pre-activation dies at the first relu, leaving the last bias.
+    np.testing.assert_array_equal(y_hat, [2.0, -1.0])
 
 
 def test_forward_infer_is_deterministic_and_validated():
-    model = init_mlp((48, 16, 1), seed=2)
+    model = identity_normalized(init_mlp((48, 16, 1), seed=2))
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, 48)
-    assert forward(model, x) == forward(model, x)
+    assert predict(model, x) == predict(model, x)
     with pytest.raises(ValueError):
-        forward(model, np.zeros(47))
+        predict(model, np.zeros(47))
 
 
 def test_loss_and_gradients_applies_dropout_masks():
@@ -295,6 +301,11 @@ def test_predict_validation():
     trained, _ = train(windows, TrainConfig(epochs=1, batch_size=8), ablation="imu")
     with pytest.raises(ValueError, match="48"):
         predict(trained, np.zeros(36))
+    # A network whose input width is not its ablation's.
+    mismatched = identity_normalized(init_mlp((48, 4, 1), seed=0), dim=12)
+    mismatched.ablation = "mic"
+    with pytest.raises(ValueError, match=re.escape("features must have 48 columns, got shape (1, 12)")):
+        predict(mismatched, np.zeros(48))
 
 
 def trained_toy_model(seed=0):

@@ -251,11 +251,11 @@ def test_always_feed():
 
 
 def test_make_policy():
-    assert isinstance(make_policy("waffle"), WafflePolicy)
-    assert make_policy("waffle").threshold.tau == 6.0
-    assert make_policy("waffle", AssertivenessThreshold(8.0)).threshold.tau == 8.0
-    assert isinstance(make_policy("fixed-interval"), FixedIntervalPolicy)
-    assert isinstance(make_policy("mouth-open"), MouthOpenPolicy)
-    assert isinstance(make_policy("always-feed"), AlwaysFeedPolicy)
+    threshold = AssertivenessThreshold(8.0)
+    waffle = make_policy("waffle", threshold)
+    assert isinstance(waffle, WafflePolicy) and waffle.threshold is threshold
+    assert isinstance(make_policy("fixed-interval", threshold), FixedIntervalPolicy)
+    assert isinstance(make_policy("mouth-open", threshold), MouthOpenPolicy)
+    assert isinstance(make_policy("always-feed", threshold), AlwaysFeedPolicy)
     with pytest.raises(ValueError, match="unknown policy"):
-        make_policy("random")
+        make_policy("random", threshold)

@@ -185,16 +185,14 @@ def test_segment_lookup_and_near_done():
             seg(20, 30, BehaviorState.TALKING),
         ),
     )
-    assert script.state_at(0.0) is BehaviorState.IDLE
-    assert script.state_at(9.999) is BehaviorState.IDLE
-    assert script.state_at(10.0) is BehaviorState.CHEWING
-    assert script.state_at(35.0) is BehaviorState.TALKING  # clamped to last
-    # Chewing winds down over its last quarter, talking over its last fifth.
-    assert not script.near_done_at(17.49)
-    assert script.near_done_at(17.5)
-    assert not script.near_done_at(27.9)
-    assert script.near_done_at(28.0)
-    assert not script.near_done_at(5.0)  # idle has no wind-down
+    assert script.segment_at(0.0).state is BehaviorState.IDLE
+    assert script.segment_at(9.999).state is BehaviorState.IDLE
+    assert script.segment_at(10.0).state is BehaviorState.CHEWING
+    assert script.segment_at(35.0).state is BehaviorState.TALKING  # clamped to last
+    # Chewing winds down over its last quarter, talking over its last fifth,
+    # idle not at all.
+    for t, near_done in [(17.49, False), (17.5, True), (27.9, False), (28.0, True), (5.0, False)]:
+        assert script.segment_at(t).near_done(t) is near_done
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,9 +618,9 @@ def test_waffle_with_oracle_consistent_model_respects_talking():
         scn.session, WafflePolicy(AssertivenessThreshold(6.0)), predictor=predictor
     )
     for tick in log.ticks:
+        segment = script.segment_at(tick.t)
         inside_talking = (
-            script.state_at(tick.t) is BehaviorState.TALKING
-            and not script.near_done_at(tick.t)
+            segment.state is BehaviorState.TALKING and not segment.near_done(tick.t)
         )
         if inside_talking and tick.distance_to_mouth > COMMIT_DISTANCE_M:
             assert tick.command is not Command.PROCEED
