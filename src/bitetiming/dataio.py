@@ -1,15 +1,15 @@
 """Session file format, dataset manifests, and ground-truth label derivation.
 
-A ``waffle/2`` session file is line-delimited JSON: a header line
-``{"schema": "waffle/2", "participant": ..., "scenario": ...}``, one line per
-bite, and one line per column of each sensor track, holding the column's
-values as a JSON array:
+A ``waffle/3`` session file is line-delimited JSON: a header line
+``{"schema": "waffle/3", "participant": ..., "scenario": ...}``, one line per
+bite, and one line per column of each sensor track, holding the base64 of
+the column's little-endian float64 bytes (every column's one dtype):
 
     {"track": "bite", "staging_arrival_t": .., "feeding_arrival_t": ..,
      "bite_complete_t": ..}
-    {"track": "imu", "t": [..]}     then "ax", "ay", "az"
-    {"track": "mic", "t": [..]}     then "amp"
-    {"track": "motion", "t": [..]}  then "moving": [0 or 1, ..]
+    {"track": "imu", "t": "AAAA.."}     then "ax", "ay", "az"
+    {"track": "mic", "t": ".."}         then "amp"
+    {"track": "motion", "t": ".."}      then "moving" (0.0 or 1.0)
 
 Timestamps are seconds from session start, accelerations m/s^2, microphone
 amplitude normalized to [-1, 1]. A reader also takes several columns of one
@@ -23,6 +23,7 @@ with paths relative to the manifest's directory.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections.abc import Iterator
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaVersionError, TrackValidationError
 
-SESSION_SCHEMA = "waffle/2"
+SESSION_SCHEMA = "waffle/3"
 MANIFEST_SCHEMA = "waffle-manifest/1"
 
 SCENARIOS = ("individual", "social")
@@ -184,10 +185,9 @@ def _bite_line(b: BiteEvent) -> str:
 
 
 def write_session(session: SessionRecord, path: str | Path) -> None:
-    """Write one session to ``path`` in the ``waffle/2`` format.
+    """Write one session to ``path`` in the ``waffle/3`` format.
 
-    Each column is one call of json's C encoder, which writes a finite float
-    as its repr, so the columns read back bit for bit.
+    Each column is the base64 of its float64 bytes: it reads back bit for bit.
     """
     validate_session(session)
     header = {
@@ -205,7 +205,7 @@ def write_session(session: SessionRecord, path: str | Path) -> None:
         f.writelines(map(_bite_line, session.bites))
         for track, keys in _FIELDS.items():
             for key, column in zip(keys, columns[track]):
-                values = column.astype(np.int64 if key == "moving" else np.float64).tolist()
+                values = base64.b64encode(column.astype("<f8").tobytes()).decode("ascii")
                 f.write(_encode({"track": track, key: values}) + "\n")
 
 
@@ -277,27 +277,26 @@ def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
         ) from None
 
 
-def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str, at: str = ""):
-    """``rec[key]`` if its type is one of ``types``; ``at`` places a column
-    value in the error message."""
+def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str):
+    """``rec[key]`` if its type is one of ``types``."""
     value = _field(path, lineno, rec, key)
     # type(), not isinstance(): a JSON true is a bool, which is an int.
     if type(value) not in types:
         raise ParseError(
             f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            f"is not {what}{at}: {value!r}"
+            f"is not {what}: {value!r}"
         )
     return value
 
 
-def _number(path: Path, lineno: int, rec: dict, key: str, at: str = "") -> float:
-    value = _typed(path, lineno, rec, key, (int, float), "a number", at)
+def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
+    value = _typed(path, lineno, rec, key, (int, float), "a number")
     try:
         float(value)
     except OverflowError:
         raise ParseError(
             f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            f"does not fit a float{at}"
+            "does not fit a float"
         ) from None
     return value
 
@@ -325,20 +324,23 @@ def float_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _column(path: Path, lineno: int, track: str, key: str, values) -> np.ndarray:
-    """One column of a track, from line ``lineno``, as a float64 array.
-    Values are looked at one by one only to name a bad one."""
+def _column(path: Path, lineno: int, track: str, key: str, value) -> np.ndarray:
+    """The float64 column of line ``lineno`` whose bytes ``value`` holds in base64."""
+    where = f"{path}:{lineno}: {track!r} field {key!r}"
+    if type(value) is not str:
+        raise ParseError(f"{where} is not a string")
     try:
-        return float_rows([values])[0]
-    except (ValueError, OverflowError):
-        for i, value in enumerate(values):
-            _number(path, lineno, {"track": track, key: value}, key, f" at index {i}")
-        raise
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as e:  # binascii.Error, or a character that is not ASCII
+        raise ParseError(f"{where} is not valid base64: {e}") from None
+    if len(raw) % 8:
+        raise ParseError(f"{where} holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, "<f8")
 
 
 def _track(path: Path, track: str, columns: dict[str, tuple[int, np.ndarray]]) -> np.ndarray:
     """A track's columns, each with the line it came from, as a float64
-    (columns, samples) array. A track without a column is empty."""
+    (columns, samples) array of its own. A track without a column is empty."""
     keys = _FIELDS[track]
     if not columns:
         return np.empty((len(keys), 0))
@@ -357,14 +359,14 @@ def _track(path: Path, track: str, columns: dict[str, tuple[int, np.ndarray]]) -
 
 
 def read_session(path: str | Path) -> SessionRecord:
-    """Read and validate one ``waffle/2`` session file.
+    """Read and validate one ``waffle/3`` session file.
 
     Raises:
         ParseError: bytes that are not UTF-8, malformed JSON, a missing
-            field, a value that is not a number or does not fit a float, a
-            column that is not a list, appears twice or differs in length
-            from its track's first; with the line number and a value's
-            index.
+            field, a bite value that is not a number or does not fit a
+            float, a column that is not a string, not valid base64, not a
+            whole number of float64 values, appears twice or differs in
+            length from its track's first; with the line number.
         SchemaVersionError: the header declares another schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
@@ -393,8 +395,6 @@ def read_session(path: str | Path) -> SessionRecord:
                     f"{path}:{lineno}: {track!r} field {key!r} appears twice, "
                     f"first on line {columns[track][key][0]}"
                 )
-            if type(rec[key]) is not list:
-                raise ParseError(f"{path}:{lineno}: {track!r} field {key!r} is not a list")
             columns[track][key] = (lineno, _column(path, lineno, track, key, rec[key]))
 
     imu, mic, motion = (_track(path, track, columns[track]) for track in _FIELDS)

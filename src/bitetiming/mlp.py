@@ -312,13 +312,13 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != FEATURE_DIM:
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ValueError(
             f"predict expects the full {FEATURE_DIM}-feature layout, "
             f"got shape {x.shape}"
         )
     x = apply_normalizer(model.normalization, x[:, ablation_indices(model.ablation)])
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    if x.shape[1] != model.input_dim:
         raise ValueError(
             f"features must have {model.input_dim} columns, got shape {x.shape}"
         )

@@ -141,19 +141,21 @@ def test_train_rejects_a_manifest_whose_sessions_are_not_paths(tmp_path, capsys)
 
 
 def test_train_refuses_a_waffle1_session(tmp_path, capsys):
-    # A session in the one-line-per-sample layout that preceded waffle/2.
+    # A session in the one-line-per-sample layout of waffle/1, and one in the
+    # columns of JSON numbers of waffle/2, which preceded waffle/3.
     session = tmp_path / "p01_individual.jsonl"
-    session.write_text(
-        '{"schema":"waffle/1","participant":"p01","scenario":"individual"}\n'
-        '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'
-    )
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": [session.name]}))
-    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {session}: schema 'waffle/1' is not supported, expected 'waffle/2'"]
-    assert not (tmp_path / "m.json").exists()
+    for schema, track_line in [
+        ("waffle/1", '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'),
+        ("waffle/2", '{"track":"imu","t":[0.0],"ax":[0.1],"ay":[0.2],"az":[9.8]}\n'),
+    ]:
+        session.write_text(f'{{"schema":"{schema}","participant":"p01","scenario":"individual"}}\n' + track_line)
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {session}: schema {schema!r} is not supported, expected 'waffle/3'"]
+        assert not (tmp_path / "m.json").exists()
 
 
 def edited_session(dataset_dir, tmp_path, track, key, edit, which=0):
@@ -176,14 +178,13 @@ def edited_session(dataset_dir, tmp_path, track, key, edit, which=0):
 
 
 def test_train_names_the_line_of_a_non_numeric_field(dataset_dir, tmp_path, capsys):
-    # A copy of one synthesized session whose second imu sample has "ax": {}.
-    manifest, session, lineno = edited_session(
-        dataset_dir, tmp_path, "imu", "ax", lambda rec: rec["ax"].__setitem__(1, {})
-    )
+    # A copy of one synthesized session whose imu ax column is {}, not the
+    # base64 string of its values.
+    manifest, session, lineno = edited_session(dataset_dir, tmp_path, "imu", "ax", lambda rec: rec.update(ax={}))
     rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {session}:{lineno}: 'imu' field 'ax' is not a number at index 1: {{}}"]
+    assert err == [f"error: {session}:{lineno}: 'imu' field 'ax' is not a string"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Session file round trips, validation errors, and label derivation."""
 
+import base64
 import json
 import re
 from pathlib import Path
@@ -39,6 +40,16 @@ def small_session(participant="p01", scenario="individual"):
     )
 
 
+def b64(values):
+    """A column as waffle/3 writes it: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unb64(text):
+    """A waffle/3 column's values as a list of floats."""
+    return np.frombuffer(base64.b64decode(text), "<f8").tolist()
+
+
 def assert_sessions_equal(a, b):
     assert a.participant_id == b.participant_id
     assert a.scenario == b.scenario
@@ -74,15 +85,16 @@ def test_read_session_rejects_non_monotone_imu(tmp_path):
 
 
 def test_read_session_schema_guard(tmp_path):
-    # A future schema, and waffle/1's one line per sample, which preceded
-    # waffle/2 and is no longer read.
+    # A future schema; waffle/1's one line per sample; and waffle/2's columns
+    # of JSON numbers, which preceded waffle/3's base64 and are no longer read.
     path = tmp_path / "s.jsonl"
     for schema, track_line in [
         ("waffle/9", ""),
         ("waffle/1", '{"track":"imu","t":0.0,"ax":0.1,"ay":0.2,"az":9.8}\n'),
+        ("waffle/2", '{"track":"imu","t":[0.0],"ax":[0.1],"ay":[0.2],"az":[9.8]}\n'),
     ]:
         path.write_text(f'{{"schema":"{schema}","participant":"p","scenario":"individual"}}\n' + track_line)
-        message = f"{path}: schema {schema!r} is not supported, expected 'waffle/2'"
+        message = f"{path}: schema {schema!r} is not supported, expected 'waffle/3'"
         with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
             read_session(path)
 
@@ -92,7 +104,7 @@ def test_read_session_header_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_session(path)
-    path.write_text('{"schema":"waffle/2","participant":"p"}\n')
+    path.write_text('{"schema":"waffle/3","participant":"p"}\n')
     with pytest.raises(ParseError, match="scenario"):
         read_session(path)
     path.write_text('{"participant":"p","scenario":"individual"}\n')
@@ -103,8 +115,8 @@ def test_read_session_header_errors(tmp_path):
 def test_read_session_names_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
-        '{"track":"imu","t":[0.0],"ax":[0.1],"ay":[0.2],"az":[9.8]}\n'
+        '{"schema":"waffle/3","participant":"p","scenario":"individual"}\n'
+        f'{{"track":"imu","t":"{b64([0.0])}","ax":"{b64([0.1])}","ay":"{b64([0.2])}","az":"{b64([9.8])}"}}\n'
         "{not json}\n"
     )
     with pytest.raises(ParseError, match=":3:"):
@@ -150,8 +162,8 @@ def test_load_dataset_names_the_manifest_of_a_huge_integer_or_deep_nesting(tmp_p
 def test_read_session_unknown_track(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
-        '{"track":"gaze","t":[0.0]}\n'
+        '{"schema":"waffle/3","participant":"p","scenario":"individual"}\n'
+        '{"track":"gaze","t":"AAAAAAAAAAA="}\n'
     )
     with pytest.raises(ParseError, match=":2: unknown track 'gaze'"):
         read_session(path)
@@ -160,7 +172,7 @@ def test_read_session_unknown_track(tmp_path):
 def test_read_session_missing_field_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
+        '{"schema":"waffle/3","participant":"p","scenario":"individual"}\n'
         '{"track":"bite","staging_arrival_t":0.0,"feeding_arrival_t":0.5}\n'
     )
     with pytest.raises(ParseError, match=":2: 'bite' line is missing field 'bite_complete_t'"):
@@ -210,7 +222,7 @@ def test_validation_accepts_timestamps_whose_difference_overflows(tmp_path):
 def test_read_session_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.jsonl"
     write_session(small_session(), path)
-    # The third ax value, written as NaN, which json.loads accepts.
+    # The third ax value, written as a NaN's bytes.
     rewrite_column(path, "imu", "ax", lambda rec: rec["ax"].__setitem__(2, float("nan")))
     with pytest.raises(
         TrackValidationError, match=f"{path}: imu acceleration at sample 2"
@@ -243,10 +255,11 @@ def test_read_session_rejects_fractional_motion_label(tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", {}, [1.0, 2.0]])
 def test_read_session_names_the_line_of_a_non_numeric_field(tmp_path, value):
+    # The ax column (line 4) is not the base64 of float64 bytes.
     path = tmp_path / "nan.jsonl"
     write_session(small_session(), path)
-    lineno = rewrite_column(path, "imu", "ax", lambda rec: rec["ax"].__setitem__(2, value))
-    with pytest.raises(ParseError, match=f"{path}:{lineno}: 'imu' field 'ax' is not a number at index 2"):
+    rewrite_line(path, 3, ax=value)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:4: 'imu' field 'ax' is not (a string|valid base64)"):
         read_session(path)
 
 
@@ -280,52 +293,76 @@ def test_read_session_rejects_a_header_field_that_is_not_a_string(tmp_path, fiel
     [(3, "ax", "1.5"), (5, "az", True), (7, "amp", "0.5"), (9, "moving", True)],
 )
 def test_read_session_rejects_numeric_strings_and_booleans(tmp_path, index, field, value):
+    # A column given as a number's text or a boolean is refused, not converted.
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    rec = json.loads(path.read_text().splitlines()[index])
-    rewrite_line(path, index, **{field: [value, *rec[field][1:]]})
+    rewrite_line(path, index, **{field: value})
     with pytest.raises(
-        ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not a number at index 0"
+        ParseError, match=f"{path}:{index + 1}: .* field '{field}' is not (a string|valid base64)"
     ):
         read_session(path)
 
 
+def column_line(lines, track, key):
+    """The index of the line holding column ``key`` of ``track``."""
+    return next(i for i, line in enumerate(lines) if json.loads(line).get("track") == track and key in json.loads(line))
+
+
 def rewrite_column(path, track, key, edit):
     """Apply ``edit`` to the record of the line holding column ``key`` of
-    ``track`` in a waffle/2 file and return that line's number."""
+    ``track`` in a waffle/3 file, with that column decoded to a list of
+    floats, and return that line's number. A column the edit leaves a list
+    is encoded again."""
     lines = path.read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if json.loads(line).get("track") == track and key in json.loads(line))
+    index = column_line(lines, track, key)
     rec = json.loads(lines[index])
+    rec[key] = unb64(rec[key])
     edit(rec)
+    if type(rec[key]) is list:
+        rec[key] = b64(rec[key])
     lines[index] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     return index + 1
 
 
 @pytest.mark.parametrize(
-    "track, key, index, value, message",
+    "track, key, value, message",
     [
-        ("imu", "ax", 2, "abc", "'imu' field 'ax' is not a number at index 2: 'abc'"),
-        ("imu", "az", 0, True, "'imu' field 'az' is not a number at index 0: True"),
-        ("mic", "amp", 3, "0.5", "'mic' field 'amp' is not a number at index 3: '0.5'"),
-        ("mic", "t", 1, {}, "'mic' field 't' is not a number at index 1: {}"),
-        ("motion", "moving", 1, None, "'motion' field 'moving' is not a number at index 1: None"),
-        ("imu", "t", 4, 10**400, "'imu' field 't' does not fit a float at index 4"),
+        pytest.param("imu", "az", [0.5], "'imu' field 'az' is not a string", id="list"),
+        pytest.param("motion", "moving", {}, "'motion' field 'moving' is not a string", id="object"),
+        pytest.param("mic", "t", 1.5, "'mic' field 't' is not a string", id="number"),
+        pytest.param(
+            "imu", "ax", "AAAA!AAA", "'imu' field 'ax' is not valid base64: Only base64 data is allowed", id="alphabet"
+        ),
+        pytest.param("mic", "amp", "abc", "'mic' field 'amp' is not valid base64: Incorrect padding", id="padding"),
+        pytest.param(
+            "imu",
+            "t",
+            "\u00e9AAA",
+            "'imu' field 't' is not valid base64: string argument should contain only ASCII characters",
+            id="non-ascii",
+        ),
+        pytest.param("motion", "t", b64([1.0])[:-4], "'motion' field 't' holds 6 bytes, not a multiple of 8", id="bytes"),
+        pytest.param("imu", "ay", "AAAA", "'imu' field 'ay' holds 3 bytes, not a multiple of 8", id="short"),
     ],
 )
-def test_read_session_names_the_column_and_index_of_a_bad_value(tmp_path, track, key, index, value, message):
+def test_read_session_names_a_column_that_is_not_float64_base64(tmp_path, track, key, value, message):
+    # One case or more for each way a column can fail to be the base64 of
+    # float64 bytes: not a string, not valid base64, or a byte count that is
+    # not a multiple of 8.
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    lineno = rewrite_column(path, track, key, lambda rec: rec[key].__setitem__(index, value))
-    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+    index = column_line(path.read_text().splitlines(), track, key)
+    rewrite_line(path, index, **{key: value})
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{index + 1}: {message}')}$"):
         read_session(path)
 
 
 @pytest.mark.parametrize(
     "key, edit, message",
     [
-        pytest.param("ax", lambda rec: rec.update(ax=1.5), "'imu' field 'ax' is not a list", id="not-a-list"),
-        pytest.param("ax", lambda rec: rec.update(ax=None), "'imu' field 'ax' is not a list", id="null"),
+        pytest.param("ax", lambda rec: rec.update(ax=1.5), "'imu' field 'ax' is not a string", id="not-a-list"),
+        pytest.param("ax", lambda rec: rec.update(ax=None), "'imu' field 'ax' is not a string", id="null"),
         pytest.param(
             "ay", lambda rec: rec["ay"].pop(), "'imu' field 'ay' has 4 values, 't' on line 3 has 5", id="length"
         ),
@@ -352,7 +389,7 @@ def test_read_session_rejects_a_column_that_appears_twice(tmp_path):
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[6]) == {"track": "mic", "t": small_session().mic_t.tolist()}
+    assert json.loads(lines[6]) == {"track": "mic", "t": b64(small_session().mic_t)}
     path.write_text("\n".join(lines[:7] + lines[6:]) + "\n")
     with pytest.raises(
         ParseError, match=f"^{re.escape(str(path))}:8: 'mic' field 't' appears twice, first on line 7$"
@@ -363,13 +400,13 @@ def test_read_session_rejects_a_column_that_appears_twice(tmp_path):
 def test_read_session_takes_several_columns_of_a_track_on_one_line(tmp_path):
     # Several columns of a track on one line, in any order, and imu over two lines.
     session = small_session()
-    ax, ay, az = session.imu_accel.T.tolist()
+    ax, ay, az = map(b64, session.imu_accel.T)
     records = [
-        {"schema": "waffle/2", "participant": session.participant_id, "scenario": session.scenario},
-        {"track": "imu", "az": az, "t": session.imu_t.tolist(), "ay": ay},
+        {"schema": "waffle/3", "participant": session.participant_id, "scenario": session.scenario},
+        {"track": "imu", "az": az, "t": b64(session.imu_t), "ay": ay},
         {"track": "imu", "ax": ax},
-        {"track": "mic", "t": session.mic_t.tolist(), "amp": session.mic_amp.tolist()},
-        {"track": "motion", "t": session.motion_t.tolist(), "moving": session.motion_moving.tolist()},
+        {"track": "mic", "t": b64(session.mic_t), "amp": b64(session.mic_amp)},
+        {"track": "motion", "t": b64(session.motion_t), "moving": b64(session.motion_moving)},
         *({"track": "bite", **vars(b)} for b in session.bites),
     ]
     path = tmp_path / "s.jsonl"
@@ -404,7 +441,7 @@ def test_read_session_validates_columns_with_the_path(tmp_path, track, key, inde
 
 
 def bites_last(session, path):
-    """Write a waffle/2 file whose bite lines follow the track columns."""
+    """Write a waffle/3 file whose bite lines follow the track columns."""
     write_session(session, path)
     header, *lines = path.read_text().splitlines(keepends=True)
     path.write_text(header + "".join(sorted(lines, key=lambda line: '"track":"bite"' in line)))
@@ -450,21 +487,21 @@ def fuzz_dir(tmp_path_factory):
 
 
 def motion_labels_in(lines):
-    """The moving labels a waffle/2 file's motion lines hold."""
+    """The moving labels a waffle/3 file's motion lines hold."""
     records = [json.loads(line) for line in lines[1:]]
-    return [m for r in records if r.get("track") == "motion" for m in r.get("moving", [])]
+    return [m for r in records if r.get("track") == "motion" and "moving" in r for m in unb64(r["moving"])]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    value=st.sampled_from(("delete", "abc", "1.5", {}, None, 0.7, True, 10**400)),
+    value=st.sampled_from(("delete", "abc", "1.5", "AAAA", "", "\u00e9", {}, None, 0.7, True, 10**400)),
 )
 def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
-    # Mutate one field of one line of a waffle/2 file: delete it, or set it
-    # to a string, an object, JSON null, 0.7, a boolean or an integer too
-    # large for a float. The loader either returns a valid session or raises
-    # a package ValueError that names the file.
+    # Mutate one field of one line of a waffle/3 file: delete it, or set it
+    # to a string (base64 or not), an object, JSON null, 0.7, a boolean or
+    # an integer too large for a float. The loader either returns a valid
+    # session or raises a package ValueError that names the file.
     lines = (fuzz_dir / "base.jsonl").read_text().splitlines()
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     rec = json.loads(lines[index])
@@ -486,19 +523,20 @@ def test_read_session_mutations_load_or_name_the_file(fuzz_dir, data, value):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), mutation=st.sampled_from(("element", "column", "length", "delete", "repeat")))
+@given(data=st.data(), mutation=st.sampled_from(("element", "column", "length", "bytes", "delete", "repeat")))
 def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mutation):
-    # Mutate one column line of a waffle/2 file: set one element of a column
-    # to a non-number, a numeric string, a boolean or an integer too large
-    # for a float; replace a whole column by a non-list; grow or shrink a
-    # column; or delete or repeat the line. The loader either returns a
+    # Mutate one column line of a waffle/3 file: set one value of a column
+    # to a non-finite number, a fraction or another number; replace a whole
+    # column by a non-string or by a string that is not the base64 of whole
+    # float64 values; grow or shrink a column by a value or append a few
+    # bytes to it; or delete or repeat the line. The loader either returns a
     # valid session or raises a package ValueError that names the file.
     lines = (fuzz_dir / "base.jsonl").read_text().splitlines()
     tracks = [i for i, line in enumerate(lines) if json.loads(line).get("track") in ("imu", "mic", "motion")]
     index = data.draw(st.sampled_from(tracks), label="line")
     rec = json.loads(lines[index])
     key = data.draw(st.sampled_from(sorted(set(rec) - {"track"})), label="column")
-    column = rec[key]
+    column = unb64(rec[key])
     if mutation == "delete":
         del lines[index]
     elif mutation == "repeat":
@@ -506,13 +544,17 @@ def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mut
     else:
         if mutation == "element":
             i = data.draw(st.integers(0, len(column) - 1), label="index")
-            column[i] = data.draw(st.sampled_from(("abc", "1.5", {}, None, True, 10**400, 0.7, -3)), label="value")
+            column[i] = data.draw(st.sampled_from((float("nan"), float("inf"), 0.7, -3.0, 2.0, 1e308)), label="value")
         elif mutation == "column":
-            rec[key] = data.draw(st.sampled_from(("abc", 1.5, {}, None, True)), label="value")
+            column = data.draw(st.sampled_from(("abc", "AAAA", "", "\u00e9", [0.0], 1.5, {}, None, True)), label="value")
+        elif mutation == "bytes":
+            extra = data.draw(st.binary(min_size=1, max_size=7), label="bytes")
+            column = base64.b64encode(base64.b64decode(rec[key]) + extra).decode("ascii")
         elif data.draw(st.booleans(), label="grow"):
             column.append(column[-1])
         else:
             column.pop()
+        rec[key] = b64(column) if mutation in ("element", "length") else column
         lines[index] = json.dumps(rec)
     path = fuzz_dir / "mutated2.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -585,16 +627,18 @@ def test_read_session_parses_line_by_line(tmp_path):
     # the original line count. Each line on its own is what gets parsed.
     path = tmp_path / "merged.jsonl"
     path.write_text(
-        '{"schema":"waffle/2","participant":"p","scenario":"individual"}\n'
-        '{"track":"mic","t":[0.0],"amp":["x\n'
-        'y"]}\n'
+        '{"schema":"waffle/3","participant":"p","scenario":"individual"}\n'
+        '{"track":"mic","t":"AAAAAAAAAAA=","amp":"x\n'
+        'y"}\n'
         "{},{}\n"
     )
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: invalid JSON"):
         read_session(path)
 
 
-SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-7, -1e-7, 1e16, -1e16, 1.0, -3.0, 1e22)
+# The smallest and largest subnormals, and the largest finite floats.
+EXTREME_FLOATS = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+SPECIAL_FLOATS = (*EXTREME_FLOATS, 0.0, 1e-7, -1e-7, 1e16, -1e16, 1.0, -3.0, 1e22)
 FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 AMPLITUDES = st.one_of(
     st.sampled_from((-1.0, 1.0, -0.0, 0.0, 5e-324, 1e-7, -1e-7)), st.floats(-1.0, 1.0)
@@ -606,11 +650,11 @@ def timestamps(max_size=12):
 
 
 @st.composite
-def finite_sessions(draw):
-    imu_t = draw(timestamps())
+def finite_sessions(draw, max_size=12):
+    imu_t = draw(timestamps(max_size))
     n = len(imu_t)
-    mic_t = draw(timestamps())
-    motion_t = draw(timestamps(max_size=6))
+    mic_t = draw(timestamps(max_size))
+    motion_t = draw(timestamps(max_size // 2))
     moving = draw(st.lists(st.sampled_from((0, 1)), min_size=len(motion_t), max_size=len(motion_t)))
     return SessionRecord(
         participant_id=draw(st.text(max_size=4)),
@@ -631,23 +675,24 @@ def write_dir(tmp_path_factory):
 
 
 def documented_layout(session):
-    """The waffle/2 records of a session, as the module docstring lays them
-    out: the header, the bites, then one line per column of each track."""
+    """The waffle/3 records of a session, as the module docstring lays them
+    out: the header, the bites, then one line per column of each track, each
+    column the base64 of its float64 bytes."""
     bites = [
         {"track": "bite", "staging_arrival_t": b.staging_arrival_t,
          "feeding_arrival_t": b.feeding_arrival_t, "bite_complete_t": b.bite_complete_t}
         for b in session.bites
     ]
-    ax, ay, az = session.imu_accel.T.tolist()
+    ax, ay, az = session.imu_accel.T
     columns = [
-        ("imu", "t", session.imu_t.tolist()), ("imu", "ax", ax), ("imu", "ay", ay), ("imu", "az", az),
-        ("mic", "t", session.mic_t.tolist()), ("mic", "amp", session.mic_amp.tolist()),
-        ("motion", "t", session.motion_t.tolist()), ("motion", "moving", [int(m) for m in session.motion_moving]),
+        ("imu", "t", session.imu_t), ("imu", "ax", ax), ("imu", "ay", ay), ("imu", "az", az),
+        ("mic", "t", session.mic_t), ("mic", "amp", session.mic_amp),
+        ("motion", "t", session.motion_t), ("motion", "moving", session.motion_moving),
     ]
     return [
-        {"schema": "waffle/2", "participant": session.participant_id, "scenario": session.scenario},
+        {"schema": "waffle/3", "participant": session.participant_id, "scenario": session.scenario},
         *bites,
-        *({"track": track, key: values} for track, key, values in columns),
+        *({"track": track, key: b64(values)} for track, key, values in columns),
     ]
 
 
@@ -659,14 +704,18 @@ def test_write_session_matches_the_json_encoder(write_dir, session):
     assert (write_dir / "columns.jsonl").read_text() == expected
 
 
-# Not a column name: on a waffle/2 line, another column of the track is read.
+# Not a column name: on a waffle/3 line, another column of the track is read.
 EXTRA_KEYS = (st.sampled_from(("qw", "qx", "qy", "qz")) | st.text(max_size=4)).filter(
     lambda k: k not in ("t", "ax", "ay", "az", "amp", "moving")
 )
+# Built once: a strategy built per line is validated anew each time.
+EXTRA_FIELDS = st.dictionaries(EXTRA_KEYS, JSON_VALUES, max_size=2)
 
 
+# Short sessions: the rule concerns a file's lines, and a session has the
+# same lines whatever its length.
 @settings(max_examples=100, deadline=None)
-@given(session=finite_sessions(), data=st.data())
+@given(session=finite_sessions(max_size=2), data=st.data())
 def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
     # Any key a line does not read, before or after the keys read, on some
     # or all lines of a file, loads into the same arrays.
@@ -676,11 +725,47 @@ def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
     lines = []
     for line in path.read_text().splitlines():
         rec = json.loads(line)
-        extra = st.dictionaries(EXTRA_KEYS.filter(lambda k: k not in rec), JSON_VALUES, max_size=2)
-        rec = {**data.draw(extra), **rec, **data.draw(extra)}
+        before, after = ({k: v for k, v in data.draw(EXTRA_FIELDS).items() if k not in rec} for _ in "ab")
+        rec = {**before, **rec, **after}
         lines.append(json.dumps(rec, separators=(",", ":")))
     path.write_text("\n".join(lines) + "\n")
     assert_sessions_equal(read_session(path), expected)
+
+
+def extreme_session():
+    """A session whose every column holds -0.0, subnormals or the largest
+    finite floats."""
+    t = np.array(sorted(EXTREME_FLOATS))
+    accel = np.array([EXTREME_FLOATS, EXTREME_FLOATS[::-1], EXTREME_FLOATS[1:] + EXTREME_FLOATS[:1]]).T
+    return SessionRecord(
+        participant_id="p01",
+        scenario="social",
+        imu_t=t,
+        imu_accel=accel,
+        mic_t=t,
+        mic_amp=np.array([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, -1.0]),
+        motion_t=t,
+        motion_moving=np.array([1, 0, 1, 1, 0, 0]),
+    )
+
+
+def float_bytes(values):
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=finite_sessions())
+@example(session=extreme_session())
+def test_session_round_trip_is_bit_exact(write_dir, session):
+    # Every column reads back bit for bit, -0.0 and subnormals included;
+    # the motion labels come back as int64.
+    path = write_dir / "exact.jsonl"
+    write_session(session, path)
+    loaded = read_session(path)
+    for name in ("imu_t", "imu_accel", "mic_t", "mic_amp", "motion_t"):
+        assert float_bytes(getattr(loaded, name)) == float_bytes(getattr(session, name)), name
+    assert loaded.motion_moving.dtype == np.int64
+    assert loaded.motion_moving.tolist() == [int(m) for m in session.motion_moving]
 
 
 def test_validation_overlapping_bites():

@@ -1,15 +1,21 @@
 """Every script in demos/ runs to completion against the package as it is,
-and every name the README's Python examples import exists."""
+every name the README's Python examples import exists, and the README's
+column decode reads what the package writes."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bitetiming.dataio import read_session, write_session
+from bitetiming.sim import synthesize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +50,31 @@ def test_readme_imports_exist():
         module = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"README imports {missing} from {node.module}"
+
+
+def test_readme_decode_reads_what_read_session_reads(tmp_path):
+    # The README's decode, run on every column of a session the package
+    # writes, gives read_session's arrays bit for bit.
+    [block] = [block for block in README_PYTHON if "b64decode" in block]
+    namespace = {}
+    exec(block, namespace)
+    path = tmp_path / "s.jsonl"
+    write_session(synthesize_scenario("p01", "social", 40.0, seed=3).session, path)
+    session = read_session(path)
+    expected = {
+        ("imu", "t"): session.imu_t,
+        **{("imu", key): column for key, column in zip(("ax", "ay", "az"), session.imu_accel.T)},
+        ("mic", "t"): session.mic_t,
+        ("mic", "amp"): session.mic_amp,
+        ("motion", "t"): session.motion_t,
+        ("motion", "moving"): session.motion_moving,
+    }
+    decoded = {}
+    for line in path.read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        if rec["track"] != "bite":
+            [key] = set(rec) - {"track"}
+            decoded[rec["track"], key] = namespace["decode"](rec[key])
+    assert decoded.keys() == expected.keys()
+    for name, values in expected.items():
+        assert decoded[name].tobytes() == values.astype(np.float64).tobytes(), name

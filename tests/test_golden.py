@@ -6,7 +6,9 @@ refactor, not just across two runs of the same code (acceptance criterion
 10). The four session files were re-recorded when sessions stopped carrying
 an imu quaternion, and again, with ``session.jsonl`` of ``GOLDEN_LONG``, when
 session files became ``waffle/2`` (one line per column of each track
-instead of one line per sample). Their arrays did not change, so every
+instead of one line per sample), and again, the same five files only, when
+they became ``waffle/3`` (each column the base64 of its float64 bytes
+instead of a JSON array of numbers). Their arrays did not change, so every
 loss, report and log hash is as first recorded. ``model.json`` alone was
 re-recorded when models became ``bitetiming-model/2`` (the canonical text
 behind its checksum instead of an indented dump), with the same weights.
@@ -33,10 +35,10 @@ from bitetiming.sim import synthesize_scenario
 GOLDEN_NUMPY = "2.4"
 GOLDEN = {
     "data/manifest.json": "3e389eb9ddad338bde8dc9a131ca73b64d8b67f31dcace7ab9a8061fa737f6aa",
-    "data/p01_individual.jsonl": "7987d0af2ca10a1583dee85b41801de01ae938f4ac8866427377d01994a4185f",
-    "data/p01_social.jsonl": "59badabdd217a9e8de26bb486e0e5dd313473e9f228a5d0745f0a5e7144a5d27",
-    "data/p02_individual.jsonl": "41a50191dca12ffeec1c3bae6da57dc1a9a971e996a40449faf613874e3a5614",
-    "data/p02_social.jsonl": "3917759e2c008d0ff21f2b32f26a171e762134aac758b10f14f4ec5f3925df80",
+    "data/p01_individual.jsonl": "bfe0ad63d51b1e5a4ac5c9794ccfe910f796916ade997de4daad2f0a7afa4bdc",
+    "data/p01_social.jsonl": "ba314340cbc34db4d38c8d9d75214a6dff8e5ca52cb4ff8bd0eb9a06a633793f",
+    "data/p02_individual.jsonl": "8e11267cac6ca45e768032e38c3156d5651839c7396e0354bfd5de1fd1135757",
+    "data/p02_social.jsonl": "e38d947a5c36501b5aa9b292f841d0932e137be62d2a571e5ef3ca1f33abf9cf",
     "model.json": "6171c306f1f07a1a2dff9bf074c1540bcc94f39552c7626b010c3e6357be3347",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
@@ -45,7 +47,7 @@ GOLDEN = {
     "sim.jsonl": "afb70ee8db9948a2d6dda165de4d9fb63f677180e6860facc65ad4104d4c38f3",
 }
 GOLDEN_LONG = {
-    "session.jsonl": "597b788d3c807760038154250564b827eeb2d21eb798cbe38f333e2db3f7c73a",
+    "session.jsonl": "30da148d803ef68843742749489a88169c3258cb2d652a0fdb53cee5f7986218",
     "sim.jsonl": "c1462898cb128487eb897ab02870d85bb6f57b63841590e39f8bd328e957f7db",
 }
 

@@ -301,6 +301,10 @@ def test_predict_validation():
     trained, _ = train(windows, TrainConfig(epochs=1, batch_size=8), ablation="imu")
     with pytest.raises(ValueError, match="48"):
         predict(trained, np.zeros(36))
+    # Neither one row nor a matrix of rows: the package's error, not an IndexError.
+    for features in (np.float64(1.0), np.zeros((2, 48, 48))):
+        with pytest.raises(ValueError, match=re.escape(f"48-feature layout, got shape {np.shape(features)}")):
+            predict(trained, features)
     # A network whose input width is not its ablation's.
     mismatched = identity_normalized(init_mlp((48, 4, 1), seed=0), dim=12)
     mismatched.ablation = "mic"
