@@ -24,6 +24,7 @@ from .policy import (
     map_assertiveness,
 )
 from .sim import (
+    check_duration,
     model_predictor,
     run_session,
     generate_dataset,
@@ -168,6 +169,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         threshold = map_assertiveness(3)
 
+    check_duration(args.duration)
+    predictor = None
+    if args.policy == "waffle":
+        if args.model is None:
+            raise ValueError("the waffle policy needs --model")
+        predictor = model_predictor(load_model(args.model))
     scenario = synthesize_scenario(
         participant_id=args.participant,
         scenario=args.scenario,
@@ -176,11 +183,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         style_spread=args.style_spread,
     )
     policy = make_policy(args.policy, threshold)
-    predictor = None
-    if args.policy == "waffle":
-        if args.model is None:
-            raise ValueError("the waffle policy needs --model")
-        predictor = model_predictor(load_model(args.model))
 
     log = run_session(
         scenario.session,

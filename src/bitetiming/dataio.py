@@ -28,7 +28,6 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +204,7 @@ def write_session(session: SessionRecord, path: str | Path) -> None:
         f.writelines(map(_bite_line, session.bites))
         for track, keys in _FIELDS.items():
             for key, column in zip(keys, columns[track]):
-                values = base64.b64encode(column.astype("<f8").tobytes()).decode("ascii")
-                f.write(_encode({"track": track, key: values}) + "\n")
+                f.write(_encode({"track": track, key: f8_to_base64(column)}) + "\n")
 
 
 def _read_text(path: Path) -> str:
@@ -316,25 +314,23 @@ def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
         raise TrackValidationError(f"{path}:{lineno}: {e}") from None
 
 
-def float_rows(rows) -> np.ndarray:
-    """Rows of JSON numbers as a float64 matrix. One pass over the value types
-    rejects the strings (such as "1.5") and booleans that numpy would convert."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        raise ValueError("values must be lists of numbers")
-    return np.array(rows, dtype=np.float64)
+def f8_to_base64(values: np.ndarray) -> str:
+    """The base64 of an array's C-order little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
 
 
-def _column(path: Path, lineno: int, track: str, key: str, value) -> np.ndarray:
-    """The float64 column of line ``lineno`` whose bytes ``value`` holds in base64."""
-    where = f"{path}:{lineno}: {track!r} field {key!r}"
+def f8_from_base64(value, where: str, size: int | None = None) -> np.ndarray:
+    """The read-only float64 array whose little-endian bytes ``value`` holds in
+    base64: ``size`` values, or any number if None. A ParseError names ``where``."""
     if type(value) is not str:
         raise ParseError(f"{where} is not a string")
     try:
         raw = base64.b64decode(value, validate=True)
     except ValueError as e:  # binascii.Error, or a character that is not ASCII
         raise ParseError(f"{where} is not valid base64: {e}") from None
-    if len(raw) % 8:
-        raise ParseError(f"{where} holds {len(raw)} bytes, not a multiple of 8")
+    if len(raw) % 8 if size is None else len(raw) != 8 * size:
+        need = "a multiple of 8" if size is None else f"8 x {size}"
+        raise ParseError(f"{where} holds {len(raw)} bytes, not {need}")
     return np.frombuffer(raw, "<f8")
 
 
@@ -395,7 +391,8 @@ def read_session(path: str | Path) -> SessionRecord:
                     f"{path}:{lineno}: {track!r} field {key!r} appears twice, "
                     f"first on line {columns[track][key][0]}"
                 )
-            columns[track][key] = (lineno, _column(path, lineno, track, key, rec[key]))
+            where = f"{path}:{lineno}: {track!r} field {key!r}"
+            columns[track][key] = (lineno, f8_from_base64(rec[key], where))
 
     imu, mic, motion = (_track(path, track, columns[track]) for track in _FIELDS)
     session = SessionRecord(

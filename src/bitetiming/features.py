@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import float_rows
 from .errors import InsufficientDataError
 from .signals import IMU_WINDOW_SAMPLES, MIC_WINDOW_SAMPLES
 
@@ -146,13 +145,6 @@ class NormalizationStats:
                 f"mean and std must be matching 1-D arrays, "
                 f"got {self.mean.shape} and {self.std.shape}"
             )
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(*float_rows([d["mean"], d["std"]]))
 
 
 def fit_normalizer(rows: np.ndarray) -> NormalizationStats:

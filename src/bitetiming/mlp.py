@@ -8,10 +8,11 @@ regression labels capped at ``LABEL_CAP_SECONDS`` before comparison, so the
 network never chases arbitrarily distant bites.
 
 Trained models serialize to a single self-describing JSON document carrying
-layer dimensions, parameters, normalization statistics, the feature layout
-id, and the training configuration, so inference needs nothing else. The
-document is json's canonical encoding of that payload behind a checksum of
-its own bytes, so loading refuses any re-formatted or edited file.
+layer dimensions, parameters (each array the base64 of its float64 bytes),
+normalization statistics, the feature layout id, and the training
+configuration, so inference needs nothing else. The document is json's
+canonical encoding of that payload behind a checksum of its own bytes, so
+loading refuses any re-formatted or edited file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _json_reason, float_rows
+from .dataio import _json_reason, f8_from_base64, f8_to_base64
 from .errors import DivergenceError, IntegrityError, SchemaVersionError
 from .features import (
     FEATURE_DIM,
@@ -37,7 +38,7 @@ from .features import (
 )
 from .pipeline import WindowTable
 
-MODEL_SCHEMA = "bitetiming-model/2"
+MODEL_SCHEMA = "bitetiming-model/3"
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DROPOUT_P = 0.1
 LABEL_CAP_SECONDS = 10.0
@@ -155,11 +156,11 @@ def _forward_cached(
 def _sample_dropout_masks(
     model: MlpModel, batch: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    keep = 1.0 - model.dropout_p
-    return [
-        (rng.random((batch, dim)) >= model.dropout_p) / keep
-        for dim in model.layer_dims[1:-1]
-    ]
+    masks = [rng.random((batch, dim)) for dim in model.layer_dims[1:-1]]
+    for m in masks:  # in place: each entry becomes 0 or 1 / keep probability
+        np.greater_equal(m, model.dropout_p, out=m)
+        m *= 1.0 / (1.0 - model.dropout_p)
+    return masks
 
 
 def loss_and_gradients(
@@ -327,17 +328,18 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
 
 
 def _model_payload(model: MlpModel) -> dict:
+    norm = model.normalization
     return {
         "schema": MODEL_SCHEMA,
         "feature_order_id": model.feature_order_id,
         "ablation": model.ablation,
         "layer_dims": list(model.layer_dims),
         "dropout_p": model.dropout_p,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "normalization": (
-            model.normalization.to_dict() if model.normalization is not None else None
-        ),
+        "weights": [f8_to_base64(w) for w in model.weights],
+        "biases": [f8_to_base64(b) for b in model.biases],
+        "normalization": None if norm is None else {
+            "mean": f8_to_base64(norm.mean), "std": f8_to_base64(norm.std)
+        },
         "train_config": (
             asdict(model.train_config) if model.train_config is not None else None
         ),
@@ -364,6 +366,11 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _array(value, where: str, shape) -> np.ndarray:
+    """An owned, writable float64 array of ``shape`` read from its base64."""
+    return f8_from_base64(value, where, math.prod(shape)).reshape(shape).copy()
+
+
 def _model_from_doc(doc: dict) -> MlpModel:
     """Build a model from a checksummed document, checking its structure."""
     dims, ablation, dropout_p = doc["layer_dims"], doc["ablation"], doc["dropout_p"]
@@ -375,21 +382,19 @@ def _model_from_doc(doc: dict) -> MlpModel:
         raise ValueError(f"layer_dims {dims} do not start at the input of {ablation!r}")
     if type(dropout_p) not in (int, float) or not 0 <= dropout_p < 1:
         raise ValueError(f"dropout_p {dropout_p!r} is not a number in [0, 1)")
-    weights = [float_rows(w) for w in doc["weights"]]
-    biases = [float_rows([b])[0] for b in doc["biases"]]
     shapes = list(zip(dims[:-1], dims[1:]))
-    if [w.shape for w in weights] != shapes or [b.shape for b in biases] != [
-        (fan_out,) for _, fan_out in shapes
-    ]:
-        raise ValueError(f"weight and bias shapes do not match layer_dims {dims}")
-    if type(doc["normalization"]) is not dict:
+    weights, biases, norm = doc["weights"], doc["biases"], doc["normalization"]
+    if not (type(weights) is type(biases) is list
+            and len(weights) == len(biases) == len(shapes)):
+        raise ValueError(f"weights and biases are not {len(shapes)} arrays each")
+    weights = [_array(w, f"weights[{i}]", s) for i, (w, s) in enumerate(zip(weights, shapes))]
+    biases = [_array(b, f"biases[{i}]", s[1:]) for i, (b, s) in enumerate(zip(biases, shapes))]
+    if type(norm) is not dict:
         raise ValueError("normalization is not an object with mean and std")
-    norm = NormalizationStats.from_dict(doc["normalization"])
-    if norm.mean.shape != (dims[0],):
-        raise ValueError(f"normalization does not have {dims[0]} features")
-    if not (norm.std > 0).all():
+    mean, std = (_array(norm[k], f"normalization {k}", dims[:1]) for k in ("mean", "std"))
+    if not (std > 0).all():
         raise ValueError("normalization std must be positive")
-    if not all(np.isfinite(a).all() for a in (*weights, *biases, norm.mean, norm.std)):
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, mean, std)):
         raise ValueError("weights, biases and normalization must be finite")
     cfg = doc["train_config"]
     return MlpModel(
@@ -397,7 +402,7 @@ def _model_from_doc(doc: dict) -> MlpModel:
         weights=weights,
         biases=biases,
         dropout_p=float(dropout_p),
-        normalization=norm,
+        normalization=NormalizationStats(mean, std),
         feature_order_id=doc["feature_order_id"],
         ablation=ablation,
         train_config=None if cfg is None else _train_config_from(cfg),
@@ -431,14 +436,15 @@ def load_model(path: str | Path) -> MlpModel:
 
     Raises:
         SchemaVersionError: the document declares another schema, such as
-            ``bitetiming-model/1``.
+            ``bitetiming-model/2``.
         IntegrityError: bytes that are not UTF-8 or not JSON, a checksum
             that is not the sha256 of the text after it (a file edited or
             re-formatted since ``save_model`` wrote it), a feature layout
-            this build does not produce, a missing field, parameters that
-            do not fit ``layer_dims`` and the ablation, a parameter that is
-            not finite or too large for a float, a normalization std that
-            is not positive, or a ``train_config`` value of the wrong type.
+            this build does not produce, a missing field, ``layer_dims``
+            that do not fit the ablation, a parameter array that is not a
+            string, not valid base64 or not the byte count of its shape, a
+            parameter that is not finite, a normalization std that is not
+            positive, or a ``train_config`` value of the wrong type.
     """
     path = Path(path)
     try:

@@ -342,7 +342,7 @@ _LEAD_IN_RANGE = (11.5, 14.0)
 MAX_SESSION_SECONDS = 3600.0
 
 
-def _check_duration(duration: float) -> None:
+def check_duration(duration: float) -> None:
     if not 30.0 <= duration < np.inf:
         raise ValueError(f"sessions must last at least 30 s, got {duration}")
     if duration > MAX_SESSION_SECONDS:
@@ -358,7 +358,7 @@ def sample_behavior_script(
     style: ParticipantStyle,
 ) -> BehaviorScript:
     """Sample the participant's behavior segments for one session."""
-    _check_duration(duration)
+    check_duration(duration)
     transitions = (
         _SOCIAL_TRANSITIONS if scenario == "social" else _INDIVIDUAL_TRANSITIONS
     )
@@ -673,7 +673,7 @@ def generate_dataset(
     Participant styles are stable across their scenarios. Returns the
     manifest path.
     """
-    _check_duration(duration)  # checked, like each style, before anything is written
+    check_duration(duration)  # checked, like each style, before anything is written
     rngs = (np.random.default_rng([seed, p]) for p in range(n_participants))
     styles = [sample_style(rng, style_spread) for rng in rngs]
     out_dir = Path(out_dir)

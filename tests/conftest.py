@@ -1,5 +1,6 @@
 """Shared builders and hand-rolled oracles used across the test suite."""
 
+import base64
 import contextlib
 import hashlib
 import json
@@ -104,6 +105,17 @@ JSON_LIMITS = [
 ]
 
 
+def b64(values):
+    """Values as waffle/3 columns and bitetiming-model/3 arrays hold them: the
+    base64 of their C-order little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unb64(text):
+    """The values of a base64 float64 column or array, as a flat list of floats."""
+    return np.frombuffer(base64.b64decode(text), "<f8").tolist()
+
+
 def write_signed_model(path, doc):
     """Write a model document in save_model's layout, with a fresh checksum.
 
@@ -115,6 +127,23 @@ def write_signed_model(path, doc):
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     path.write_text(f'{{"checksum":"{checksum}",{canonical[1:]}\n')
+
+
+def write_old_model(path, doc, version):
+    """Write ``doc``, a bitetiming-model/3 document, as schema ``version``
+    1 or 2 laid out its files: arrays as nested lists of numbers, in an
+    indented dump (1) or signed canonical text (2)."""
+    dims = doc["layer_dims"]
+    doc = dict(doc, schema=f"bitetiming-model/{version}")
+    doc["weights"] = [
+        np.reshape(unb64(w), shape).tolist() for w, shape in zip(doc["weights"], zip(dims, dims[1:]))
+    ]
+    doc["biases"] = [unb64(b) for b in doc["biases"]]
+    doc["normalization"] = {k: unb64(v) for k, v in doc["normalization"].items()}
+    if version == 1:
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+    else:
+        write_signed_model(path, doc)
 
 
 # Replacement values for a mutated JSON field: each JSON type, a numeric and

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, run in process."""
 
+import base64
 import filecmp
 import json
 import re
@@ -7,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import JSON_LIMITS, time_limit, write_signed_model
+from conftest import JSON_LIMITS, time_limit, write_old_model, write_signed_model
 
+from bitetiming import cli
 from bitetiming.cli import main
 from bitetiming.features import NormalizationStats
 from bitetiming.mlp import init_mlp, load_model, save_model
@@ -406,12 +408,13 @@ def test_simulate_names_a_model_whose_weight_does_not_fit_a_float(tmp_path, caps
     model_path = tmp_path / "big.json"
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
-    doc["weights"][0][0][0] = 10**400
+    # The first weight matrix's bytes less one: its last value is cut short.
+    doc["weights"][0] = base64.b64encode(base64.b64decode(doc["weights"][0])[:-1]).decode("ascii")
     write_signed_model(model_path, doc)
     rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {model_path}: int too large to convert to float"]
+    assert err == [f"error: {model_path}: weights[0] holds 1535 bytes, not 8 x 192"]
 
 
 def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
@@ -420,16 +423,38 @@ def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
     model_path = tmp_path / "old.json"
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
-    doc["schema"] = "bitetiming-model/1"
-    model_path.write_text(json.dumps(doc, indent=1) + "\n")
-    rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+    for version in (1, 2):
+        write_old_model(model_path, doc, version)
+        rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {model_path}: model schema 'bitetiming-model/{version}' is not supported, "
+            "expected 'bitetiming-model/3'"
+        ]
+        assert not (tmp_path / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (None, "the waffle policy needs --model"),
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+    ],
+    ids=["no-model", "missing-file"],
+)
+def test_simulate_names_the_model_before_it_synthesizes(tmp_path, capsys, monkeypatch, model, message):
+    # At an hour's duration the session alone takes ~0.5 s to synthesize.
+    def fail(*args, **kwargs):
+        raise AssertionError("synthesize_scenario called before the model was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "synthesize_scenario", fail)
+    argv = ["simulate", "--policy", "waffle", "--duration", "3600", "--out", "log.jsonl"]
+    rc = main(argv + ([] if model is None else ["--model", model]))
     assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        f"error: {model_path}: model schema 'bitetiming-model/1' is not supported, "
-        "expected 'bitetiming-model/2'"
-    ]
-    assert not (tmp_path / "log.jsonl").exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value, message", JSON_LIMITS)

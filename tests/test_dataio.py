@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_LIMITS, mutate_json
+from conftest import JSON_LIMITS, b64, mutate_json, unb64
 
 from bitetiming.dataio import (
     BiteEvent,
@@ -38,16 +38,6 @@ def small_session(participant="p01", scenario="individual"):
         motion_t=np.array([0.0, 0.5, 1.0]),
         motion_moving=np.array([0, 1, 0]),
     )
-
-
-def b64(values):
-    """A column as waffle/3 writes it: base64 of little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def unb64(text):
-    """A waffle/3 column's values as a list of floats."""
-    return np.frombuffer(base64.b64decode(text), "<f8").tolist()
 
 
 def assert_sessions_equal(a, b):

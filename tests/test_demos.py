@@ -1,6 +1,7 @@
 """Every script in demos/ runs to completion against the package as it is,
-every name the README's Python examples import exists, and the README's
-column decode reads what the package writes."""
+every name the README's Python examples import exists, the README's
+base64 decode reads what the package writes, and the README documents
+every schema id the package writes."""
 
 import ast
 import importlib
@@ -14,12 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitetiming.dataio import read_session, write_session
-from bitetiming.sim import synthesize_scenario
+from bitetiming.dataio import MANIFEST_SCHEMA, SESSION_SCHEMA, read_session, write_session
+from bitetiming.features import NormalizationStats
+from bitetiming.mlp import MODEL_SCHEMA, init_mlp, load_model, save_model
+from bitetiming.sim import LOG_SCHEMA, synthesize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_PYTHON = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+
+
+def readme_decode():
+    """The ``decode`` function of README's one base64 example."""
+    [block] = [block for block in README_PYTHON if "b64decode" in block]
+    namespace = {}
+    exec(block, namespace)
+    return namespace["decode"]
 
 
 def test_there_are_demos():
@@ -55,9 +67,7 @@ def test_readme_imports_exist():
 def test_readme_decode_reads_what_read_session_reads(tmp_path):
     # The README's decode, run on every column of a session the package
     # writes, gives read_session's arrays bit for bit.
-    [block] = [block for block in README_PYTHON if "b64decode" in block]
-    namespace = {}
-    exec(block, namespace)
+    decode = readme_decode()
     path = tmp_path / "s.jsonl"
     write_session(synthesize_scenario("p01", "social", 40.0, seed=3).session, path)
     session = read_session(path)
@@ -74,7 +84,35 @@ def test_readme_decode_reads_what_read_session_reads(tmp_path):
         rec = json.loads(line)
         if rec["track"] != "bite":
             [key] = set(rec) - {"track"}
-            decoded[rec["track"], key] = namespace["decode"](rec[key])
+            decoded[rec["track"], key] = decode(rec[key])
     assert decoded.keys() == expected.keys()
     for name, values in expected.items():
         assert decoded[name].tobytes() == values.astype(np.float64).tobytes(), name
+
+
+def test_readme_decode_reads_what_load_model_reads(tmp_path):
+    # The same decode, reshaped by layer_dims, gives a saved model's
+    # weights, biases and normalization bit for bit.
+    decode = readme_decode()
+    model = init_mlp((48, 5, 3, 1), seed=2)
+    rng = np.random.default_rng(2)
+    model.biases = [rng.normal(0.0, 1.0, b.size) for b in model.biases]
+    model.normalization = NormalizationStats(rng.normal(0.0, 1.0, 48), rng.uniform(0.5, 2.0, 48))
+    save_model(model, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    loaded = load_model(tmp_path / "model.json")
+    dims = doc["layer_dims"]
+    for text, shape, values in [
+        *zip(doc["weights"], zip(dims, dims[1:]), loaded.weights),
+        *zip(doc["biases"], [(d,) for d in dims[1:]], loaded.biases),
+        *((doc["normalization"][k], (dims[0],), getattr(loaded.normalization, k)) for k in ("mean", "std")),
+    ]:
+        decoded = decode(text).reshape(shape)
+        assert decoded.shape == values.shape and decoded.tobytes() == values.tobytes()
+
+
+def test_readme_file_formats_name_every_schema():
+    # A schema bump that leaves the documented format on the old id fails here.
+    section = README.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    for schema in (SESSION_SCHEMA, MANIFEST_SCHEMA, LOG_SCHEMA, MODEL_SCHEMA):
+        assert f"`{schema}`" in section, schema

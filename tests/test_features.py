@@ -21,6 +21,7 @@ from bitetiming.features import (
     feature_names,
     fit_normalizer,
 )
+from bitetiming.mlp import init_mlp, load_model, save_model
 from bitetiming.signals import IMU_WINDOW_SAMPLES, MIC_WINDOW_SAMPLES
 
 
@@ -267,13 +268,18 @@ def test_fit_normalizer_errors():
         fit_normalizer(np.zeros(48))
 
 
-def test_normalization_stats_validation_and_round_trip():
+def test_normalization_stats_validation_and_round_trip(tmp_path):
     with pytest.raises(ValueError):
         NormalizationStats(mean=np.zeros(3), std=np.ones(4))
-    stats = NormalizationStats(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
-    again = NormalizationStats.from_dict(stats.to_dict())
-    np.testing.assert_array_equal(again.mean, stats.mean)
-    np.testing.assert_array_equal(again.std, stats.std)
+    # A model file is where the statistics are stored.
+    rng = np.random.default_rng(4)
+    stats = NormalizationStats(mean=rng.normal(0.0, 1e3, 48), std=rng.uniform(1e-9, 2.0, 48))
+    model = init_mlp((48, 2, 1), seed=0)
+    model.normalization = stats
+    save_model(model, tmp_path / "model.json")
+    again = load_model(tmp_path / "model.json").normalization
+    assert again.mean.tobytes() == stats.mean.tobytes()
+    assert again.std.tobytes() == stats.std.tobytes()
 
 
 def test_apply_normalizer_centering_and_identity():

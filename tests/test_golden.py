@@ -11,7 +11,10 @@ they became ``waffle/3`` (each column the base64 of its float64 bytes
 instead of a JSON array of numbers). Their arrays did not change, so every
 loss, report and log hash is as first recorded. ``model.json`` alone was
 re-recorded when models became ``bitetiming-model/2`` (the canonical text
-behind its checksum instead of an indented dump), with the same weights.
+behind its checksum instead of an indented dump), and again when they
+became ``bitetiming-model/3`` (each parameter array the base64 of its
+float64 bytes instead of nested lists of numbers), each time with the same
+weights.
 Float artifacts depend on the numpy build; the hashes were recorded with
 numpy 2.4.x on x86-64 OpenBLAS.
 
@@ -39,7 +42,7 @@ GOLDEN = {
     "data/p01_social.jsonl": "ba314340cbc34db4d38c8d9d75214a6dff8e5ca52cb4ff8bd0eb9a06a633793f",
     "data/p02_individual.jsonl": "8e11267cac6ca45e768032e38c3156d5651839c7396e0354bfd5de1fd1135757",
     "data/p02_social.jsonl": "e38d947a5c36501b5aa9b292f841d0932e137be62d2a571e5ef3ca1f33abf9cf",
-    "model.json": "6171c306f1f07a1a2dff9bf074c1540bcc94f39552c7626b010c3e6357be3347",
+    "model.json": "8b8467321315a282b90140ba16e24dcc7941957b201d441f86418fe37e325bde",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
     "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
     "reports/report.tsv": "24c27cb050872c792beef684ead0074fd62420437a0b5a674d29cae10ed9692b",

@@ -6,10 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_LIMITS, mutate_json, same_json, window_table, write_signed_model
+from conftest import (
+    JSON_LIMITS, b64, mutate_json, same_json, unb64, window_table, write_old_model, write_signed_model
+)
 
 from bitetiming.errors import DivergenceError, IntegrityError, SchemaVersionError
 from bitetiming.features import (
@@ -334,6 +336,38 @@ def test_save_load_round_trip_bitwise(tmp_path):
     assert model_digest(loaded) == model_digest(model)
 
 
+# Signed zeros, the smallest and largest subnormals and the largest finite
+# magnitudes: the values a decimal round trip is most likely to get wrong.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=55, max_size=55),
+    std=st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=12, max_size=12),
+)
+@example(params=(EDGE_FLOATS * 10)[:55], std=[5e-324, 2.2250738585072009e-308, 1.7976931348623157e308] * 4)
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, params, std):
+    # A 12-3-1 model's weights, biases and normalization mean, then its
+    # positive std, read back byte for byte, whatever finite values they hold.
+    model = init_mlp((12, 3, 1), seed=0)
+    model.ablation = "mic"
+    w0, w1, b0, b1, mean = np.split(np.array(params), [36, 39, 42, 43])
+    model.weights, model.biases = [w0.reshape(12, 3), w1.reshape(3, 1)], [b0, b1]
+    model.normalization = NormalizationStats(mean=mean, std=np.array(std))
+    path = tmp_path_factory.mktemp("round") / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for a, b in [
+        *zip(model.weights + model.biases, loaded.weights + loaded.biases),
+        (model.normalization.mean, loaded.normalization.mean),
+        (model.normalization.std, loaded.normalization.std),
+    ]:
+        assert b.shape == a.shape and b.tobytes() == a.tobytes()
+        assert b.flags.writeable and b.flags.owndata and b.flags.c_contiguous
+    assert path.read_text().startswith(f'{{"checksum":"{model_digest(loaded)}",')
+
+
 def test_saved_text_is_the_digest_then_the_canonical_payload(tmp_path):
     model = trained_toy_model()
     path = tmp_path / "model.json"
@@ -347,34 +381,35 @@ def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    doc["schema"] = "bitetiming-model/3"
+    doc["schema"] = "bitetiming-model/4"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaVersionError):
         load_model(path)
 
 
 def test_load_refuses_a_version_1_file(tmp_path):
-    # Written as save_model wrote /1 files; the schema is checked first.
+    # Written as save_model wrote /1 and /2 files; the schema is checked first.
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    doc["schema"] = "bitetiming-model/1"
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    message = (
-        f"{path}: model schema 'bitetiming-model/1' is not supported, "
-        "expected 'bitetiming-model/2'"
-    )
-    with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
-        load_model(path)
+    for version in (1, 2):
+        write_old_model(path, doc, version)
+        message = (
+            f"{path}: model schema 'bitetiming-model/{version}' is not supported, "
+            "expected 'bitetiming-model/3'"
+        )
+        with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
 
 def test_load_rejects_tampered_payload(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
-    doc = json.loads(path.read_text())
-    doc["weights"][0][0][0] += 1.0
-    path.write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError, match="checksum"):
+    text = path.read_text()
+    weights = json.loads(text)["weights"][0]
+    flipped = ("B" if weights[0] == "A" else "A") + weights[1:]
+    path.write_text(text.replace(weights, flipped))
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: checksum mismatch"):
         load_model(path)
 
 
@@ -411,18 +446,24 @@ def test_load_rejects_a_second_weights_member(tmp_path, last):
         load_model(path)
 
 
-def set_first(*keys, value):
-    """A mutation that sets the first number under doc[keys[0]][keys[1]]..."""
+def edit_array(*keys, edit):
+    """A mutation that decodes the array at doc[keys[0]][keys[1]]..., applies
+    ``edit`` to its values as a flat list, and stores them encoded again."""
 
     def mutate(doc):
         node = doc
-        for key in keys:
+        for key in keys[:-1]:
             node = node[key]
-        while isinstance(node[0], list):
-            node = node[0]
-        node[0] = value
+        values = unb64(node[keys[-1]])
+        edit(values)
+        node[keys[-1]] = b64(values)
 
     return mutate
+
+
+def set_first(*keys, value):
+    """A mutation that sets the first value of the array at doc[keys[0]]..."""
+    return edit_array(*keys, edit=lambda values: values.__setitem__(0, value))
 
 
 def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
@@ -438,27 +479,29 @@ def test_load_rejects_parameters_that_do_not_fit_layer_dims(tmp_path):
             load_model(path)
 
     def drop_a_column(doc):
-        doc["weights"][1] = [row[:-1] for row in doc["weights"][1]]
+        w = np.reshape(unb64(doc["weights"][1]), (128, 64))
+        doc["weights"][1] = b64(w[:, :-1])
 
-    rejects(drop_a_column, "weight and bias shapes do not match")
-    rejects(lambda doc: doc["biases"][0].pop(), "weight and bias shapes do not match")
+    rejects(drop_a_column, r"weights\[1\] holds 64512 bytes, not 8 x 8192")
+    rejects(edit_array("biases", 0, edit=list.pop), r"biases\[0\] holds 1016 bytes, not 8 x 128")
+    rejects(lambda doc: doc["biases"].pop(), "weights and biases are not 3 arrays each")
+    rejects(lambda doc: doc.update(weights=doc["weights"][0]), "weights and biases are not 3")
     rejects(lambda doc: doc.update(ablation="imu"), r"layer_dims \[48, .* do not start")
-    rejects(lambda doc: doc["normalization"]["std"].__setitem__(0, "1.5"), "values must")
-    rejects(lambda doc: [v.pop() for v in doc["normalization"].values()], "normalization")
+    rejects(edit_array("normalization", "mean", edit=list.pop), "normalization mean holds 376 bytes")
     rejects(lambda doc: doc["train_config"].pop("seed"), r"invalid train_config: missing")
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (set_first("weights", value="0.5"), "values must be lists of numbers"),
+        (lambda doc: doc["weights"].__setitem__(0, "0.5"), "weights[0] is not valid base64"),
         (lambda doc: doc.pop("weights"), "missing field 'weights'"),
     ],
     ids=["string-in-weights", "no-weights"],
 )
 def test_load_model_gives_the_parent_verdict_on_unusual_files(model_dir, mutate, message):
-    # Signed files that the bitetiming-model/1 loader refused for their
-    # weights; the /2 loader refuses them with the same message.
+    # Signed files that earlier loaders refused for their weights; the /3
+    # loader refuses them too. A numeric string is not base64.
     doc = json.loads((model_dir / "base.json").read_text())
     mutate(doc)
     path = model_dir / "unusual.json"
@@ -497,21 +540,53 @@ def test_load_rejects_train_config_values_of_the_wrong_type(tmp_path, key, value
         (set_first("normalization", "std", value=math.inf), "must be finite"),
         (set_first("normalization", "mean", value=math.inf), "must be finite"),
         (set_first("normalization", "mean", value=math.nan), "must be finite"),
-        (set_first("weights", value=math.nan), "must be finite"),
-        (set_first("biases", value=-math.inf), "must be finite"),
+        (set_first("weights", 0, value=math.nan), "must be finite"),
+        (set_first("biases", 0, value=-math.inf), "must be finite"),
         (lambda doc: doc.update(normalization=None), "normalization is not an object"),
-        (set_first("weights", value=10**400), "int too large to convert to float"),
-        (set_first("normalization", "std", value=10**400), "int too large to convert"),
     ],
 )
 def test_load_rejects_unusable_parameters(tmp_path, mutate, message):
-    # json.loads reads NaN and Infinity, so a file can hold them.
+    # float64 bytes can hold NaN and infinities, so a file can hold them.
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
     mutate(doc)
     write_signed_model(path, doc)
     with pytest.raises(IntegrityError, match=f"{path}: .*{message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        pytest.param(("weights", 0), [[0.5]], "weights[0] is not a string", id="list"),
+        pytest.param(("normalization", "std"), 1.5, "normalization std is not a string", id="number"),
+        pytest.param(("biases", 2), None, "biases[2] is not a string", id="null"),
+        pytest.param(
+            ("weights", 1), "AAAA!AAA", "weights[1] is not valid base64: Only base64 data is allowed",
+            id="alphabet",
+        ),
+        pytest.param(("biases", 0), "abc", "biases[0] is not valid base64: Incorrect padding", id="padding"),
+        pytest.param(
+            ("normalization", "mean"), "\u00e9AAA",
+            "normalization mean is not valid base64: string argument should contain only ASCII characters",
+            id="non-ascii",
+        ),
+        pytest.param(("biases", 2), b64([1.0])[:-4] + "AA==", "biases[2] holds 7 bytes, not 8 x 1", id="partial"),
+        pytest.param(("biases", 2), b64([1.0, 2.0]), "biases[2] holds 16 bytes, not 8 x 1", id="extra"),
+        pytest.param(("weights", 2), "", "weights[2] holds 0 bytes, not 8 x 64", id="empty"),
+    ],
+)
+def test_load_names_a_parameter_that_is_not_float64_base64(tmp_path, keys, value, message):
+    # One case or more for each way a parameter array can fail to be the
+    # base64 of its shape's float64 bytes, each signed so that the array,
+    # not the checksum, is what the loader refuses.
+    path = tmp_path / "model.json"
+    save_model(trained_toy_model(), path)
+    doc = json.loads(path.read_text())
+    doc[keys[0]][keys[1]] = value
+    write_signed_model(path, doc)
+    with pytest.raises(IntegrityError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_model(path)
 
 
