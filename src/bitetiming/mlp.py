@@ -5,7 +5,9 @@ directly against numpy: explicit forward pass, explicit backpropagation,
 explicit Adam. ReLU plus inverted dropout follow each hidden layer during
 training; inference is deterministic. The loss is mean absolute error with
 regression labels capped at ``LABEL_CAP_SECONDS`` before comparison, so the
-network never chases arbitrarily distant bites.
+network never chases arbitrarily distant bites. Training runs in float32,
+which halves the cost of its matmuls; a trained model holds the exact
+float64 copies of its float32 parameters, and inference runs in float64.
 
 Trained models serialize to a single self-describing JSON document carrying
 layer dimensions, parameters (each array the base64 of its float64 bytes),
@@ -38,7 +40,7 @@ from .features import (
 )
 from .pipeline import WindowTable
 
-MODEL_SCHEMA = "bitetiming-model/3"
+MODEL_SCHEMA = "bitetiming-model/4"
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DROPOUT_P = 0.1
 LABEL_CAP_SECONDS = 10.0
@@ -156,11 +158,12 @@ def _forward_cached(
 def _sample_dropout_masks(
     model: MlpModel, batch: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    masks = [rng.random((batch, dim)) for dim in model.layer_dims[1:-1]]
-    for m in masks:  # in place: each entry becomes 0 or 1 / keep probability
-        np.greater_equal(m, model.dropout_p, out=m)
-        m *= 1.0 / (1.0 - model.dropout_p)
-    return masks
+    dtype, scale = model.weights[0].dtype, 1.0 / (1.0 - model.dropout_p)
+    # Each entry is 0 or 1 / keep probability, in the parameters' dtype.
+    return [
+        np.multiply(rng.random((batch, dim)) >= model.dropout_p, scale, dtype=dtype)
+        for dim in model.layer_dims[1:-1]
+    ]
 
 
 def loss_and_gradients(
@@ -172,11 +175,13 @@ def loss_and_gradients(
     """Mean-absolute-error loss and its gradients for one batch.
 
     ``x`` is (batch, input_dim) normalized features, ``y`` (batch,) capped
-    labels. Returns (loss, weight_grads, bias_grads). The MAE subgradient is
-    sign(residual), taken as 0 at exactly zero residual.
+    labels, both cast to the dtype of the model's parameters, which the pass
+    runs in. Returns (loss, weight_grads, bias_grads), the gradients in that
+    dtype. The MAE subgradient is sign(residual), 0 at exactly zero residual.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    dtype = model.weights[0].dtype
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(
             f"x must be (batch, {model.input_dim}), got shape {x.shape}"
@@ -217,11 +222,12 @@ def train(
 
     Selects the ablation's feature columns, z-scores them with statistics
     fitted on these rows only, caps labels at ``cfg.label_cap_seconds``, and
-    runs mini-batch Adam on the MAE loss. Shuffling and dropout reseed from
-    ``cfg.seed`` every epoch, so identical inputs give bitwise-identical
-    models and loss histories.
+    runs mini-batch Adam on the MAE loss in float32. Shuffling and dropout
+    reseed from ``cfg.seed`` every epoch, so identical inputs give
+    bitwise-identical models and loss histories.
 
-    Returns the trained model and the per-epoch mean training MAE.
+    Returns the trained model, its parameters the float64 copies of the
+    float32 ones, and the per-epoch mean training MAE.
     """
     if not len(windows):
         raise ValueError("cannot train on an empty window table")
@@ -233,19 +239,20 @@ def train(
     raw = windows.features[:, columns]
 
     stats = fit_normalizer(raw)
-    x_all = apply_normalizer(stats, raw)
-    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
+    x_all = apply_normalizer(stats, raw).astype(np.float32)
+    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds).astype(np.float32)
 
     model = init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed)
     model.normalization = stats
     model.ablation = ablation
     model.train_config = cfg
 
-    # Parameters live in one flat buffer, the tensors are views of it, and
-    # gradients are gathered into the same layout, so Adam is one in-place
-    # pass of elementwise ops in the order m, v, bias correction, update.
+    # Parameters live in one flat float32 buffer, the tensors are views of it,
+    # and gradients are gathered into the same layout, so Adam is one in-place
+    # pass of elementwise ops in the order m, v, bias correction, update. Its
+    # scalars are Python floats, which keep the arithmetic in float32.
     tensors = model.weights + model.biases
-    params = np.concatenate([t.ravel() for t in tensors])
+    params = np.concatenate([t.ravel() for t in tensors], dtype=np.float32)
     offsets = np.cumsum([t.size for t in tensors])[:-1]
     views = [v.reshape(t.shape) for v, t in zip(np.split(params, offsets), tensors)]
     n_layers = len(model.weights)
@@ -298,6 +305,8 @@ def train(
             scratch /= denom
             params -= scratch
         loss_history.append(epoch_abs_err / n_rows)
+    model.weights = [w.astype(np.float64) for w in model.weights]
+    model.biases = [b.astype(np.float64) for b in model.biases]
     return model, loss_history
 
 
@@ -367,8 +376,13 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def _array(value, where: str, shape) -> np.ndarray:
-    """An owned, writable float64 array of ``shape`` read from its base64."""
-    return f8_from_base64(value, where, math.prod(shape)).reshape(shape).copy()
+    """An owned, writable float64 array of ``shape`` read from its base64, which
+    must be the string save_model writes for it, or the digest would not be
+    the file's checksum."""
+    values = f8_from_base64(value, where, math.prod(shape))
+    if f8_to_base64(values) != value:
+        raise ValueError(f"{where} is not canonical base64")
+    return values.reshape(shape).copy()
 
 
 def _model_from_doc(doc: dict) -> MlpModel:
@@ -442,8 +456,8 @@ def load_model(path: str | Path) -> MlpModel:
             re-formatted since ``save_model`` wrote it), a feature layout
             this build does not produce, a missing field, ``layer_dims``
             that do not fit the ablation, a parameter array that is not a
-            string, not valid base64 or not the byte count of its shape, a
-            parameter that is not finite, a normalization std that is not
+            string, not canonical base64 or not the byte count of its shape,
+            a parameter that is not finite, a normalization std that is not
             positive, or a ``train_config`` value of the wrong type.
     """
     path = Path(path)

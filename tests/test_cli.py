@@ -3,7 +3,11 @@
 import base64
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ from conftest import JSON_LIMITS, time_limit, write_old_model, write_signed_mode
 from bitetiming import cli
 from bitetiming.cli import main
 from bitetiming.features import NormalizationStats
-from bitetiming.mlp import init_mlp, load_model, save_model
+from bitetiming.mlp import init_mlp, load_model, model_digest, save_model
 from bitetiming.policy import Command
 from bitetiming.sim import read_session_log
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,28 @@ def test_train_writes_model_and_loss_table(dataset_dir, tmp_path, capsys):
     assert loss_lines[1].startswith("0\t")
     out = capsys.readouterr().out
     assert "48 features" in out
+
+
+def test_train_writes_the_same_model_on_one_or_two_blas_threads(dataset_dir, tmp_path):
+    # The CLI leaves OpenBLAS its own thread count, and the default network's
+    # matmuls are large enough for OpenBLAS to split over two threads.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["train", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out / "model.json")]
+        result = subprocess.run(
+            [sys.executable, "-m", "bitetiming.cli", *argv, "--epochs", "2"],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(written[0]) == ["model.json", "model.json.loss.tsv"]
+    assert written[0] == written[1]
+    assert model_digest(load_model(tmp_path / "threads2" / "model.json")) == json.loads(
+        written[0]["model.json"]
+    )["checksum"]
 
 
 def test_train_ablation_shrinks_the_input(dataset_dir, tmp_path):
@@ -423,14 +451,14 @@ def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
     model_path = tmp_path / "old.json"
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         write_old_model(model_path, doc, version)
         rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
             f"error: {model_path}: model schema 'bitetiming-model/{version}' is not supported, "
-            "expected 'bitetiming-model/3'"
+            "expected 'bitetiming-model/4'"
         ]
         assert not (tmp_path / "log.jsonl").exists()
 

@@ -8,13 +8,17 @@ an imu quaternion, and again, with ``session.jsonl`` of ``GOLDEN_LONG``, when
 session files became ``waffle/2`` (one line per column of each track
 instead of one line per sample), and again, the same five files only, when
 they became ``waffle/3`` (each column the base64 of its float64 bytes
-instead of a JSON array of numbers). Their arrays did not change, so every
-loss, report and log hash is as first recorded. ``model.json`` alone was
+instead of a JSON array of numbers). Their arrays did not change, so no
+loss, report or log hash moved with them. ``model.json`` alone was
 re-recorded when models became ``bitetiming-model/2`` (the canonical text
 behind its checksum instead of an indented dump), and again when they
 became ``bitetiming-model/3`` (each parameter array the base64 of its
 float64 bytes instead of nested lists of numbers), each time with the same
-weights.
+weights. When models became ``bitetiming-model/4`` (trained in float32, so
+the same data and seed give other weights), the hashes that come from a
+model were re-recorded: ``model.json``, the three report files and both
+``sim.jsonl`` files. The report files carry no layout id of their own; they
+moved with the model. The loss table, printed to six decimals, did not move.
 Float artifacts depend on the numpy build; the hashes were recorded with
 numpy 2.4.x on x86-64 OpenBLAS.
 
@@ -42,16 +46,16 @@ GOLDEN = {
     "data/p01_social.jsonl": "ba314340cbc34db4d38c8d9d75214a6dff8e5ca52cb4ff8bd0eb9a06a633793f",
     "data/p02_individual.jsonl": "8e11267cac6ca45e768032e38c3156d5651839c7396e0354bfd5de1fd1135757",
     "data/p02_social.jsonl": "e38d947a5c36501b5aa9b292f841d0932e137be62d2a571e5ef3ca1f33abf9cf",
-    "model.json": "8b8467321315a282b90140ba16e24dcc7941957b201d441f86418fe37e325bde",
+    "model.json": "00f6b9abc15a4a22beb50efba2c6abec3986b3fd8ace5ac337a52acf6c1c8bc0",
     "model.json.loss.tsv": "4c9b54ae025926111497654a8cd71a6f3e82c243fcf922ef73bae7afd323f30e",
-    "reports/report.jsonl": "27c5a85ead3c94c9b424769c603c8f3c0682ac68b26dd969908f575771b00ae3",
-    "reports/report.tsv": "24c27cb050872c792beef684ead0074fd62420437a0b5a674d29cae10ed9692b",
-    "reports/summary.txt": "51be6d206d0634aa4db7fe07d1872253a444419a87e0ae84a1d103f343d1a00d",
-    "sim.jsonl": "afb70ee8db9948a2d6dda165de4d9fb63f677180e6860facc65ad4104d4c38f3",
+    "reports/report.jsonl": "6996039569e966de9630742ccfe9f9cf711d3006f87631d5922c320b9645b672",
+    "reports/report.tsv": "d1b3ef2efb2ba86086d47d72b7b1366f518d26f4fb0d50247549617ee72a9df1",
+    "reports/summary.txt": "1536624d655f145f69e47650c1c21800232403d6e99aee0b79e908a1db53a6ac",
+    "sim.jsonl": "bd564cce878578e282cb31c64dd33f7c225b68e4b7eec9d5198f2a8ecda5be20",
 }
 GOLDEN_LONG = {
     "session.jsonl": "30da148d803ef68843742749489a88169c3258cb2d652a0fdb53cee5f7986218",
-    "sim.jsonl": "c1462898cb128487eb897ab02870d85bb6f57b63841590e39f8bd328e957f7db",
+    "sim.jsonl": "5ca583e8ffa24083ab6ef7e8049eb6c88bc6865782a11b64a604eec2a44140cd",
 }
 
 golden_numpy = pytest.mark.skipif(

@@ -1,12 +1,14 @@
 """Network initialization, forward/backward passes, training, serialization."""
 
+import dataclasses
 import json
 import math
 import re
+import string
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -70,6 +72,15 @@ def test_init_validation():
 def identity_normalized(model, dim=48):
     model.normalization = NormalizationStats(mean=np.zeros(dim), std=np.ones(dim))
     return model
+
+
+def with_dtype(model, dtype):
+    """A copy of the model with its weights and biases cast to ``dtype``."""
+    return dataclasses.replace(
+        model,
+        weights=[w.astype(dtype) for w in model.weights],
+        biases=[b.astype(dtype) for b in model.biases],
+    )
 
 
 def test_forward_zero_network_outputs_bias():
@@ -193,6 +204,63 @@ def test_backprop_matches_central_differences():
     assert checked >= 60
 
 
+def test_loss_and_gradients_compute_in_the_parameters_dtype():
+    model = init_mlp((48, 8, 4, 1), seed=1)
+    x = np.random.default_rng(2).normal(0.0, 1.0, (5, 48))
+    masks = {}
+    for dtype in (np.float64, np.float32):
+        net = with_dtype(model, dtype)
+        masks[dtype] = _sample_dropout_masks(net, 5, np.random.default_rng(3))
+        _, w_grads, b_grads = loss_and_gradients(net, x, np.full(5, 3.0), masks[dtype])
+        assert [m.dtype for m in masks[dtype]] == [dtype] * 2
+        assert [g.dtype for g in w_grads + b_grads] == [dtype] * 6
+    # One float64 draw per unit either way, so the same units drop.
+    for m32, m64 in zip(masks[np.float32], masks[np.float64]):
+        np.testing.assert_array_equal(m32, m64.astype(np.float32))
+
+
+def gates(net, x, y):
+    """Each row's ReLU gates and the sign of its residual."""
+    y_hat, _, pre_acts = _forward_cached(net.weights, net.biases, x.astype(net.weights[0].dtype), None)
+    return np.hstack([z > 0 for z in pre_acts[:-1]] + [np.sign(y_hat - y)[:, None]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden_dims=st.lists(st.integers(1, 32), min_size=1, max_size=2).map(tuple),
+    batch=st.integers(1, 32),
+)
+def test_float32_gradients_are_the_float64_ones_within_rounding(seed, hidden_dims, batch):
+    # Parameters and inputs that float32 holds exactly, so the two passes
+    # differ only by float32 rounding. A sum of k products rounds by at most
+    # k * 2**-24 of the sum of their magnitudes, and those magnitudes are what
+    # a network of |W| and |b| computes at |x| with every unit open; no sum
+    # here, chained through the layers, has more terms than every fan-in and
+    # fan-out plus the batch. Rows where a ReLU gate or the residual's sign
+    # differs between the passes are left out, as the gradient check does.
+    rng = np.random.default_rng(seed)
+    model = init_mlp((48, *hidden_dims, 1), seed=seed)
+    model.biases = [rng.normal(0.0, 0.5, b.shape) for b in model.biases]
+    net32 = with_dtype(model, np.float32)
+    net64 = with_dtype(net32, np.float64)
+    x = rng.normal(0.0, 1.0, (batch, 48)).astype(np.float32).astype(np.float64)
+    y = rng.uniform(0.0, 10.0, batch).astype(np.float32).astype(np.float64)
+    same = (gates(net32, x, y) == gates(net64, x, y)).all(axis=1)
+    assume(same.any())
+    x, y = x[same], y[same]
+    magnitudes = dataclasses.replace(
+        net64, weights=[np.abs(w) for w in net64.weights], biases=[np.abs(b) for b in net64.biases]
+    )
+    loss32, w32, bias32 = loss_and_gradients(net32, x, y)
+    loss64, w64, bias64 = loss_and_gradients(net64, x, y)
+    loss_mag, w_mag, bias_mag = loss_and_gradients(magnitudes, np.abs(x), -y)
+    bound = (2 * sum(model.layer_dims) + x.shape[0]) * 2.0**-24
+    assert abs(loss32 - loss64) <= bound * loss_mag
+    for g32, g64, mag in zip(w32 + bias32, w64 + bias64, w_mag + bias_mag):
+        assert np.all(np.abs(g32.astype(np.float64) - g64) <= bound * mag)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -228,6 +296,13 @@ def test_train_is_bitwise_deterministic():
     assert model_digest(model_a) == model_digest(model_b)
     model_c, _ = train(windows, TrainConfig(epochs=5, batch_size=16, seed=12))
     assert model_digest(model_a) != model_digest(model_c)
+
+
+def test_trained_parameters_are_float32_values_held_as_float64():
+    model = trained_toy_model()
+    for p in model.weights + model.biases:
+        assert p.dtype == np.float64 and p.flags.owndata
+        np.testing.assert_array_equal(p.astype("<f4").astype("<f8"), p)
 
 
 def test_train_caps_labels_at_ten_seconds():
@@ -381,22 +456,22 @@ def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    doc["schema"] = "bitetiming-model/4"
+    doc["schema"] = "bitetiming-model/5"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaVersionError):
         load_model(path)
 
 
 def test_load_refuses_a_version_1_file(tmp_path):
-    # Written as save_model wrote /1 and /2 files; the schema is checked first.
+    # Written as save_model wrote /1, /2 and /3 files; the schema is checked first.
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         write_old_model(path, doc, version)
         message = (
             f"{path}: model schema 'bitetiming-model/{version}' is not supported, "
-            "expected 'bitetiming-model/3'"
+            "expected 'bitetiming-model/4'"
         )
         with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
             load_model(path)
@@ -575,6 +650,9 @@ def test_load_rejects_unusable_parameters(tmp_path, mutate, message):
         pytest.param(("biases", 2), b64([1.0])[:-4] + "AA==", "biases[2] holds 7 bytes, not 8 x 1", id="partial"),
         pytest.param(("biases", 2), b64([1.0, 2.0]), "biases[2] holds 16 bytes, not 8 x 1", id="extra"),
         pytest.param(("weights", 2), "", "weights[2] holds 0 bytes, not 8 x 64", id="empty"),
+        pytest.param(
+            ("biases", 2), "AAAAAAAAAAB=", "biases[2] is not canonical base64", id="unused-bits"
+        ),
     ],
 )
 def test_load_names_a_parameter_that_is_not_float64_base64(tmp_path, keys, value, message):
@@ -678,6 +756,35 @@ def test_load_model_byte_edits_load_the_same_model_or_name_the_file(model_dir, d
         assert model_digest(model) == model_digest(load_model(model_dir / "base.json"))
 
 
+BASE64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    array=st.sampled_from(
+        [("weights", 0), ("weights", 1), ("biases", 0), ("biases", 1), ("normalization", "mean"),
+         ("normalization", "std")]
+    ),
+    at=st.integers(0, 2**16),
+    flip=st.integers(1, 63),
+)
+@example(array=("biases", 1), at=10, flip=1)
+def test_every_model_load_accepts_has_its_checksum_as_digest(model_dir, array, at, flip):
+    # Change one base64 digit of one parameter array and sign the file again.
+    # biases[1] holds one float64 in 12 characters, and the last before its
+    # "=" carries two unused bits: flipping one decodes to the same bytes.
+    doc = json.loads((model_dir / "base.json").read_text())
+    text = doc[array[0]][array[1]]
+    at %= len(text.rstrip("="))
+    digit = BASE64_ALPHABET[BASE64_ALPHABET.index(text[at]) ^ flip]
+    doc[array[0]][array[1]] = text[:at] + digit + text[at + 1 :]
+    path = model_dir / "digit.json"
+    write_signed_model(path, doc)
+    model = assert_loads_or_names_the_file(path)
+    if model is not None:
+        assert model_digest(model) == json.loads(path.read_text())["checksum"]
+
+
 def test_model_digest_tracks_parameters():
     model = trained_toy_model()
     digest = model_digest(model)
@@ -687,7 +794,8 @@ def test_model_digest_tracks_parameters():
 
 # The trainer as it stood before its parameters moved into one flat buffer,
 # frozen here as the reference for its bits: per-tensor Adam with fresh
-# temporaries, a gather per batch, and d_z @ W.T for every layer.
+# temporaries, a gather per batch, and d_z @ W.T for every layer, all in
+# float32 from the rounded float64 draws of init_mlp.
 def _reference_forward_cached(weights, biases, x, masks):
     activations = [x]
     pre_acts = []
@@ -731,9 +839,9 @@ def _reference_train(windows, cfg, ablation, hidden_dims):
     columns = ablation_indices(ablation)
     raw = windows.features[:, columns]
     stats = fit_normalizer(raw)
-    x_all = apply_normalizer(stats, raw)
-    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
-    model = init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed)
+    x_all = apply_normalizer(stats, raw).astype(np.float32)
+    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds).astype(np.float32)
+    model = with_dtype(init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed), np.float32)
     model.normalization = stats
     model.ablation = ablation
     model.train_config = cfg
@@ -765,6 +873,8 @@ def _reference_train(windows, cfg, ablation, hidden_dims):
                 v_hat = adam_v[i] / (1 - cfg.beta2**step)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
         loss_history.append(epoch_abs_err / n_rows)
+    model.weights = [w.astype(np.float64) for w in model.weights]
+    model.biases = [b.astype(np.float64) for b in model.biases]
     return model, loss_history
 
 
@@ -794,12 +904,14 @@ def test_train_matches_the_reference_bit_for_bit(
     assert losses == ref_losses
     assert model_digest(model) == model_digest(ref_model)
 
-    # One batch through both backprops, with dropout, from the trained model.
+    # One batch through both backprops, with dropout, from the trained model
+    # in float64 and from a float32 copy of it.
     x = apply_normalizer(model.normalization, windows.features[:, ablation_indices(ablation)])
     y = np.minimum(windows.time_to_bite, cfg.label_cap_seconds)
-    masks = _sample_dropout_masks(model, n_rows, np.random.default_rng(seed))
-    got = loss_and_gradients(model, x, y, masks)
-    want = _reference_loss_and_gradients(model, x, y, masks)
-    assert got[0] == want[0]
-    for g, w in zip(got[1] + got[2], want[1] + want[2]):
-        np.testing.assert_array_equal(g, w)
+    for net, dtype in ((model, np.float64), (with_dtype(model, np.float32), np.float32)):
+        masks = _sample_dropout_masks(net, n_rows, np.random.default_rng(seed))
+        got = loss_and_gradients(net, x, y, masks)
+        want = _reference_loss_and_gradients(net, x.astype(dtype), y.astype(dtype), masks)
+        assert got[0] == want[0]
+        for g, w in zip(got[1] + got[2], want[1] + want[2]):
+            np.testing.assert_array_equal(g, w)
