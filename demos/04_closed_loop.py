@@ -31,7 +31,7 @@ def describe(name, log):
     arrivals = [b.feeding_arrival_t for b in log.bites]
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
     mean_gap = sum(gaps) / len(gaps) if gaps else float("nan")
-    print(f"{name:>22} {log.bite_count():>5} {mean_gap:>9.1f} "
+    print(f"{name:>22} {len(log.bites):>5} {mean_gap:>9.1f} "
           f"{proceed / len(log.ticks):>8.2f}")
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     scenario = synthesize_scenario("held-out", "social", 150.0, seed=[21])
     predictor = model_predictor(model)
     n_talking = sum(
-        1 for s in scenario.script.segments if s.state is BehaviorState.TALKING
+        1 for s in scenario.oracle.script.segments if s.state is BehaviorState.TALKING
     )
     print(f"session: 150 s social dining, {n_talking} talking segments\n")
     print(f"{'policy':>22} {'bites':>5} {'gap (s)':>9} {'proceed':>8}")

@@ -203,7 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if tick.command in (Command.PROCEED, Command.TRIGGER_FULL_TRAJECTORY)
     )
     print(
-        f"wrote {out} ({log.bite_count()} bites, "
+        f"wrote {out} ({len(log.bites)} bites, "
         f"mean inter-bite {mean_gap:.1f} s, "
         f"proceed fraction {proceedish / max(len(log.ticks), 1):.2f})"
     )

@@ -6,7 +6,8 @@ always predicts the training-label mean. Alignment quality compares the
 thresholded predictions against ground-truth proceed/stop motion labels:
 accuracy, Matthews correlation (MCC), and normalized MCC (nMCC =
 (MCC + 1) / 2, so chance-level or degenerate agreement sits at 0.5).
-Proceeding is the positive class.
+Proceeding is the positive class. Alignment is kept as confusion counts per
+participant and tau, and every score is computed from them.
 
 Cross-validation holds out every session of one participant per fold.
 Normalization statistics and network weights come from the training fold
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,100 +128,51 @@ def accuracy(counts: ConfusionCounts) -> float:
     return (counts.tp + counts.tn) / counts.total
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Threshold-vs-ground-truth agreement for one participant at one tau."""
-
-    participant_id: str
-    tau: float
-    n_windows: int
-    counts: ConfusionCounts
-    accuracy: float
-    mcc: float
-    nmcc: float
-    mae_seconds: float
-
-
-def _threshold_decisions(y_hat: np.ndarray, tau: float) -> np.ndarray:
-    """Vectorized proceed decisions: proceed iff finite and y_hat <= tau."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    return (np.isfinite(y_hat) & (y_hat <= tau)).astype(np.int64)
-
-
-def _alignment_by_tau(
+def _counts_by_tau(
     y_hat: np.ndarray,
     windows: WindowTable,
     taus: tuple[float, ...],
-    label_cap: float,
-) -> list[tuple[str, dict[float, AlignmentReport]]]:
-    """Every tau's report per participant, all from one prediction vector.
+) -> dict[str, dict[float, ConfusionCounts]]:
+    """Every tau's confusion counts per participant, all from one prediction.
 
-    Windows without a motion label are skipped for the confusion counts but
-    still contribute to the per-participant regression MAE. Participants with
-    no motion label at all get no reports.
+    Each window proceeds iff its prediction is finite and at most tau.
+    Windows without a motion label are skipped, and participants with none
+    are left out.
     """
-    results = []
-    for pid in np.unique(windows.participant):
-        rows = windows.participant == pid
-        known = windows.motion_known[rows]
-        if not known.any():
-            continue
-        fold_mae = mae_seconds(y_hat[rows], windows.time_to_bite[rows], label_cap)
-        decided_y_hat = y_hat[rows][known]
-        moving = windows.motion_label[rows][known]
-        by_tau = {}
-        for tau in taus:
-            counts = confusion(_threshold_decisions(decided_y_hat, tau), moving)
-            by_tau[float(tau)] = AlignmentReport(
-                participant_id=str(pid),
-                tau=float(tau),
-                n_windows=int(known.sum()),
-                counts=counts,
-                accuracy=accuracy(counts),
-                mcc=mcc(counts),
-                nmcc=nmcc(counts),
-                mae_seconds=fold_mae,
-            )
-        results.append((str(pid), by_tau))
-    return results
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    known = windows.motion_known
+    by_participant = {}
+    for pid in np.unique(windows.participant[known]):
+        rows = known & (windows.participant == pid)
+        decided_y_hat, moving = y_hat[rows], windows.motion_label[rows]
+        finite = np.isfinite(decided_y_hat)
+        by_participant[str(pid)] = {
+            float(tau): confusion(finite & (decided_y_hat <= tau), moving)
+            for tau in taus
+        }
+    return by_participant
 
 
-def _best_tau(by_tau: dict[float, AlignmentReport]) -> float:
+def _best_tau(by_tau: dict[float, ConfusionCounts]) -> float:
     """The tau with the highest nMCC; ties go to the smaller tau."""
-    return max(sorted(by_tau), key=lambda tau: by_tau[tau].nmcc)
+    return max(sorted(by_tau), key=lambda tau: nmcc(by_tau[tau]))
 
 
 def evaluate_alignment(
     model: MlpModel,
     windows: WindowTable,
     tau: float = DEFAULT_TAU,
-) -> list[AlignmentReport]:
-    """Per-participant alignment of thresholded predictions at one tau."""
-    y_hat = np.asarray(predict(model, windows.features))
-    return [
-        by_tau[float(tau)]
-        for _, by_tau in _alignment_by_tau(y_hat, windows, (tau,), LABEL_CAP_SECONDS)
-    ]
+) -> dict[str, ConfusionCounts]:
+    """Per-participant confusion counts of thresholded predictions at one tau."""
+    by_participant = _counts_by_tau(predict(model, windows.features), windows, (tau,))
+    return {pid: by_tau[float(tau)] for pid, by_tau in by_participant.items()}
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Per-participant threshold sweep: reports for every tau, best first."""
-
-    participant_id: str
-    best_tau: float
-    by_tau: dict[float, AlignmentReport]
-
-
-def sweep_thresholds(model: MlpModel, windows: WindowTable) -> list[SweepResult]:
-    """Sweep ``TAU_GRID`` per participant, maximizing nMCC; ties go to smaller tau."""
-    y_hat = np.asarray(predict(model, windows.features))
-    return [
-        SweepResult(participant_id=pid, best_tau=_best_tau(by_tau), by_tau=by_tau)
-        for pid, by_tau in _alignment_by_tau(
-            y_hat, windows, TAU_GRID, LABEL_CAP_SECONDS
-        )
-    ]
+def sweep_thresholds(
+    model: MlpModel, windows: WindowTable
+) -> dict[str, dict[float, ConfusionCounts]]:
+    """Per-participant confusion counts at every tau in ``TAU_GRID``."""
+    return _counts_by_tau(predict(model, windows.features), windows, TAU_GRID)
 
 
 @dataclass
@@ -232,7 +184,7 @@ class FoldResult:
     n_test_rows: int
     mae_seconds: float
     naive_mae_seconds: float
-    alignment_by_tau: dict[float, AlignmentReport]
+    counts_by_tau: dict[float, ConfusionCounts]
     best_tau: float
     model_digest: str
     final_train_loss: float
@@ -255,22 +207,22 @@ class LosoEvaluation:
     def macro_naive_mae(self) -> float:
         return float(np.mean([f.naive_mae_seconds for f in self.folds]))
 
-    def _reports(self, tau: float | None) -> list[AlignmentReport]:
-        """Each fold's report at a fixed tau, or at the fold's best tau if None."""
+    def _counts(self, tau: float | None) -> list[ConfusionCounts]:
+        """Each fold's counts at a fixed tau, or at the fold's best tau if None."""
         return [
-            f.alignment_by_tau[f.best_tau if tau is None else float(tau)]
+            f.counts_by_tau[f.best_tau if tau is None else float(tau)]
             for f in self.folds
         ]
 
     def macro_nmcc(self, tau: float | None = None) -> float:
         """Macro-average nMCC at a fixed tau, or each fold's optimum if None."""
-        return float(np.mean([r.nmcc for r in self._reports(tau)]))
+        return float(np.mean([nmcc(c) for c in self._counts(tau)]))
 
     def macro_accuracy(self, tau: float | None = None) -> float:
-        return float(np.mean([r.accuracy for r in self._reports(tau)]))
+        return float(np.mean([accuracy(c) for c in self._counts(tau)]))
 
     def micro_counts(self, tau: float | None = None) -> ConfusionCounts:
-        return sum((r.counts for r in self._reports(tau)), ConfusionCounts(0, 0, 0, 0))
+        return sum(self._counts(tau), ConfusionCounts(0, 0, 0, 0))
 
     def micro_nmcc(self, tau: float | None = None) -> float:
         return nmcc(self.micro_counts(tau))
@@ -289,7 +241,7 @@ def run_loso(
     """Train and evaluate one model per leave-one-subject-out fold.
 
     Each fold predicts its held-out rows once; the regression MAE, the
-    alignment report of every tau in ``TAU_GRID`` and the best tau all come
+    confusion counts of every tau in ``TAU_GRID`` and the best tau all come
     from that prediction.
 
     Raises ValueError when ``fixed_tau`` is not in ``TAU_GRID``, and
@@ -317,23 +269,23 @@ def run_loso(
             raise InsufficientDataError(f"participant {pid} has no motion labels")
         model, losses = train(train_rows, cfg, ablation, hidden_dims)
 
-        y_hat = np.asarray(predict(model, test_rows.features))
-        [(_, alignment_by_tau)] = _alignment_by_tau(
-            y_hat, test_rows, TAU_GRID, cfg.label_cap_seconds
-        )
-        best_tau = _best_tau(alignment_by_tau)
+        y_hat = predict(model, test_rows.features)
+        counts_by_tau = _counts_by_tau(y_hat, test_rows, TAU_GRID)[pid]
+        best_tau = _best_tau(counts_by_tau)
         results.append(
             FoldResult(
                 participant_id=pid,
                 n_train_rows=len(train_rows),
                 n_test_rows=len(test_rows),
-                mae_seconds=alignment_by_tau[best_tau].mae_seconds,  # same at every tau
+                mae_seconds=mae_seconds(
+                    y_hat, test_rows.time_to_bite, cfg.label_cap_seconds
+                ),
                 naive_mae_seconds=naive_mean_baseline(
                     train_rows.time_to_bite,
                     test_rows.time_to_bite,
                     cfg.label_cap_seconds,
                 ),
-                alignment_by_tau=alignment_by_tau,
+                counts_by_tau=counts_by_tau,
                 best_tau=best_tau,
                 model_digest=model_digest(model),
                 final_train_loss=losses[-1],
@@ -393,21 +345,18 @@ def report_rows(evaluations: list[LosoEvaluation]) -> list[dict]:
     for ev in evaluations:
         for fold in ev.folds:
             for tau in TAU_GRID:
-                rep = fold.alignment_by_tau[float(tau)]
+                counts = fold.counts_by_tau[float(tau)]
                 rows.append(
                     {
                         "ablation": ev.ablation,
                         "participant": fold.participant_id,
                         "tau": float(tau),
                         "is_best_tau": tau == fold.best_tau,
-                        "n_windows": rep.n_windows,
-                        "tp": rep.counts.tp,
-                        "tn": rep.counts.tn,
-                        "fp": rep.counts.fp,
-                        "fn": rep.counts.fn,
-                        "accuracy": rep.accuracy,
-                        "mcc": rep.mcc,
-                        "nmcc": rep.nmcc,
+                        "n_windows": counts.total,
+                        **asdict(counts),
+                        "accuracy": accuracy(counts),
+                        "mcc": mcc(counts),
+                        "nmcc": nmcc(counts),
                         "mae_seconds": fold.mae_seconds,
                         "naive_mae_seconds": fold.naive_mae_seconds,
                     }

@@ -351,6 +351,11 @@ def check_duration(duration: float) -> None:
         )
 
 
+def _check_scenario(scenario: str) -> None:
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+
+
 def sample_behavior_script(
     rng: np.random.Generator,
     duration: float,
@@ -358,6 +363,7 @@ def sample_behavior_script(
     style: ParticipantStyle,
 ) -> BehaviorScript:
     """Sample the participant's behavior segments for one session."""
+    _check_scenario(scenario)
     check_duration(duration)
     transitions = (
         _SOCIAL_TRANSITIONS if scenario == "social" else _INDIVIDUAL_TRANSITIONS
@@ -426,8 +432,7 @@ class OracleLabeler:
         script: BehaviorScript,
         partner_script: BehaviorScript | None = None,
     ) -> None:
-        if scenario not in ("individual", "social"):
-            raise ValueError(f"unknown scenario {scenario!r}")
+        _check_scenario(scenario)
         if scenario == "social" and partner_script is None:
             raise ValueError("the social scenario needs a partner script")
         self.scenario = scenario
@@ -568,11 +573,10 @@ def _synth_mic(
 
 @dataclass
 class SyntheticScenario:
-    """A generated session with the behavior script and the oracle (which
-    holds any partner script) that produced it."""
+    """A generated session with the oracle (which holds the behavior script
+    and any partner script) that produced it."""
 
     session: SessionRecord
-    script: BehaviorScript
     oracle: OracleLabeler
 
 
@@ -616,6 +620,7 @@ def synthesize_scenario(
     style_spread: float = 1.0,
 ) -> SyntheticScenario:
     """Generate behavior, sensors, and oracle-driven ground truth."""
+    _check_scenario(scenario)
     rng = np.random.default_rng(seed)
     if style is None:
         style = sample_style(rng, style_spread)
@@ -644,7 +649,7 @@ def synthesize_scenario(
         motion_moving=moving,
     )
     validate_session(session)
-    return SyntheticScenario(session=session, script=script, oracle=oracle)
+    return SyntheticScenario(session=session, oracle=oracle)
 
 
 def generate_synthetic_session(
@@ -715,9 +720,6 @@ class SessionLog:
     duration: float
     ticks: list[TickLog] = field(default_factory=list)
     bites: list[BiteEvent] = field(default_factory=list)
-
-    def bite_count(self) -> int:
-        return len(self.bites)
 
 
 def model_predictor(model):

@@ -229,7 +229,7 @@ def test_criterion_6_determinism_and_monotone_assertiveness(
 ):
     all_mono = True
     for k in range(20):
-        counts = [waffle_logs[(k, level)].bite_count() for level in range(1, 6)]
+        counts = [len(waffle_logs[(k, level)].bites) for level in range(1, 6)]
         all_mono = all_mono and all(a <= b for a, b in zip(counts, counts[1:]))
 
     scn = synthesize_scenario("sim00", "individual", 150.0, seed=[11, 0])

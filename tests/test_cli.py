@@ -285,7 +285,7 @@ def test_simulate_fixed_interval(tmp_path, capsys):
     )
     assert rc == 0
     log = read_session_log(log_path)
-    assert log.bite_count() == 3
+    assert len(log.bites) == 3
     triggers = [
         t.t for t in log.ticks if t.command is Command.TRIGGER_FULL_TRAJECTORY
     ]
@@ -309,7 +309,7 @@ def test_simulate_always_feed_never_stops(tmp_path):
     assert rc == 0
     log = read_session_log(log_path)
     assert all(t.command is Command.PROCEED for t in log.ticks)
-    assert log.bite_count() >= 3
+    assert len(log.bites) >= 3
 
 
 def test_simulate_waffle_end_to_end(dataset_dir, tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import window_table
 
@@ -155,16 +157,12 @@ def test_evaluate_alignment_counts_by_hand():
         ("p1", 7.0, 7.0, 1),   # stop, moving: FN
         ("p1", 2.0, 2.0, None),  # no motion truth: MAE only
     )
-    reports = evaluate_alignment(passthrough_model(), rows, tau=6.0)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.participant_id == "p1"
-    assert rep.n_windows == 4
-    assert (rep.counts.tp, rep.counts.tn, rep.counts.fp, rep.counts.fn) == (1, 1, 1, 1)
-    assert rep.accuracy == 0.5
-    assert rep.mcc == 0.0
-    assert rep.nmcc == 0.5
-    assert rep.mae_seconds == 0.0  # predictions equal the labels on all 5 rows
+    counts = evaluate_alignment(passthrough_model(), rows, tau=6.0)
+    assert counts == {"p1": ConfusionCounts(tp=1, tn=1, fp=1, fn=1)}
+    assert counts["p1"].total == 4
+    assert accuracy(counts["p1"]) == 0.5
+    assert mcc(counts["p1"]) == 0.0
+    assert nmcc(counts["p1"]) == 0.5
 
 
 def test_evaluate_alignment_boundary_and_unlabeled_participant():
@@ -173,30 +171,59 @@ def test_evaluate_alignment_boundary_and_unlabeled_participant():
         ("p1", 6.0, 6.0, 1),
         ("p2", 4.0, 4.0, None),  # no motion truth at all: no report
     )
-    reports = evaluate_alignment(passthrough_model(), rows, tau=6.0)
-    assert [r.participant_id for r in reports] == ["p1"]
-    assert reports[0].counts.tp == 2
-    assert reports[0].accuracy == 1.0
+    counts = evaluate_alignment(passthrough_model(), rows, tau=6.0)
+    assert counts == {"p1": ConfusionCounts(tp=2, tn=0, fp=0, fn=0)}
+    assert accuracy(counts["p1"]) == 1.0
 
 
 def test_sweep_prefers_best_nmcc():
     # Moving rows predicted at 4.5 s, stopped rows at 5.5 s: tau = 5 is the
     # only threshold that separates them perfectly.
     rows = table(*[("p1", 4.5, 4.5, 1)] * 6, *[("p1", 5.5, 5.5, 0)] * 6)
-    results = sweep_thresholds(passthrough_model(), rows)
-    assert len(results) == 1
-    assert results[0].best_tau == 5.0
-    assert results[0].by_tau[5.0].nmcc == 1.0
-    assert set(results[0].by_tau) == set(TAU_GRID)
+    [(pid, by_tau)] = sweep_thresholds(passthrough_model(), rows).items()
+    assert pid == "p1"
+    assert set(by_tau) == set(TAU_GRID)
+    assert evaluation._best_tau(by_tau) == 5.0
+    assert nmcc(by_tau[5.0]) == 1.0
 
 
 def test_sweep_tie_goes_to_smaller_tau():
     rows = table(*[("p1", 0.5, 0.5, 1)] * 4)
-    results = sweep_thresholds(passthrough_model(), rows)
+    by_tau = sweep_thresholds(passthrough_model(), rows)["p1"]
     # Every tau gives identical degenerate counts, so the sweep keeps tau = 4.
-    assert results[0].best_tau == 4.0
-    nmccs = [results[0].by_tau[tau].nmcc for tau in TAU_GRID]
-    assert len(set(nmccs)) == 1
+    assert len(set(by_tau.values())) == 1
+    assert evaluation._best_tau(by_tau) == 4.0
+
+
+# Predictions on both sides of every tau, exactly on it, and non-finite.
+_Y_HAT = st.floats(-2.0, 12.0) | st.sampled_from(
+    (math.nan, math.inf, -math.inf) + TAU_GRID
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("p1", "p2", "p3")), _Y_HAT, st.sampled_from((0, 1, None))
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_counts_by_tau_match_a_hand_built_decision_vector(rows):
+    pids, y_hat, motion = zip(*rows)
+    windows = window_table(np.zeros((len(rows), 48)), np.zeros(len(rows)), pids, motion)
+    expected = {}
+    for pid in sorted({p for p, _, m in rows if m is not None}):
+        mine = [(y, m) for p, y, m in rows if p == pid and m is not None]
+        y, moving = (np.array(col) for col in zip(*mine))
+        expected[pid] = {
+            tau: confusion(np.isfinite(y) & (y <= tau), moving) for tau in TAU_GRID
+        }
+    got = evaluation._counts_by_tau(np.array(y_hat), windows, TAU_GRID)
+    assert got == expected
+    assert list(got) == list(expected)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +283,7 @@ def test_run_loso_rejects_a_tau_off_the_grid_before_any_work(small_dataset, monk
 
 def test_alignment_entry_points_agree_with_run_loso(small_dataset, small_loso):
     # evaluate_alignment and sweep_thresholds on one fold's model and held-out
-    # rows reproduce that fold's reports and best tau.
+    # rows reproduce that fold's counts and best tau.
     fold = small_loso.folds[0]
     cfg = TrainConfig(epochs=3, batch_size=64, seed=0)
     windows = extract_dataset_windows(small_dataset)
@@ -266,11 +293,11 @@ def test_alignment_entry_points_agree_with_run_loso(small_dataset, small_loso):
     test_rows = windows.rows(held_out)
     y_hat = predict(model, test_rows.features)
     assert fold.mae_seconds == mae_seconds(y_hat, test_rows.time_to_bite)
-    [sweep] = sweep_thresholds(model, test_rows)
-    assert sweep.best_tau == fold.best_tau
-    assert sweep.by_tau == fold.alignment_by_tau
+    pid = fold.participant_id
+    assert sweep_thresholds(model, test_rows) == {pid: fold.counts_by_tau}
+    assert evaluation._best_tau(fold.counts_by_tau) == fold.best_tau
     for tau in TAU_GRID:
-        assert evaluate_alignment(model, test_rows, tau) == [fold.alignment_by_tau[tau]]
+        assert evaluate_alignment(model, test_rows, tau) == {pid: fold.counts_by_tau[tau]}
 
 
 def test_run_loso_fold_structure(small_loso):
@@ -279,7 +306,7 @@ def test_run_loso_fold_structure(small_loso):
     for fold in small_loso.folds:
         assert fold.n_test_rows > 0
         assert fold.n_train_rows > fold.n_test_rows
-        assert set(fold.alignment_by_tau) == set(TAU_GRID)
+        assert set(fold.counts_by_tau) == set(TAU_GRID)
         assert fold.best_tau in TAU_GRID
         assert fold.mae_seconds > 0.0
         assert fold.naive_mae_seconds > 0.0
@@ -288,8 +315,8 @@ def test_run_loso_fold_structure(small_loso):
 
 def test_run_loso_sweep_dominates_fixed_tau(small_loso):
     for fold in small_loso.folds:
-        best = fold.alignment_by_tau[fold.best_tau].nmcc
-        assert best >= fold.alignment_by_tau[6.0].nmcc
+        by_tau = fold.counts_by_tau
+        assert nmcc(by_tau[fold.best_tau]) >= nmcc(by_tau[6.0])
     assert small_loso.macro_nmcc(None) >= small_loso.macro_nmcc(6.0)
 
 
@@ -301,19 +328,18 @@ def test_run_loso_macro_micro_consistency(small_loso):
     )
     total = small_loso.micro_counts(6.0)
     by_hand = sum(
-        (f.alignment_by_tau[6.0].counts for f in small_loso.folds),
-        ConfusionCounts(0, 0, 0, 0),
+        (f.counts_by_tau[6.0] for f in small_loso.folds), ConfusionCounts(0, 0, 0, 0)
     )
     assert total == by_hand
     assert small_loso.micro_nmcc(6.0) == nmcc(by_hand)
-    # tau=None takes each fold's report at its own best tau.
-    best = [f.alignment_by_tau[f.best_tau] for f in small_loso.folds]
-    by_hand = sum((r.counts for r in best), ConfusionCounts(0, 0, 0, 0))
+    # tau=None takes each fold's counts at its own best tau.
+    best = [f.counts_by_tau[f.best_tau] for f in small_loso.folds]
+    by_hand = sum(best, ConfusionCounts(0, 0, 0, 0))
     assert small_loso.micro_counts(None) == by_hand
     assert small_loso.micro_nmcc(None) == nmcc(by_hand)
-    assert small_loso.macro_nmcc(None) == pytest.approx(np.mean([r.nmcc for r in best]))
+    assert small_loso.macro_nmcc(None) == pytest.approx(np.mean([nmcc(c) for c in best]))
     assert small_loso.macro_accuracy(None) == pytest.approx(
-        np.mean([r.accuracy for r in best])
+        np.mean([accuracy(c) for c in best])
     )
 
 

@@ -24,6 +24,7 @@ from bitetiming.policy import (
     WafflePolicy,
     map_assertiveness,
 )
+import bitetiming.sim as sim
 from bitetiming.sim import (
     ANTICIPATION_RAMP_S,
     GRAVITY_MPS2,
@@ -377,6 +378,18 @@ def test_oracle_validation():
         OracleLabeler("group", script)
 
 
+def test_unknown_scenario_is_refused_before_any_synthesis(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sensor tracks were synthesized for an unknown scenario")
+
+    monkeypatch.setattr(sim, "_irregular_timestamps", unexpected)
+    with pytest.raises(ValueError, match="unknown scenario 'Social'"):
+        synthesize_scenario("p", "Social", 600.0, seed=1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown scenario 'group'"):
+        sample_behavior_script(rng, 60.0, "group", sample_style(rng))
+
+
 def test_sample_style_determinism_and_bounds():
     a = sample_style(np.random.default_rng(3))
     b = sample_style(np.random.default_rng(3))
@@ -475,7 +488,7 @@ def test_chewing_shakes_harder_than_idle(individual_scn):
         samples = np.concatenate(
             [
                 ay[(t >= s.start_t) & (t < s.end_t)]
-                for s in individual_scn.script.segments
+                for s in individual_scn.oracle.script.segments
                 if s.state is want
             ]
         )
@@ -516,7 +529,7 @@ def long_scn():
 
 def test_always_feed_session_paces_by_geometry(long_scn):
     log = run_session(long_scn.session, AlwaysFeedPolicy())
-    assert log.bite_count() == 11
+    assert len(log.bites) == 11
     arrivals = [b.feeding_arrival_t for b in log.bites]
     assert arrivals == [11.0 + 13.5 * k for k in range(11)]
     gaps = np.diff([b.bite_complete_t for b in log.bites])
@@ -527,13 +540,13 @@ def test_fixed_interval_session_triggers_on_schedule(long_scn):
     log = run_session(long_scn.session, FixedIntervalPolicy())
     triggers = [t.t for t in log.ticks if t.command is Command.TRIGGER_FULL_TRAJECTORY]
     assert triggers == [45.0, 90.0, 135.0]
-    assert log.bite_count() == 3
+    assert len(log.bites) == 3
     assert all(t.command is not Command.PROCEED for t in log.ticks)
 
 
 def test_mouth_open_session_triggers_at_staging_only(long_scn):
     log = run_session(long_scn.session, MouthOpenPolicy(), oracle=long_scn.oracle)
-    assert log.bite_count() > 0
+    assert len(log.bites) > 0
     for tick in log.ticks:
         assert tick.command is not Command.PROCEED
         if tick.command is Command.TRIGGER_FULL_TRAJECTORY:
@@ -579,7 +592,7 @@ def test_waffle_session_rethresholds_every_cycle(long_scn):
         WafflePolicy(AssertivenessThreshold(6.0)),
         predictor=lambda row, t: 0.0 if t < 20.0 else 100.0,
     )
-    assert log.bite_count() == 1
+    assert len(log.bites) == 1
     last_commit = max(
         t.t for t in log.ticks if t.distance_to_mouth <= COMMIT_DISTANCE_M
     )
@@ -594,7 +607,7 @@ def test_waffle_commit_zone_never_stops_mid_trajectory(long_scn):
         WafflePolicy(map_assertiveness(5)),
         predictor=lambda row, t: 4.0 + (t % 7.0),
     )
-    assert log.bite_count() >= 1
+    assert len(log.bites) >= 1
     pending = False
     for tick in log.ticks:
         if tick.phase is Phase.RETURNING:
@@ -609,7 +622,7 @@ def test_waffle_commit_zone_never_stops_mid_trajectory(long_scn):
 
 def test_waffle_with_oracle_consistent_model_respects_talking():
     scn = synthesize_scenario("p81", "social", 150.0, seed=[77, 1])
-    oracle, script = scn.oracle, scn.script
+    oracle, script = scn.oracle, scn.oracle.script
 
     def predictor(row, t):
         return 0.0 if oracle.command_at(t) is Command.PROCEED else 100.0
