@@ -18,6 +18,7 @@ from .mlp import TrainConfig, load_model, save_model, train
 from .pipeline import extract_dataset_windows
 from .policy import (
     POLICY_NAMES,
+    TAU_GRID,
     AssertivenessThreshold,
     Command,
     make_policy,
@@ -140,6 +141,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
+    if args.tau not in TAU_GRID:
+        raise ValueError(f"--tau must be one of {TAU_GRID}, got {args.tau}")
     sessions = load_dataset(args.manifest)
     ablations = ABLATIONS if args.ablation == "all" else (args.ablation,)
     evaluations = []

@@ -2,12 +2,14 @@
 
 A small fully connected network (48 -> 128 -> 64 -> 1 by default) written
 directly against numpy: explicit forward pass, explicit backpropagation,
-explicit Adam. ReLU plus inverted dropout follow each hidden layer during
-training; inference is deterministic. The loss is mean absolute error with
-regression labels capped at ``LABEL_CAP_SECONDS`` before comparison, so the
-network never chases arbitrarily distant bites. Training runs in float32,
-which halves the cost of its matmuls; a trained model holds the exact
-float64 copies of its float32 parameters, and inference runs in float64.
+explicit Adam with its bias corrections folded into the step size. ReLU plus
+inverted dropout follow each hidden layer during training, each unit kept or
+dropped by one 16-bit draw from the raw bits of the epoch's generator;
+inference is deterministic. The loss is mean absolute error with regression
+labels capped at ``LABEL_CAP_SECONDS`` before comparison, so the network
+never chases arbitrarily distant bites. Training runs in float32, which
+halves the cost of its matmuls; a trained model holds the exact float64
+copies of its float32 parameters, and inference runs in float64.
 
 Trained models serialize to a single self-describing JSON document carrying
 layer dimensions, parameters (each array the base64 of its float64 bytes),
@@ -40,7 +42,7 @@ from .features import (
 )
 from .pipeline import WindowTable
 
-MODEL_SCHEMA = "bitetiming-model/4"
+MODEL_SCHEMA = "bitetiming-model/5"
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DROPOUT_P = 0.1
 LABEL_CAP_SECONDS = 10.0
@@ -158,12 +160,22 @@ def _forward_cached(
 def _sample_dropout_masks(
     model: MlpModel, batch: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    dtype, scale = model.weights[0].dtype, 1.0 / (1.0 - model.dropout_p)
-    # Each entry is 0 or 1 / keep probability, in the parameters' dtype.
-    return [
-        np.multiply(rng.random((batch, dim)) >= model.dropout_p, scale, dtype=dtype)
-        for dim in model.layer_dims[1:-1]
-    ]
+    """One inverted-dropout mask of shape (batch, dim) per hidden layer.
+
+    Each unit takes one 16-bit draw: the raw 64-bit words of ``rng``'s bit
+    generator, ceil(n / 4) of them for n units, read as little-endian uint16,
+    layer 0's units first, each layer in C order. A unit is kept iff its draw
+    is at least round(p * 65536), so p = 0.1 drops 6554 / 65536 of them. Each
+    entry is 0 or 1 / (1 - p), in the parameters' dtype.
+    """
+    dims = model.layer_dims[1:-1]
+    n = batch * sum(dims)
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    draws = words.astype("<u8", copy=False).view("<u2")[:n]
+    keep = draws >= round(model.dropout_p * 65536)
+    flat = np.multiply(keep, 1.0 / (1.0 - model.dropout_p), dtype=model.weights[0].dtype)
+    offsets = np.cumsum([batch * dim for dim in dims])[:-1]
+    return [m.reshape(batch, dim) for m, dim in zip(np.split(flat, offsets), dims)]
 
 
 def loss_and_gradients(
@@ -193,7 +205,7 @@ def loss_and_gradients(
         model.weights, model.biases, x, masks
     )
     residual = y_hat - y
-    loss = float(np.mean(np.abs(residual)))
+    loss = float(np.add.reduce(np.abs(residual)) / residual.size)
 
     batch = x.shape[0]
     d_z = (np.sign(residual) / batch)[:, None]
@@ -201,7 +213,7 @@ def loss_and_gradients(
     bias_grads: list[np.ndarray] = [np.empty(0)] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
         weight_grads[layer] = activations[layer].T @ d_z
-        bias_grads[layer] = d_z.sum(axis=0)
+        bias_grads[layer] = np.add.reduce(d_z, axis=0)
         if layer > 0:
             w = model.weights[layer]
             # With one output column, d_z @ W.T is an exact outer product.
@@ -249,8 +261,11 @@ def train(
 
     # Parameters live in one flat float32 buffer, the tensors are views of it,
     # and gradients are gathered into the same layout, so Adam is one in-place
-    # pass of elementwise ops in the order m, v, bias correction, update. Its
-    # scalars are Python floats, which keep the arithmetic in float32.
+    # pass of elementwise ops in the order m, v, update. The update folds both
+    # bias corrections into two scalars (Kingma & Ba 2015, sec. 2):
+    # p -= step_size * m / (sqrt(v) + eps_hat), with step_size =
+    # lr * sqrt(1 - b2**t) / (1 - b1**t) and eps_hat = eps * sqrt(1 - b2**t).
+    # They are Python floats, which keep the arithmetic in float32.
     tensors = model.weights + model.biases
     params = np.concatenate([t.ravel() for t in tensors], dtype=np.float32)
     offsets = np.cumsum([t.size for t in tensors])[:-1]
@@ -281,7 +296,7 @@ def train(
                 else None
             )
             loss, w_grads, b_grads = loss_and_gradients(model, x, y, masks)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at row {start}"
@@ -297,11 +312,11 @@ def train(
             np.multiply(grads, grads, out=scratch)
             scratch *= 1 - b2
             adam_v += scratch
-            np.divide(adam_m, 1 - b1**step, out=scratch)
-            scratch *= cfg.learning_rate
-            np.divide(adam_v, 1 - b2**step, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += cfg.adam_eps
+            correction = math.sqrt(1 - b2**step)
+            step_size = cfg.learning_rate * correction / (1 - b1**step)
+            np.multiply(adam_m, step_size, out=scratch)
+            np.sqrt(adam_v, out=denom)
+            denom += cfg.adam_eps * correction  # eps_hat
             scratch /= denom
             params -= scratch
         loss_history.append(epoch_abs_err / n_rows)

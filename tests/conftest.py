@@ -106,7 +106,7 @@ JSON_LIMITS = [
 
 
 def b64(values):
-    """Values as waffle/3 columns and bitetiming-model/4 arrays hold them: the
+    """Values as waffle/3 columns and bitetiming-model/5 arrays hold them: the
     base64 of their C-order little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
@@ -130,13 +130,13 @@ def write_signed_model(path, doc):
 
 
 def write_old_model(path, doc, version):
-    """Write ``doc``, a bitetiming-model/4 document, as schema ``version``
-    1, 2 or 3 laid out its files: arrays as nested lists of numbers, in an
+    """Write ``doc``, a bitetiming-model/5 document, as schema ``version``
+    1 to 4 laid out its files: arrays as nested lists of numbers, in an
     indented dump (1) or signed canonical text (2), or the signed base64
-    arrays that /4 kept (3)."""
+    arrays that /4 and /5 kept (3, 4)."""
     dims = doc["layer_dims"]
     doc = dict(doc, schema=f"bitetiming-model/{version}")
-    if version == 3:
+    if version in (3, 4):
         write_signed_model(path, doc)
         return
     doc["weights"] = [

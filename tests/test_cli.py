@@ -407,6 +407,14 @@ def test_eval_rejects_a_tau_off_the_grid(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_eval_names_a_tau_off_the_grid_before_it_loads_the_manifest(tmp_path, capsys):
+    rc = main(["eval", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r"), "--tau", "5.5"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --tau must be one of (4.0, 5.0, 6.0, 7.0, 8.0), got 5.5"
+    ]
+
+
 def test_simulate_rejects_a_model_with_an_unknown_train_config_key(dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     assert main(["train", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(model_path), "--epochs", "1"]) == 0
@@ -451,14 +459,14 @@ def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
     model_path = tmp_path / "old.json"
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         write_old_model(model_path, doc, version)
         rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
             f"error: {model_path}: model schema 'bitetiming-model/{version}' is not supported, "
-            "expected 'bitetiming-model/4'"
+            "expected 'bitetiming-model/5'"
         ]
         assert not (tmp_path / "log.jsonl").exists()
 

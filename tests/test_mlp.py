@@ -24,6 +24,7 @@ from bitetiming.features import (
     fit_normalizer,
 )
 from bitetiming.mlp import (
+    DROPOUT_P,
     MlpModel,
     TrainConfig,
     _model_payload,
@@ -136,6 +137,39 @@ def test_loss_and_gradients_applies_dropout_masks():
     assert loss_a != loss_and_gradients(model, x, y)[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden_dims=st.lists(st.integers(1, 200), min_size=1, max_size=3).map(tuple),
+    batch=st.integers(1, 300),
+    dropout_p=st.sampled_from((0.0, 0.05, DROPOUT_P, 0.5, 0.9)),
+    dtype=st.sampled_from((np.float32, np.float64)),
+)
+@example(seed=0, hidden_dims=(128, 64), batch=128, dropout_p=DROPOUT_P, dtype=np.float32)
+def test_dropout_masks_take_one_16_bit_draw_per_unit(seed, hidden_dims, batch, dropout_p, dtype):
+    model = with_dtype(init_mlp((4, *hidden_dims, 1), seed=0, dropout_p=dropout_p), dtype)
+    rng = np.random.default_rng(seed)
+    masks = _sample_dropout_masks(model, batch, rng)
+    assert [m.shape for m in masks] == [(batch, dim) for dim in hidden_dims]
+    kept = dtype(1 / (1 - dropout_p))
+    for m in masks:
+        assert m.dtype == dtype
+        assert np.all((m == 0) | (m == kept))
+    # It takes ceil(n / 4) words of the bit generator, no more and no fewer.
+    n = batch * sum(hidden_dims)
+    twin = np.random.default_rng(seed)
+    twin.bit_generator.random_raw(math.ceil(n / 4))
+    assert rng.bit_generator.random_raw(3).tolist() == twin.bit_generator.random_raw(3).tolist()
+
+    # Over at least 10**5 units the drop fraction is round(p * 65536) / 65536
+    # within 5 sigma (6554 / 65536 at the deployed p = 0.1).
+    big = _sample_dropout_masks(model, math.ceil(10**5 / sum(hidden_dims)), rng)
+    units = sum(m.size for m in big)
+    dropped = sum(int(np.count_nonzero(m == 0)) for m in big)
+    q = round(dropout_p * 65536) / 65536
+    assert abs(dropped / units - q) <= 5 * math.sqrt(q * (1 - q) / units)
+
+
 def test_loss_value_and_zero_residual_subgradient():
     model = init_mlp((4, 3, 1), seed=1)
     for w in model.weights:
@@ -214,7 +248,7 @@ def test_loss_and_gradients_compute_in_the_parameters_dtype():
         _, w_grads, b_grads = loss_and_gradients(net, x, np.full(5, 3.0), masks[dtype])
         assert [m.dtype for m in masks[dtype]] == [dtype] * 2
         assert [g.dtype for g in w_grads + b_grads] == [dtype] * 6
-    # One float64 draw per unit either way, so the same units drop.
+    # One 16-bit draw per unit either way, so the same units drop.
     for m32, m64 in zip(masks[np.float32], masks[np.float64]):
         np.testing.assert_array_equal(m32, m64.astype(np.float32))
 
@@ -456,22 +490,22 @@ def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    doc["schema"] = "bitetiming-model/5"
+    doc["schema"] = "bitetiming-model/6"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaVersionError):
         load_model(path)
 
 
 def test_load_refuses_a_version_1_file(tmp_path):
-    # Written as save_model wrote /1, /2 and /3 files; the schema is checked first.
+    # Written as save_model wrote /1 to /4 files; the schema is checked first.
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         write_old_model(path, doc, version)
         message = (
             f"{path}: model schema 'bitetiming-model/{version}' is not supported, "
-            "expected 'bitetiming-model/4'"
+            "expected 'bitetiming-model/5'"
         )
         with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
             load_model(path)
@@ -792,10 +826,27 @@ def test_model_digest_tracks_parameters():
     assert model_digest(model) != digest
 
 
-# The trainer as it stood before its parameters moved into one flat buffer,
-# frozen here as the reference for its bits: per-tensor Adam with fresh
-# temporaries, a gather per batch, and d_z @ W.T for every layer, all in
-# float32 from the rounded float64 draws of init_mlp.
+# The trainer written per tensor, as the reference for its bits: per-tensor
+# Adam with fresh temporaries and its bias corrections folded into a step
+# size and an epsilon, a gather per batch, d_z @ W.T for every layer, and
+# dropout masks cut layer by layer from the uint16 values of the raw words,
+# all in float32 from the rounded float64 draws of init_mlp.
+def _reference_masks(model, batch, rng):
+    dims = model.layer_dims[1:-1]
+    n = batch * sum(dims)
+    raw = rng.bit_generator.random_raw(math.ceil(n / 4))
+    draws = np.frombuffer(raw.astype("<u8").tobytes(), dtype="<u2")
+    keep_from = round(model.dropout_p * 65536)
+    kept = 1 / (1 - model.dropout_p)
+    masks = []
+    start = 0
+    for dim in dims:
+        block = draws[start : start + batch * dim].reshape(batch, dim)
+        masks.append(np.where(block >= keep_from, kept, 0.0).astype(model.weights[0].dtype))
+        start += batch * dim
+    return masks
+
+
 def _reference_forward_cached(weights, biases, x, masks):
     activations = [x]
     pre_acts = []
@@ -860,18 +911,18 @@ def _reference_train(windows, cfg, ablation, hidden_dims):
             batch_idx = order[start : start + cfg.batch_size]
             x = x_all[batch_idx]
             y = y_all[batch_idx]
-            masks = _sample_dropout_masks(model, x.shape[0], epoch_rng)
+            masks = _reference_masks(model, x.shape[0], epoch_rng)
             loss, w_grads, b_grads = _reference_loss_and_gradients(model, x, y, masks)
             epoch_abs_err += loss * x.shape[0]
             step += 1
             params = model.weights + model.biases
             grads = w_grads + b_grads
+            step_size = cfg.learning_rate * math.sqrt(1 - cfg.beta2**step) / (1 - cfg.beta1**step)
+            eps_hat = cfg.adam_eps * math.sqrt(1 - cfg.beta2**step)
             for i, (p, g) in enumerate(zip(params, grads)):
                 adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
                 adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * (g * g)
-                m_hat = adam_m[i] / (1 - cfg.beta1**step)
-                v_hat = adam_v[i] / (1 - cfg.beta2**step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                p -= step_size * adam_m[i] / (np.sqrt(adam_v[i]) + eps_hat)
         loss_history.append(epoch_abs_err / n_rows)
     model.weights = [w.astype(np.float64) for w in model.weights]
     model.biases = [b.astype(np.float64) for b in model.biases]
