@@ -7,8 +7,10 @@ The simulator has three layers:
 * scripted participant behavior (idle, chewing, talking, head motion, plus a
   dining-partner speech channel in the social scenario) with per-participant
   style parameters, from which sensor tracks are synthesized;
-* an oracle labeler encoding the wizard's priority rules, which drives the
-  robot during data generation and provides ground-truth motion labels.
+* an oracle labeler encoding the wizard's priority rules. It is a policy
+  like any other: synthesis runs it through the same tick loop that replays
+  a session against a policy, and labels a tick moving iff the utensil
+  advanced toward the mouth during it.
 
 Synthesized signals are intentionally simple band-limited recipes: chewing
 puts a periodic oscillation on the accelerometer and burst trains on the
@@ -417,7 +419,8 @@ def sample_partner_script(
 
 
 class OracleLabeler:
-    """Priority-ordered feeding rules; the first matching rule fires.
+    """The wizard's priority-ordered feeding rules as a policy; the first rule
+    that matches fires.
 
     Individual scenario, in priority order: stop on aversive head motion,
     proceed when not chewing, proceed when chewing is almost done, stop while
@@ -425,6 +428,9 @@ class OracleLabeler:
     participant is almost done talking, stop while they talk, stop when the
     partner is almost done talking, proceed while the partner talks.
     """
+
+    name = "oracle"
+    needs_predictions = False
 
     def __init__(
         self,
@@ -464,6 +470,12 @@ class OracleLabeler:
 
     def command_at(self, t: float) -> Command:
         return self.evaluate(t)[1]
+
+    def reset(self) -> None:
+        pass
+
+    def step(self, inputs: TickInputs) -> Command:
+        return self.evaluate(inputs.session_clock)[1]
 
 
 def _irregular_timestamps(
@@ -580,37 +592,6 @@ class SyntheticScenario:
     oracle: OracleLabeler
 
 
-def _drive_oracle(
-    oracle: OracleLabeler, duration: float
-) -> tuple[np.ndarray, np.ndarray, list[BiteEvent]]:
-    """Run the robot under the oracle, yielding motion labels and bites.
-
-    A tick is labeled moving=1 only when the utensil actually advanced
-    toward the mouth during that tick, which is what the proceed button
-    achieves in a wizarded session. Ticks spent acquiring, holding at
-    staging, waiting at the mouth, or retracting are moving=0 even when
-    the wizard would happily proceed, because the robot is not theirs to
-    advance right then.
-    """
-    state = initial_robot_state()
-    motion_t = []
-    moving = []
-    bites: list[BiteEvent] = []
-    while state.clock + CONTROL_TICK_SECONDS <= duration + _EPS:
-        command = oracle.command_at(state.clock)
-        motion_t.append(state.clock)
-        before = state.distance_to_mouth
-        state, bite = step_robot(state, command)
-        moving.append(1 if state.distance_to_mouth < before - 1e-12 else 0)
-        if bite is not None:
-            bites.append(bite)
-    return (
-        np.array(motion_t, dtype=np.float64),
-        np.array(moving, dtype=np.int64),
-        bites,
-    )
-
-
 def synthesize_scenario(
     participant_id: str,
     scenario: str,
@@ -634,8 +615,10 @@ def synthesize_scenario(
     mic_t = _irregular_timestamps(rng, duration, MIC_SYNTH_RATE_HZ)
     mic_amp = _synth_mic(rng, mic_t, script, style)
 
+    # Ticks run to ``duration``; replay runs to the tracks' ends just past it.
     oracle = OracleLabeler(scenario, script, partner)
-    motion_t, moving, bites = _drive_oracle(oracle, duration)
+    log = SessionLog(oracle.name, participant_id, scenario, duration)
+    final = _drive(log, oracle)
 
     session = SessionRecord(
         participant_id=participant_id,
@@ -644,9 +627,9 @@ def synthesize_scenario(
         imu_accel=imu_accel,
         mic_t=mic_t,
         mic_amp=mic_amp,
-        bites=bites,
-        motion_t=motion_t,
-        motion_moving=moving,
+        bites=log.bites,
+        motion_t=np.array([tick.t for tick in log.ticks], dtype=np.float64),
+        motion_moving=_advanced(log, final),
     )
     validate_session(session)
     return SyntheticScenario(session=session, oracle=oracle)
@@ -660,7 +643,8 @@ def generate_synthetic_session(
     style: ParticipantStyle | None = None,
     style_spread: float = 1.0,
 ) -> SessionRecord:
-    """One oracle-driven synthetic session as a plain SessionRecord."""
+    """``synthesize_scenario(...).session``, kept only until the benchmark's
+    ``perfbench/child.py`` calls that instead."""
     return synthesize_scenario(
         participant_id, scenario, duration, seed, style, style_spread
     ).session
@@ -687,9 +671,9 @@ def generate_dataset(
     for p, style in enumerate(styles):
         pid = f"p{p + 1:02d}"
         for s_idx, scenario in enumerate(SCENARIOS):
-            record = generate_synthetic_session(
+            record = synthesize_scenario(
                 pid, scenario, duration, seed=[seed, p, s_idx + 1], style=style
-            )
+            ).session
             path = out_dir / f"{pid}_{scenario}.jsonl"
             write_session(record, path)
             session_paths.append(path)
@@ -761,6 +745,7 @@ def run_session(
             raise InsufficientDataError(f"cannot replay a session whose {track} track is empty")
     duration = min(float(source.imu_t[-1]), float(source.mic_t[-1]))
 
+    features = row_of_tick = None
     if predictor is not None:
         # Row of the window ending on each tick index; -1 where none does. A
         # later window wins a tick that two windows round to.
@@ -771,16 +756,19 @@ def run_session(
         row_of_tick[ticks[last]] = np.nonzero(last)[0]
         row_of_tick = row_of_tick.tolist()
 
+    log = SessionLog(policy.name, source.participant_id, source.scenario, duration)
+    _drive(log, policy, oracle, predictor, features, row_of_tick)
+    return log
+
+
+def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=None):
+    """Step the robot under ``policy`` once per control tick to ``log.duration``,
+    appending each tick and bite to ``log``, and return its final RobotState.
+    ``features`` and ``row_of_tick`` are run_session's predictor row map."""
     policy.reset()
     state = initial_robot_state()
-    log = SessionLog(
-        policy_name=policy.name,
-        participant_id=source.participant_id,
-        scenario=source.scenario,
-        duration=duration,
-    )
     bite_just_completed = False
-    while state.clock + CONTROL_TICK_SECONDS <= duration + _EPS:
+    while state.clock + CONTROL_TICK_SECONDS <= log.duration + _EPS:
         t = state.clock
         y_hat = None
         gap = False
@@ -792,10 +780,8 @@ def run_session(
             else:
                 gap = policy.needs_predictions
         at_staging = state.phase is Phase.AT_STAGING
-        mouth_open = bool(
-            at_staging
-            and oracle is not None
-            and oracle.command_at(t) is Command.PROCEED
+        mouth_open = (
+            at_staging and oracle is not None and oracle.command_at(t) is Command.PROCEED
         )
         distance = state.distance_to_mouth
         command = policy.step(
@@ -806,7 +792,16 @@ def run_session(
         bite_just_completed = bite is not None
         if bite is not None:
             log.bites.append(bite)
-    return log
+    return state
+
+
+def _advanced(log: SessionLog, final: RobotState) -> np.ndarray:
+    """Each tick's motion label, given the state after the last tick: 1 iff the
+    utensil advanced toward the mouth, as the proceed button makes it in a
+    wizarded session. A wizard's proceed while the robot acquires, waits at
+    the mouth or retracts moves nothing and is 0."""
+    d = np.array([tick.distance_to_mouth for tick in log.ticks] + [final.distance_to_mouth])
+    return (d[1:] < d[:-1] - 1e-12).astype(np.int64)
 
 
 _TICK_LINE = (

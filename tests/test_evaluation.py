@@ -32,7 +32,7 @@ from bitetiming.mlp import MlpModel, TrainConfig, model_digest, predict, train
 from bitetiming.pipeline import extract_dataset_windows
 import bitetiming.evaluation as evaluation
 from bitetiming.policy import TAU_GRID
-from bitetiming.sim import generate_synthetic_session
+from bitetiming.sim import synthesize_scenario
 
 
 def test_mae_fixtures():
@@ -232,7 +232,7 @@ def small_dataset():
     for i, pid in enumerate(("p01", "p02", "p03")):
         for j, scenario in enumerate(("individual", "social")):
             sessions.append(
-                generate_synthetic_session(pid, scenario, 60.0, seed=[100, i, j])
+                synthesize_scenario(pid, scenario, 60.0, seed=[100, i, j]).session
             )
     return sessions
 

@@ -929,7 +929,7 @@ def _reference_train(windows, cfg, ablation, hidden_dims):
     return model, loss_history
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, print_blob=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     ablation=st.sampled_from(ABLATIONS),

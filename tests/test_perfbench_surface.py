@@ -57,3 +57,28 @@ def test_every_package_name_perfbench_imports_exists(monkeypatch):
                     if not hasattr(module, a.name)
                 ]
     assert missing == []
+
+
+def test_the_closed_loop_calls_perfbench_makes(monkeypatch):
+    # run.py's closed_loop and checks.py's oracle_nmcc, on a 30 s session.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import DecisionTimer
+
+    from bitetiming import mlp, policy, sim
+    from bitetiming.pipeline import extract_labeled_windows
+
+    source = sim.synthesize_scenario("c30", "social", 30.0, seed=[1, 3, 1])
+    windows = extract_labeled_windows(source.session)
+    model, _ = mlp.train(windows, mlp.TrainConfig(epochs=1), hidden_dims=(4,))
+    timer = DecisionTimer()
+    log = sim.run_session(
+        source.session,
+        timer.policy(policy.WafflePolicy(policy.map_assertiveness(3))),
+        predictor=timer.predictor(sim.model_predictor(model)),
+        oracle=source.oracle,
+    )
+    assert len(log.ticks) == len(timer.samples_us) == 60
+    assert {source.oracle.command_at(tick.t).value for tick in log.ticks} <= {
+        "proceed",
+        "stop",
+    }

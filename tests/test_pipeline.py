@@ -14,7 +14,7 @@ from bitetiming.pipeline import (
     extract_labeled_windows,
 )
 from bitetiming.signals import IMU_RATE_HZ, MIC_RATE_HZ, resample_linear
-from bitetiming.sim import generate_synthetic_session
+from bitetiming.sim import synthesize_scenario
 
 
 def reference_stats(x):
@@ -62,8 +62,8 @@ def shifted_mic(session, offset):
 @pytest.fixture(scope="module")
 def sessions():
     base = [
-        generate_synthetic_session("p01", "individual", 60.0, seed=[21, 1]),
-        generate_synthetic_session("p02", "social", 60.0, seed=[21, 2]),
+        synthesize_scenario("p01", "individual", 60.0, seed=[21, 1]).session,
+        synthesize_scenario("p02", "social", 60.0, seed=[21, 2]).session,
     ]
     # Mic grids starting off the IMU grid, later and earlier than the IMU.
     return base + [shifted_mic(base[0], 0.0137), shifted_mic(base[1], -0.0031)]

@@ -36,7 +36,6 @@ from bitetiming.sim import (
     TickLog,
     TrajectoryConfig,
     generate_dataset,
-    generate_synthetic_session,
     initial_robot_state,
     model_predictor,
     read_session_log,
@@ -454,14 +453,14 @@ def social_scn():
 
 
 def test_synthesis_is_deterministic():
-    a = generate_synthetic_session("p01", "social", 60.0, seed=[9, 1])
-    b = generate_synthetic_session("p01", "social", 60.0, seed=[9, 1])
+    a = synthesize_scenario("p01", "social", 60.0, seed=[9, 1]).session
+    b = synthesize_scenario("p01", "social", 60.0, seed=[9, 1]).session
     np.testing.assert_array_equal(a.imu_t, b.imu_t)
     np.testing.assert_array_equal(a.imu_accel, b.imu_accel)
     np.testing.assert_array_equal(a.mic_amp, b.mic_amp)
     np.testing.assert_array_equal(a.motion_moving, b.motion_moving)
     assert a.bites == b.bites
-    c = generate_synthetic_session("p01", "social", 60.0, seed=[9, 2])
+    c = synthesize_scenario("p01", "social", 60.0, seed=[9, 2]).session
     assert not np.array_equal(a.imu_t, c.imu_t)
 
 
@@ -520,6 +519,42 @@ def test_motion_labels_replay_the_oracle_loop(social_scn):
         state, _ = step_robot(state, oracle.command_at(state.clock))
         expected.append(1 if state.distance_to_mouth < before - 1e-12 else 0)
     np.testing.assert_array_equal(session.motion_moving, np.array(expected))
+
+
+def replayed_final_state(log):
+    """The robot's state after a log's ticks, by stepping its commands."""
+    state = initial_robot_state()
+    for tick in log.ticks:
+        assert tick.distance_to_mouth == state.distance_to_mouth
+        state, _ = step_robot(state, tick.command)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scenario=st.sampled_from(("individual", "social")),
+    ticks=st.integers(60, 240),
+)
+def test_replaying_the_oracle_reproduces_the_synthesized_labels(seed, scenario, ticks):
+    # Synthesis runs the oracle through run_session's own loop, so replaying
+    # the session against its oracle gives back its ticks, bites and labels.
+    scn = synthesize_scenario("p90", scenario, ticks * 0.5, seed=[seed])
+    session = scn.session
+    log = run_session(session, scn.oracle)
+    assert len(log.ticks) == len(session.motion_t)
+    assert log.bites == session.bites
+    advanced = sim._advanced(log, replayed_final_state(log))
+    np.testing.assert_array_equal(advanced, session.motion_moving)
+
+
+def test_replay_of_an_off_grid_duration_runs_one_tick_longer():
+    # Synthesis stops at its duration argument, replay where the sensor tracks
+    # end, just past it; off the 0.5 s grid that can fit one more tick.
+    scn = synthesize_scenario("p91", "individual", 30.499, seed=[0])
+    log = run_session(scn.session, scn.oracle)
+    assert (len(scn.session.motion_t), len(log.ticks)) == (60, 61)
+    assert [tick.t for tick in log.ticks[:60]] == scn.session.motion_t.tolist()
 
 
 @pytest.fixture(scope="module")
