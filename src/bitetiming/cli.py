@@ -19,7 +19,6 @@ from .pipeline import extract_dataset_windows
 from .policy import (
     POLICY_NAMES,
     TAU_GRID,
-    AssertivenessThreshold,
     Command,
     make_policy,
     map_assertiveness,
@@ -81,10 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="closed-loop feeding simulation")
     p_sim.add_argument("--policy", choices=POLICY_NAMES, default="waffle")
     p_sim.add_argument("--model", default=None, help="model file (waffle policy)")
-    p_sim.add_argument("--tau", type=float, default=None, help="threshold in seconds")
-    p_sim.add_argument(
-        "--level", type=int, default=None, help="assertiveness level 1..5"
-    )
+    p_sim.add_argument("--level", type=int, default=3, help="assertiveness level 1..5")
     p_sim.add_argument("--duration", type=float, default=150.0)
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--participant", default="sim")
@@ -161,16 +157,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.tau is not None and args.level is not None:
-        raise ValueError("give either --tau or --level, not both")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.level is not None:
-        threshold = map_assertiveness(args.level)
-    elif args.tau is not None:
-        threshold = AssertivenessThreshold(args.tau)
-    else:
-        threshold = map_assertiveness(3)
+    threshold = map_assertiveness(args.level)
 
     check_duration(args.duration)
     predictor = None

@@ -38,12 +38,8 @@ from .pipeline import WindowTable, extract_dataset_windows
 from .policy import DEFAULT_TAU, TAU_GRID
 
 
-def mae_seconds(
-    predictions: np.ndarray,
-    labels: np.ndarray,
-    label_cap: float = LABEL_CAP_SECONDS,
-) -> float:
-    """Mean absolute error in seconds, with labels capped at ``label_cap``."""
+def mae_seconds(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Mean absolute error in seconds, labels capped at ``LABEL_CAP_SECONDS``."""
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if predictions.shape != labels.shape or predictions.ndim != 1:
@@ -53,21 +49,17 @@ def mae_seconds(
         )
     if predictions.size == 0:
         raise InsufficientDataError("mae needs at least one prediction")
-    return float(np.mean(np.abs(predictions - np.minimum(labels, label_cap))))
+    return float(np.mean(np.abs(predictions - np.minimum(labels, LABEL_CAP_SECONDS))))
 
 
-def naive_mean_baseline(
-    train_labels: np.ndarray,
-    test_labels: np.ndarray,
-    label_cap: float = LABEL_CAP_SECONDS,
-) -> float:
+def naive_mean_baseline(train_labels: np.ndarray, test_labels: np.ndarray) -> float:
     """MAE of the constant predictor that outputs the training-label mean."""
-    train_labels = np.minimum(np.asarray(train_labels, dtype=np.float64), label_cap)
+    train_labels = np.minimum(np.asarray(train_labels, dtype=np.float64), LABEL_CAP_SECONDS)
     if train_labels.size == 0:
         raise InsufficientDataError("naive baseline needs training labels")
     constant = float(np.mean(train_labels))
     test_labels = np.asarray(test_labels, dtype=np.float64)
-    return mae_seconds(np.full(test_labels.shape, constant), test_labels, label_cap)
+    return mae_seconds(np.full(test_labels.shape, constant), test_labels)
 
 
 @dataclass(frozen=True)
@@ -277,13 +269,9 @@ def run_loso(
                 participant_id=pid,
                 n_train_rows=len(train_rows),
                 n_test_rows=len(test_rows),
-                mae_seconds=mae_seconds(
-                    y_hat, test_rows.time_to_bite, cfg.label_cap_seconds
-                ),
+                mae_seconds=mae_seconds(y_hat, test_rows.time_to_bite),
                 naive_mae_seconds=naive_mean_baseline(
-                    train_rows.time_to_bite,
-                    test_rows.time_to_bite,
-                    cfg.label_cap_seconds,
+                    train_rows.time_to_bite, test_rows.time_to_bite
                 ),
                 counts_by_tau=counts_by_tau,
                 best_tau=best_tau,

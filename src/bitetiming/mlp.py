@@ -7,14 +7,16 @@ inverted dropout follow each hidden layer during training, each unit kept or
 dropped by one 16-bit draw from the raw bits of the epoch's generator;
 inference is deterministic. The loss is mean absolute error with regression
 labels capped at ``LABEL_CAP_SECONDS`` before comparison, so the network
-never chases arbitrarily distant bites. Training runs in float32, which
-halves the cost of its matmuls; a trained model holds the exact float64
-copies of its float32 parameters, and inference runs in float64.
+never chases arbitrarily distant bites. The cap and Adam's constants
+(``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) are fixed; ``TrainConfig``
+holds what a caller may vary. Training runs in float32, which halves the
+cost of its matmuls; a trained model holds the exact float64 copies of its
+float32 parameters, and inference runs in float64.
 
 Trained models serialize to a single self-describing JSON document carrying
 layer dimensions, parameters (each array the base64 of its float64 bytes),
-normalization statistics, the feature layout id, and the training
-configuration, so inference needs nothing else. The document is json's
+normalization statistics, the feature layout id ``FEATURE_ORDER_ID``, and the
+``TrainConfig``, so inference needs nothing else. The document is json's
 canonical encoding of that payload behind a checksum of its own bytes, so
 loading refuses any re-formatted or edited file.
 """
@@ -42,10 +44,13 @@ from .features import (
 )
 from .pipeline import WindowTable
 
-MODEL_SCHEMA = "bitetiming-model/5"
+MODEL_SCHEMA = "bitetiming-model/6"
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DROPOUT_P = 0.1
 LABEL_CAP_SECONDS = 10.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,22 +60,12 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 128
     epochs: int = 100
-    label_cap_seconds: float = LABEL_CAP_SECONDS
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "batch_size", "epochs", "label_cap_seconds"):
+        for name in ("learning_rate", "batch_size", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(
-                f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}"
-            )
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -90,7 +85,6 @@ class MlpModel:
     biases: list[np.ndarray]
     dropout_p: float = DROPOUT_P
     normalization: NormalizationStats | None = None
-    feature_order_id: str = FEATURE_ORDER_ID
     ablation: str = "imu+mic"
     train_config: TrainConfig | None = None
 
@@ -233,7 +227,7 @@ def train(
     """Fit a regressor on the rows of a window table.
 
     Selects the ablation's feature columns, z-scores them with statistics
-    fitted on these rows only, caps labels at ``cfg.label_cap_seconds``, and
+    fitted on these rows only, caps labels at ``LABEL_CAP_SECONDS``, and
     runs mini-batch Adam on the MAE loss in float32. Shuffling and dropout
     reseed from ``cfg.seed`` every epoch, so identical inputs give
     bitwise-identical models and loss histories.
@@ -252,7 +246,7 @@ def train(
 
     stats = fit_normalizer(raw)
     x_all = apply_normalizer(stats, raw).astype(np.float32)
-    y_all = np.minimum(windows.time_to_bite, cfg.label_cap_seconds).astype(np.float32)
+    y_all = np.minimum(windows.time_to_bite, LABEL_CAP_SECONDS).astype(np.float32)
 
     model = init_mlp((columns.size, *hidden_dims, 1), seed=cfg.seed)
     model.normalization = stats
@@ -277,7 +271,7 @@ def train(
     adam_v = np.zeros_like(params)
     scratch = np.empty_like(params)
     denom = np.empty_like(params)
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step = 0
 
     n_rows = x_all.shape[0]
@@ -290,11 +284,7 @@ def train(
         for start in range(0, n_rows, cfg.batch_size):
             x = x_epoch[start : start + cfg.batch_size]
             y = y_epoch[start : start + cfg.batch_size]
-            masks = (
-                _sample_dropout_masks(model, x.shape[0], epoch_rng)
-                if model.dropout_p > 0.0
-                else None
-            )
+            masks = _sample_dropout_masks(model, x.shape[0], epoch_rng)
             loss, w_grads, b_grads = loss_and_gradients(model, x, y, masks)
             if not math.isfinite(loss):
                 raise DivergenceError(
@@ -316,7 +306,7 @@ def train(
             step_size = cfg.learning_rate * correction / (1 - b1**step)
             np.multiply(adam_m, step_size, out=scratch)
             np.sqrt(adam_v, out=denom)
-            denom += cfg.adam_eps * correction  # eps_hat
+            denom += ADAM_EPS * correction  # eps_hat
             scratch /= denom
             params -= scratch
         loss_history.append(epoch_abs_err / n_rows)
@@ -355,7 +345,7 @@ def _model_payload(model: MlpModel) -> dict:
     norm = model.normalization
     return {
         "schema": MODEL_SCHEMA,
-        "feature_order_id": model.feature_order_id,
+        "feature_order_id": FEATURE_ORDER_ID,
         "ablation": model.ablation,
         "layer_dims": list(model.layer_dims),
         "dropout_p": model.dropout_p,
@@ -432,7 +422,6 @@ def _model_from_doc(doc: dict) -> MlpModel:
         biases=biases,
         dropout_p=float(dropout_p),
         normalization=NormalizationStats(mean, std),
-        feature_order_id=doc["feature_order_id"],
         ablation=ablation,
         train_config=None if cfg is None else _train_config_from(cfg),
     )

@@ -49,11 +49,6 @@ class AssertivenessThreshold:
         if self.tau not in TAU_GRID:
             raise ValueError(f"tau must be one of {TAU_GRID}, got {self.tau}")
 
-    @property
-    def level(self) -> int:
-        """The user-facing assertiveness level 1..5 of this threshold."""
-        return int(self.tau) - 3
-
 
 def map_assertiveness(level: int) -> AssertivenessThreshold:
     """Map an assertiveness level 1..5 to its threshold (tau = level + 3 s)."""

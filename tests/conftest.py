@@ -106,7 +106,7 @@ JSON_LIMITS = [
 
 
 def b64(values):
-    """Values as waffle/3 columns and bitetiming-model/5 arrays hold them: the
+    """Values as waffle/3 columns and bitetiming-model/6 arrays hold them: the
     base64 of their C-order little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
@@ -130,13 +130,18 @@ def write_signed_model(path, doc):
 
 
 def write_old_model(path, doc, version):
-    """Write ``doc``, a bitetiming-model/5 document, as schema ``version``
-    1 to 4 laid out its files: arrays as nested lists of numbers, in an
+    """Write ``doc``, a bitetiming-model/6 document, as schema ``version``
+    1 to 5 laid out its files: arrays as nested lists of numbers, in an
     indented dump (1) or signed canonical text (2), or the signed base64
-    arrays that /4 and /5 kept (3, 4)."""
+    arrays that /6 keeps (3 to 5). Their train_config also stored the Adam
+    constants and the label cap."""
     dims = doc["layer_dims"]
     doc = dict(doc, schema=f"bitetiming-model/{version}")
-    if version in (3, 4):
+    if doc["train_config"] is not None:
+        doc["train_config"] = dict(
+            doc["train_config"], label_cap_seconds=10.0, beta1=0.9, beta2=0.999, adam_eps=1e-8
+        )
+    if version in (3, 4, 5):
         write_signed_model(path, doc)
         return
     doc["weights"] = [

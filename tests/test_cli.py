@@ -358,24 +358,6 @@ def test_simulate_waffle_requires_model(tmp_path, capsys):
     assert "needs --model" in capsys.readouterr().err
 
 
-def test_simulate_rejects_tau_and_level_together(tmp_path, capsys):
-    rc = main(
-        [
-            "simulate",
-            "--policy",
-            "fixed-interval",
-            "--tau",
-            "6",
-            "--level",
-            "3",
-            "--out",
-            str(tmp_path / "x.jsonl"),
-        ]
-    )
-    assert rc == 1
-    assert "not both" in capsys.readouterr().err
-
-
 def test_eval_names_a_participant_without_motion_labels(dataset_dir, tmp_path, capsys):
     # p02's sessions lose their motion track; LOSO cannot score that fold.
     doc = json.loads((dataset_dir / "manifest.json").read_text())
@@ -459,14 +441,14 @@ def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
     model_path = tmp_path / "old.json"
     save_model(model, model_path)
     doc = json.loads(model_path.read_text())
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         write_old_model(model_path, doc, version)
         rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
             f"error: {model_path}: model schema 'bitetiming-model/{version}' is not supported, "
-            "expected 'bitetiming-model/5'"
+            "expected 'bitetiming-model/6'"
         ]
         assert not (tmp_path / "log.jsonl").exists()
 

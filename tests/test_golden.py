@@ -22,7 +22,10 @@ moved with the model. The loss table, printed to six decimals, did not move.
 When models became ``bitetiming-model/5`` (one 16-bit dropout draw per unit
 instead of one 64-bit float draw, and Adam's bias corrections folded into
 its step size, so again other weights), the same six hashes were
-re-recorded, and this time the loss table moved with them.
+re-recorded, and this time the loss table moved with them. ``model.json``
+alone was re-recorded when models became ``bitetiming-model/6`` (its
+``train_config`` no longer stores the Adam constants and the label cap, which
+became fixed), with the same weights.
 Float artifacts depend on the numpy build; the hashes were recorded with
 numpy 2.4.x on x86-64 OpenBLAS.
 
@@ -50,7 +53,7 @@ GOLDEN = {
     "data/p01_social.jsonl": "ba314340cbc34db4d38c8d9d75214a6dff8e5ca52cb4ff8bd0eb9a06a633793f",
     "data/p02_individual.jsonl": "8e11267cac6ca45e768032e38c3156d5651839c7396e0354bfd5de1fd1135757",
     "data/p02_social.jsonl": "e38d947a5c36501b5aa9b292f841d0932e137be62d2a571e5ef3ca1f33abf9cf",
-    "model.json": "d50c92f906d29002bc1dc371ab7e7a11b775160914fbabb383901f5594a00378",
+    "model.json": "e2c1210d17be6ec5c45e8393029f521bbc0953c5431d9091e15b5563db2d0a8e",
     "model.json.loss.tsv": "db4744b473757444817807144df769cce251a8a4e3404b903e54312942a830e7",
     "reports/report.jsonl": "ec71e963704b9076c33e163d7d61dfe900657422a46373180c3fe7912820219c",
     "reports/report.tsv": "d3d0dbb7e4ada824d3d563e2b4022cac1d8b2175fc6b18945dd97d6bbd0531e9",

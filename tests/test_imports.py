@@ -1,0 +1,38 @@
+"""Private names that one package module imports from another.
+
+A leading underscore marks a name as its module's own. These imports cross
+that line, so the list may shrink but must not grow.
+"""
+
+import ast
+from pathlib import Path
+
+import bitetiming
+
+PACKAGE = Path(bitetiming.__file__).parent
+
+ALLOWED = {
+    "sim: dataio._bite",
+    "sim: dataio._bite_line",
+    "sim: dataio._encode",
+    "sim: dataio._field",
+    "sim: dataio._number",
+    "sim: dataio._records",
+    "sim: dataio._string",
+    "sim: dataio._typed",
+    "sim: mlp._forward_cached",
+    "mlp: dataio._json_reason",
+}
+
+
+def test_private_cross_module_imports_only_shrink():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {
+                    f"{path.stem}: {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                }
+    assert found - ALLOWED == set()

@@ -8,6 +8,7 @@ run.
 import ast
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -82,3 +83,18 @@ def test_the_closed_loop_calls_perfbench_makes(monkeypatch):
         "proceed",
         "stop",
     }
+
+
+def test_every_cli_command_perfbench_runs_parses(monkeypatch):
+    # run.py's study workload, at each scale; argparse exits on an option the
+    # CLI no longer takes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    from bitetiming.cli import build_parser
+
+    parser = build_parser()
+    for scale in run.SCALES.values():
+        stub = SimpleNamespace(cfg=scale["study"], seed=1)
+        for name, argv in run.cli_commands(stub, Path("work")):
+            assert parser.parse_args([str(a) for a in argv]).command == name

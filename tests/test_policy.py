@@ -29,14 +29,14 @@ def test_level_to_tau_mapping():
     assert map_assertiveness(3).tau == 6.0
     assert map_assertiveness(5).tau == 8.0
     for level in range(1, 6):
-        assert map_assertiveness(level).level == level
+        assert map_assertiveness(level).tau == level + 3
     for level in (0, 6, -1):
         with pytest.raises(ValueError):
             map_assertiveness(level)
 
 
 def test_threshold_validation():
-    assert AssertivenessThreshold(7.0).level == 4
+    assert AssertivenessThreshold(7.0).tau == 7.0
     with pytest.raises(ValueError):
         AssertivenessThreshold(3.0)
     with pytest.raises(ValueError):
