@@ -40,7 +40,7 @@ def main() -> None:
         path = Path(tmp) / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        same = np.array_equal(np.asarray(predict(loaded, x)), np.asarray(y_hat))
+        same = np.array_equal(predict(loaded, x), y_hat)
         print(f"saved {path.name} ({path.stat().st_size} bytes), "
               f"reloaded predictions bit-identical: {same}")
 

@@ -11,14 +11,13 @@ import sys
 from pathlib import Path
 
 from .dataio import SCENARIOS, load_dataset
-from .errors import ParseError
 from .evaluation import run_loso, write_report_files
 from .features import ABLATIONS
 from .mlp import TrainConfig, load_model, save_model, train
 from .pipeline import extract_dataset_windows
 from .policy import (
+    DEFAULT_TAU,
     POLICY_NAMES,
-    TAU_GRID,
     Command,
     make_policy,
     map_assertiveness,
@@ -47,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--participants", type=int, default=10)
     p_synth.add_argument("--duration", type=float, default=240.0, help="seconds per session")
     p_synth.add_argument("--seed", type=int, default=7)
-    p_synth.add_argument("--style-spread", type=float, default=1.0)
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="fit a regressor on a dataset manifest")
@@ -74,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--epochs", type=int, default=100)
-    p_eval.add_argument("--tau", type=float, default=6.0, help="fixed threshold (s)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="closed-loop feeding simulation")
@@ -85,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--participant", default="sim")
     p_sim.add_argument("--scenario", choices=SCENARIOS, default="individual")
-    p_sim.add_argument("--style-spread", type=float, default=1.0)
     p_sim.add_argument("--out", required=True, help="session log file to write")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -102,7 +98,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_participants=args.participants,
         duration=args.duration,
         seed=args.seed,
-        style_spread=args.style_spread,
     )
     # Reload everything as a self-check before reporting success.
     sessions = load_dataset(manifest)
@@ -137,18 +132,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
-    if args.tau not in TAU_GRID:
-        raise ValueError(f"--tau must be one of {TAU_GRID}, got {args.tau}")
     sessions = load_dataset(args.manifest)
     ablations = ABLATIONS if args.ablation == "all" else (args.ablation,)
     evaluations = []
     for ablation in ablations:
-        ev = run_loso(sessions, cfg, ablation=ablation, fixed_tau=args.tau)
+        ev = run_loso(sessions, cfg, ablation=ablation)
         evaluations.append(ev)
         print(
             f"ablation {ablation}: MAE {ev.macro_mae():.3f} s "
             f"(naive {ev.macro_naive_mae():.3f} s), "
-            f"nMCC fixed {ev.macro_nmcc(ev.fixed_tau):.3f} / "
+            f"nMCC fixed {ev.macro_nmcc(DEFAULT_TAU):.3f} / "
             f"optimal {ev.macro_nmcc(None):.3f}"
         )
     for path in write_report_files(evaluations, args.out):
@@ -159,7 +152,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    threshold = map_assertiveness(args.level)
+    tau = map_assertiveness(args.level)
 
     check_duration(args.duration)
     predictor = None
@@ -172,9 +165,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario=args.scenario,
         duration=args.duration,
         seed=args.seed,
-        style_spread=args.style_spread,
     )
-    policy = make_policy(args.policy, threshold)
+    policy = make_policy(args.policy, tau)
 
     log = run_session(
         scenario.session,

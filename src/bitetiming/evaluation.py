@@ -7,7 +7,9 @@ thresholded predictions against ground-truth proceed/stop motion labels:
 accuracy, Matthews correlation (MCC), and normalized MCC (nMCC =
 (MCC + 1) / 2, so chance-level or degenerate agreement sits at 0.5).
 Proceeding is the positive class. Alignment is kept as confusion counts per
-participant and tau, and every score is computed from them.
+participant and tau, and every score is computed from them. Reports score
+every tau in ``TAU_GRID``, the default level's ``DEFAULT_TAU`` and each
+fold's best tau.
 
 Cross-validation holds out every session of one participant per fold.
 Normalization statistics and network weights come from the training fold
@@ -187,7 +189,6 @@ class LosoEvaluation:
     """Leave-one-subject-out results for one modality ablation."""
 
     ablation: str
-    fixed_tau: float
     folds: list[FoldResult]
 
     def macro_mae(self) -> float:
@@ -227,7 +228,6 @@ def run_loso(
     sessions: list[SessionRecord],
     cfg: TrainConfig,
     ablation: str = "imu+mic",
-    fixed_tau: float = DEFAULT_TAU,
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS,
 ) -> LosoEvaluation:
     """Train and evaluate one model per leave-one-subject-out fold.
@@ -236,12 +236,9 @@ def run_loso(
     confusion counts of every tau in ``TAU_GRID`` and the best tau all come
     from that prediction.
 
-    Raises ValueError when ``fixed_tau`` is not in ``TAU_GRID``, and
-    InsufficientDataError with fewer than two participants, or naming a
-    participant who has no labeled windows or no motion ground truth.
+    Raises InsufficientDataError with fewer than two participants, or naming
+    a participant who has no labeled windows or no motion ground truth.
     """
-    if fixed_tau not in TAU_GRID:
-        raise ValueError(f"fixed_tau must be one of {TAU_GRID}, got {fixed_tau}")
     participants = sorted({s.participant_id for s in sessions})
     if len(participants) < 2:
         raise InsufficientDataError(
@@ -279,7 +276,7 @@ def run_loso(
                 final_train_loss=losses[-1],
             )
         )
-    return LosoEvaluation(ablation=ablation, fixed_tau=float(fixed_tau), folds=results)
+    return LosoEvaluation(ablation=ablation, folds=results)
 
 
 def audit_fold(
@@ -390,11 +387,11 @@ def write_report_files(evaluations: list[LosoEvaluation], out_dir: str | Path) -
                     f"nmcc={_fmt(ev.macro_nmcc(tau))}\n"
                 )
             f.write(
-                f"fixed tau={ev.fixed_tau:g}s: "
-                f"macro accuracy={_fmt(ev.macro_accuracy(ev.fixed_tau))} "
-                f"nmcc={_fmt(ev.macro_nmcc(ev.fixed_tau))} | "
-                f"micro accuracy={_fmt(ev.micro_accuracy(ev.fixed_tau))} "
-                f"nmcc={_fmt(ev.micro_nmcc(ev.fixed_tau))}\n"
+                f"fixed tau={DEFAULT_TAU:g}s: "
+                f"macro accuracy={_fmt(ev.macro_accuracy(DEFAULT_TAU))} "
+                f"nmcc={_fmt(ev.macro_nmcc(DEFAULT_TAU))} | "
+                f"micro accuracy={_fmt(ev.micro_accuracy(DEFAULT_TAU))} "
+                f"nmcc={_fmt(ev.micro_nmcc(DEFAULT_TAU))}\n"
             )
             f.write(
                 f"swept optimum: "

@@ -315,18 +315,15 @@ def train(
     return model, loss_history
 
 
-def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
-    """Predict seconds to the next bite from raw 48-feature rows.
+def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Predict seconds to the next bite for each row of an (n, 48) matrix.
 
-    Accepts a single (48,) vector or an (n, 48) matrix in the canonical
-    feature layout; ablation column selection and normalization happen here.
+    Rows are in the canonical feature layout; ablation column selection and
+    normalization happen here. Returns an (n,) array.
     """
     if model.normalization is None:
         raise ValueError("model has no normalization statistics; train or load first")
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ValueError(
             f"predict expects the full {FEATURE_DIM}-feature layout, "
@@ -337,8 +334,7 @@ def predict(model: MlpModel, features: np.ndarray) -> np.ndarray | float:
         raise ValueError(
             f"features must have {model.input_dim} columns, got shape {x.shape}"
         )
-    y_hat = _forward_cached(model.weights, model.biases, x, None)[0]
-    return float(y_hat[0]) if single else y_hat
+    return _forward_cached(model.weights, model.biases, x, None)[0]
 
 
 def _model_payload(model: MlpModel) -> dict:

@@ -3,8 +3,10 @@
 The learned policy thresholds the predicted time to the next bite: the robot
 proceeds when the prediction is at or below the assertiveness threshold tau.
 User-facing assertiveness levels 1..5 map to tau = level + 3 seconds, so
-level 3 is the 6 s default. Once the utensil is within the commit distance
-of the mouth the trajectory always finishes, whatever the model says next.
+level 3 is the 6 s default. Tau is a plain float: ``TAU_GRID`` lists the
+levels' values, but the rule takes any tau in seconds. Once the utensil is
+within the commit distance of the mouth the trajectory always finishes,
+whatever the model says next.
 
 Baselines: a fixed 45 s schedule, a mouth-open event trigger, and an
 always-proceed lower bound. Every policy is one class with ``name``,
@@ -39,27 +41,16 @@ class Command(Enum):
     TRIGGER_FULL_TRAJECTORY = "trigger_full_trajectory"
 
 
-@dataclass(frozen=True)
-class AssertivenessThreshold:
-    """A proceed threshold in seconds on the 4..8 s grid."""
-
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.tau not in TAU_GRID:
-            raise ValueError(f"tau must be one of {TAU_GRID}, got {self.tau}")
-
-
-def map_assertiveness(level: int) -> AssertivenessThreshold:
-    """Map an assertiveness level 1..5 to its threshold (tau = level + 3 s)."""
+def map_assertiveness(level: int) -> float:
+    """Map an assertiveness level 1..5 to its threshold tau = level + 3 s."""
     if not MIN_LEVEL <= level <= MAX_LEVEL:
         raise ValueError(
             f"assertiveness level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}"
         )
-    return AssertivenessThreshold(float(level + 3))
+    return float(level + 3)
 
 
-def decide(y_hat: float, threshold: AssertivenessThreshold) -> Command:
+def decide(y_hat: float, tau: float) -> Command:
     """Threshold one prediction: proceed iff y_hat <= tau.
 
     The boundary is inclusive, so a prediction exactly at tau proceeds.
@@ -70,7 +61,7 @@ def decide(y_hat: float, threshold: AssertivenessThreshold) -> Command:
             "non-finite prediction %r, failing safe to Stop", y_hat
         )
         return Command.STOP
-    return Command.PROCEED if y_hat <= threshold.tau else Command.STOP
+    return Command.PROCEED if y_hat <= tau else Command.STOP
 
 
 @dataclass(slots=True)
@@ -97,8 +88,8 @@ class WafflePolicy:
     name = "waffle"
     needs_predictions = True
 
-    def __init__(self, threshold: AssertivenessThreshold) -> None:
-        self.threshold = threshold
+    def __init__(self, tau: float) -> None:
+        self.tau = tau
         self._committed = False
 
     def reset(self) -> None:
@@ -117,7 +108,7 @@ class WafflePolicy:
             return Command.PROCEED
         if inputs.y_hat is None:
             return Command.STOP
-        return decide(inputs.y_hat, self.threshold)
+        return decide(inputs.y_hat, self.tau)
 
 
 class FixedIntervalPolicy:
@@ -176,10 +167,10 @@ class AlwaysFeedPolicy:
         return Command.PROCEED
 
 
-def make_policy(name: str, threshold: AssertivenessThreshold):
-    """Construct a policy by its log name; only waffle reads ``threshold``."""
+def make_policy(name: str, tau: float):
+    """Construct a policy by its log name; only waffle reads ``tau``."""
     if name == "waffle":
-        return WafflePolicy(threshold)
+        return WafflePolicy(tau)
     if name == "fixed-interval":
         return FixedIntervalPolicy()
     if name == "mouth-open":

@@ -265,16 +265,14 @@ class ParticipantStyle:
             )
 
 
-def sample_style(rng: np.random.Generator, style_spread: float = 1.0) -> ParticipantStyle:
-    """Draw a participant style; ``style_spread`` in [0, 1] scales variation."""
-    if not 0.0 <= style_spread <= 1.0:
-        raise ValueError(f"style_spread must lie in [0, 1], got {style_spread}")
+def sample_style(rng: np.random.Generator) -> ParticipantStyle:
+    """Draw a participant style, each parameter uniform within +-rel of its mid."""
 
     def vary(mid: float, rel: float) -> float:
-        return mid * (1.0 + rel * style_spread * rng.uniform(-1.0, 1.0))
+        return mid * (1.0 + rel * rng.uniform(-1.0, 1.0))
 
     return ParticipantStyle(
-        chew_rate_hz=float(np.clip(1.5 + 0.5 * style_spread * rng.uniform(-1, 1), 1.0, 2.0)),
+        chew_rate_hz=float(np.clip(1.5 + 0.5 * rng.uniform(-1, 1), 1.0, 2.0)),
         chew_accel_amp=vary(0.65, 0.4),
         chew_mic_amp=vary(0.22, 0.4),
         talk_mic_amp=vary(0.34, 0.35),
@@ -598,13 +596,13 @@ def synthesize_scenario(
     duration: float,
     seed,
     style: ParticipantStyle | None = None,
-    style_spread: float = 1.0,
 ) -> SyntheticScenario:
-    """Generate behavior, sensors, and oracle-driven ground truth."""
+    """Generate behavior, sensors, and oracle-driven ground truth; the style
+    is drawn from the seed unless one is given."""
     _check_scenario(scenario)
     rng = np.random.default_rng(seed)
     if style is None:
-        style = sample_style(rng, style_spread)
+        style = sample_style(rng)
     script = sample_behavior_script(rng, duration, scenario, style)
     partner = (
         sample_partner_script(rng, duration, style) if scenario == "social" else None
@@ -641,13 +639,10 @@ def generate_synthetic_session(
     duration: float,
     seed,
     style: ParticipantStyle | None = None,
-    style_spread: float = 1.0,
 ) -> SessionRecord:
     """``synthesize_scenario(...).session``, kept only until the benchmark's
     ``perfbench/child.py`` calls that instead."""
-    return synthesize_scenario(
-        participant_id, scenario, duration, seed, style, style_spread
-    ).session
+    return synthesize_scenario(participant_id, scenario, duration, seed, style).session
 
 
 def generate_dataset(
@@ -655,20 +650,18 @@ def generate_dataset(
     n_participants: int,
     duration: float,
     seed: int,
-    style_spread: float = 1.0,
 ) -> Path:
     """Write a synthetic dataset (one session per participant per scenario).
 
     Participant styles are stable across their scenarios. Returns the
     manifest path.
     """
-    check_duration(duration)  # checked, like each style, before anything is written
-    rngs = (np.random.default_rng([seed, p]) for p in range(n_participants))
-    styles = [sample_style(rng, style_spread) for rng in rngs]
+    check_duration(duration)  # checked before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     session_paths = []
-    for p, style in enumerate(styles):
+    for p in range(n_participants):
+        style = sample_style(np.random.default_rng([seed, p]))
         pid = f"p{p + 1:02d}"
         for s_idx, scenario in enumerate(SCENARIOS):
             record = synthesize_scenario(

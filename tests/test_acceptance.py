@@ -291,9 +291,7 @@ def test_criterion_9_serialization(combined_model, tmp_path):
     save_model(combined_model, path)
     loaded = load_model(path)
     x = np.random.default_rng(303).normal(0.0, 1.0, (100, 48))
-    bitwise = np.array_equal(
-        np.asarray(predict(combined_model, x)), np.asarray(predict(loaded, x))
-    )
+    bitwise = np.array_equal(predict(combined_model, x), predict(loaded, x))
     doc = json.loads(path.read_text())
     doc["schema"] = "bitetiming-model/0"
     path.write_text(json.dumps(doc))

@@ -1,7 +1,8 @@
-"""Private names that one package module imports from another.
+"""Imports inside the package: none unused, and few private ones.
 
-A leading underscore marks a name as its module's own. These imports cross
-that line, so the list may shrink but must not grow.
+A leading underscore marks a name as its module's own. Imports of such
+names from another module cross that line, so their list may shrink but
+must not grow.
 """
 
 import ast
@@ -36,3 +37,18 @@ def test_private_cross_module_imports_only_shrink():
                     if a.name.startswith("_")
                 }
     assert found - ALLOWED == set()
+
+
+def test_every_imported_name_is_referenced():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        referenced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in sorted(imported - referenced)]
+    assert unused == []

@@ -90,7 +90,7 @@ def test_forward_zero_network_outputs_bias():
         w[:] = 0.0
     model.biases[-1][:] = 2.75
     rng = np.random.default_rng(0)
-    assert predict(model, rng.normal(0.0, 1.0, 48)) == 2.75
+    np.testing.assert_array_equal(predict(model, rng.normal(0.0, 1.0, (1, 48))), [2.75])
     out = predict(model, rng.normal(0.0, 1.0, (5, 48)))
     np.testing.assert_array_equal(out, np.full(5, 2.75))
 
@@ -111,10 +111,10 @@ def test_forward_toy_network_by_hand():
 def test_forward_infer_is_deterministic_and_validated():
     model = identity_normalized(init_mlp((48, 16, 1), seed=2))
     rng = np.random.default_rng(3)
-    x = rng.normal(0.0, 1.0, 48)
-    assert predict(model, x) == predict(model, x)
+    x = rng.normal(0.0, 1.0, (1, 48))
+    np.testing.assert_array_equal(predict(model, x), predict(model, x))
     with pytest.raises(ValueError):
-        predict(model, np.zeros(47))
+        predict(model, np.zeros((1, 47)))
 
 
 def test_loss_and_gradients_applies_dropout_masks():
@@ -353,7 +353,7 @@ def test_train_fits_a_constant_label():
     windows = rows_from(feats, np.full(8, 4.0))
     cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=500, seed=1)
     model, losses = train(windows, cfg)
-    preds = np.asarray(predict(model, feats))
+    preds = predict(model, feats)
     np.testing.assert_allclose(preds, 4.0, atol=0.1)
     assert losses[-1] < 0.05
 
@@ -393,30 +393,31 @@ def test_predict_uses_only_the_ablation_columns():
     rng = np.random.default_rng(10)
     windows = rows_from(rng.normal(0.0, 1.0, (16, 48)), rng.uniform(1.0, 9.0, 16))
     model, _ = train(windows, TrainConfig(epochs=2, batch_size=8), ablation="mic")
-    row = rng.normal(0.0, 1.0, 48)
+    row = rng.normal(0.0, 1.0, (1, 48))
     tweaked = row.copy()
-    tweaked[:18] += 100.0  # imu columns of the first half
-    assert predict(model, row) == predict(model, tweaked)
+    tweaked[:, :18] += 100.0  # imu columns of the first half
+    np.testing.assert_array_equal(predict(model, row), predict(model, tweaked))
 
 
 def test_predict_validation():
     model = init_mlp((48, 8, 1), seed=0)
     with pytest.raises(ValueError, match="normalization"):
-        predict(model, np.zeros(48))
+        predict(model, np.zeros((1, 48)))
     rng = np.random.default_rng(11)
     windows = rows_from(rng.normal(0.0, 1.0, (16, 48)), rng.uniform(1.0, 9.0, 16))
     trained, _ = train(windows, TrainConfig(epochs=1, batch_size=8), ablation="imu")
     with pytest.raises(ValueError, match="48"):
-        predict(trained, np.zeros(36))
-    # Neither one row nor a matrix of rows: the package's error, not an IndexError.
-    for features in (np.float64(1.0), np.zeros((2, 48, 48))):
+        predict(trained, np.zeros((1, 36)))
+    # Anything but a matrix of rows, one bare row included: the package's
+    # error, not an IndexError.
+    for features in (np.float64(1.0), np.zeros(48), np.zeros((2, 48, 48))):
         with pytest.raises(ValueError, match=re.escape(f"48-feature layout, got shape {np.shape(features)}")):
             predict(trained, features)
     # A network whose input width is not its ablation's.
     mismatched = identity_normalized(init_mlp((48, 4, 1), seed=0), dim=12)
     mismatched.ablation = "mic"
     with pytest.raises(ValueError, match=re.escape("features must have 48 columns, got shape (1, 12)")):
-        predict(mismatched, np.zeros(48))
+        predict(mismatched, np.zeros((1, 48)))
 
 
 def trained_toy_model(seed=0):
@@ -433,9 +434,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     loaded = load_model(path)
     rng = np.random.default_rng(13)
     x = rng.normal(0.0, 1.0, (100, 48))
-    np.testing.assert_array_equal(
-        np.asarray(predict(model, x)), np.asarray(predict(loaded, x))
-    )
+    np.testing.assert_array_equal(predict(model, x), predict(loaded, x))
     assert loaded.layer_dims == model.layer_dims
     assert loaded.train_config == model.train_config
     assert model_digest(loaded) == model_digest(model)
@@ -763,7 +762,7 @@ def test_load_model_mutations_load_or_name_the_file(model_dir, data):
     model = assert_loads_or_names_the_file(path)
     if model is not None:
         assert same_json(_model_payload(model), doc)
-        y_hat = np.asarray(predict(model, np.zeros((2, 48))))
+        y_hat = predict(model, np.zeros((2, 48)))
         assert y_hat.shape == (2,) and np.isfinite(y_hat).all()
 
 

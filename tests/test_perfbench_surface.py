@@ -98,3 +98,27 @@ def test_every_cli_command_perfbench_runs_parses(monkeypatch):
         stub = SimpleNamespace(cfg=scale["study"], seed=1)
         for name, argv in run.cli_commands(stub, Path("work")):
             assert parser.parse_args([str(a) for a in argv]).command == name
+
+
+def test_the_study_workload_times_simulate_decisions(monkeypatch, tmp_path):
+    # run.py's study workload times `simulate` by patching cli.make_policy and
+    # cli.model_predictor, so cmd_simulate must look both up on the module.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import DecisionTimer
+
+    from bitetiming import cli, mlp, sim
+    from bitetiming.pipeline import extract_labeled_windows
+
+    source = sim.synthesize_scenario("c30", "social", 30.0, seed=[1, 3, 1])
+    windows = extract_labeled_windows(source.session)
+    model, _ = mlp.train(windows, mlp.TrainConfig(epochs=1), hidden_dims=(4,))
+    mlp.save_model(model, tmp_path / "model.json")
+    # monkeypatch restores both names that install_on_cli replaces.
+    monkeypatch.setattr(cli, "make_policy", cli.make_policy)
+    monkeypatch.setattr(cli, "model_predictor", cli.model_predictor)
+    timer = DecisionTimer()
+    timer.install_on_cli(cli)
+    argv = ["simulate", "--policy", "waffle", "--model", str(tmp_path / "model.json"),
+            "--duration", "30", "--out", str(tmp_path / "log.jsonl")]
+    assert cli.main(argv) == 0
+    assert len(timer.samples_us) == 60

@@ -12,7 +12,6 @@ from bitetiming.policy import (
     FIXED_INTERVAL_SECONDS,
     TAU_GRID,
     AlwaysFeedPolicy,
-    AssertivenessThreshold,
     Command,
     FixedIntervalPolicy,
     MouthOpenPolicy,
@@ -25,50 +24,43 @@ from bitetiming.policy import (
 
 
 def test_level_to_tau_mapping():
-    assert map_assertiveness(1).tau == 4.0
-    assert map_assertiveness(3).tau == 6.0
-    assert map_assertiveness(5).tau == 8.0
+    assert map_assertiveness(1) == 4.0
+    assert map_assertiveness(3) == 6.0
+    assert map_assertiveness(5) == 8.0
     for level in range(1, 6):
-        assert map_assertiveness(level).tau == level + 3
+        tau = map_assertiveness(level)
+        assert isinstance(tau, float) and tau == level + 3
     for level in (0, 6, -1):
         with pytest.raises(ValueError):
             map_assertiveness(level)
 
 
-def test_threshold_validation():
-    assert AssertivenessThreshold(7.0).tau == 7.0
-    with pytest.raises(ValueError):
-        AssertivenessThreshold(3.0)
-    with pytest.raises(ValueError):
-        AssertivenessThreshold(6.5)
-
-
 def test_decide_boundary_is_inclusive():
-    threshold = AssertivenessThreshold(6.0)
-    assert decide(6.0, threshold) is Command.PROCEED
-    assert decide(5.999, threshold) is Command.PROCEED
-    assert decide(6.001, threshold) is Command.STOP
-    assert decide(7.2, threshold) is Command.STOP
-    assert decide(0.0, threshold) is Command.PROCEED
-    assert decide(-1.0, threshold) is Command.PROCEED
+    assert decide(6.0, 6.0) is Command.PROCEED
+    assert decide(5.999, 6.0) is Command.PROCEED
+    assert decide(6.001, 6.0) is Command.STOP
+    assert decide(7.2, 6.0) is Command.STOP
+    assert decide(0.0, 6.0) is Command.PROCEED
+    assert decide(-1.0, 6.0) is Command.PROCEED
 
 
 def test_decide_fails_safe_on_non_finite(caplog):
-    threshold = AssertivenessThreshold(6.0)
     with caplog.at_level(logging.WARNING, logger="bitetiming.policy"):
-        assert decide(float("nan"), threshold) is Command.STOP
-        assert decide(float("inf"), threshold) is Command.STOP
-        assert decide(float("-inf"), threshold) is Command.STOP
+        assert decide(float("nan"), 6.0) is Command.STOP
+        assert decide(float("inf"), 6.0) is Command.STOP
+        assert decide(float("-inf"), 6.0) is Command.STOP
     assert sum("failing safe" in r.message for r in caplog.records) == 3
 
 
 def test_decide_agrees_with_direct_comparison():
     rng = np.random.default_rng(0)
     for _ in range(500):
-        tau = float(rng.choice(TAU_GRID))
+        tau = float(rng.uniform(3.0, 11.0))
         y_hat = float(rng.uniform(-2.0, 12.0))
         expected = Command.PROCEED if y_hat <= tau else Command.STOP
-        assert decide(y_hat, AssertivenessThreshold(tau)) is expected
+        assert decide(y_hat, tau) is expected
+    # Off the grid: the default robot's 7.62 s approach plus a 0.5 s margin.
+    assert WafflePolicy(8.12).step(tick(y_hat=8.1)) is Command.PROCEED
 
 
 def test_proceed_count_monotone_in_tau():
@@ -76,7 +68,7 @@ def test_proceed_count_monotone_in_tau():
     preds = rng.uniform(0.0, 12.0, 300)
     counts = [
         sum(
-            decide(float(p), AssertivenessThreshold(tau)) is Command.PROCEED
+            decide(float(p), tau) is Command.PROCEED
             for p in preds
         )
         for tau in TAU_GRID
@@ -97,7 +89,7 @@ def tick(clock=0.0, distance=0.381, at_staging=True, bite_completed=False,
 
 
 def test_waffle_step_outside_commit_zone_thresholds():
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(tick(distance=0.30, y_hat=9.0)) is Command.STOP
     assert policy.step(tick(distance=0.30, y_hat=5.0)) is Command.PROCEED
     # Neither tick latched: a late prediction far away still stops.
@@ -105,10 +97,10 @@ def test_waffle_step_outside_commit_zone_thresholds():
 
 
 def test_waffle_step_commit_zone_overrides_prediction():
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(tick(distance=0.04, y_hat=9.0)) is Command.PROCEED
     assert policy.step(tick(distance=0.30, y_hat=9.0)) is Command.PROCEED
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(
         tick(distance=COMMIT_DISTANCE_M, y_hat=9.0)
     ) is Command.PROCEED
@@ -116,21 +108,21 @@ def test_waffle_step_commit_zone_overrides_prediction():
 
 
 def test_waffle_step_latch_persists_outside_zone():
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     policy.step(tick(distance=0.04, y_hat=9.0))
     for distance, y_hat in ((0.30, 9.0), (0.381, 12.0), (0.30, None)):
         assert policy.step(tick(distance=distance, y_hat=y_hat)) is Command.PROCEED
 
 
 def test_waffle_step_missing_prediction_fails_safe():
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(tick(distance=0.30, y_hat=None)) is Command.STOP
     assert policy.step(tick(distance=0.30, y_hat=9.0)) is Command.STOP
     assert policy.step(tick(distance=0.04, y_hat=None)) is Command.PROCEED
 
 
 def test_waffle_policy_latches_until_bite_completion():
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(tick(distance=0.30, y_hat=9.0)) is Command.STOP
     assert policy.step(tick(distance=0.04, y_hat=9.0)) is Command.PROCEED
     # Latched: the same far-away, late prediction now proceeds.
@@ -139,7 +131,7 @@ def test_waffle_policy_latches_until_bite_completion():
     assert policy.step(
         tick(distance=0.30, y_hat=9.0, bite_completed=True)
     ) is Command.STOP
-    policy2 = WafflePolicy(AssertivenessThreshold(6.0))
+    policy2 = WafflePolicy(6.0)
     policy2.step(tick(distance=0.04, y_hat=9.0))
     policy2.reset()
     assert policy2.step(tick(distance=0.30, y_hat=9.0)) is Command.STOP
@@ -148,7 +140,7 @@ def test_waffle_policy_latches_until_bite_completion():
 def test_waffle_policy_does_not_relatch_at_the_mouth_after_a_bite():
     # On the completion tick the utensil is still at distance 0, but the
     # trajectory is over: the commit zone must not re-engage the latch.
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     assert policy.step(tick(distance=0.04, y_hat=9.0)) is Command.PROCEED
     assert policy.step(
         tick(distance=0.0, y_hat=9.0, bite_completed=True)
@@ -203,7 +195,7 @@ waffle_ticks = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(ticks=waffle_ticks, tau=st.sampled_from(TAU_GRID))
 def test_waffle_never_stops_between_commit_and_bite_completion(ticks, tau):
-    policy = WafflePolicy(AssertivenessThreshold(tau))
+    policy = WafflePolicy(tau)
     committed = False
     for inputs in ticks:
         command = policy.step(inputs)
@@ -251,11 +243,10 @@ def test_always_feed():
 
 
 def test_make_policy():
-    threshold = AssertivenessThreshold(8.0)
-    waffle = make_policy("waffle", threshold)
-    assert isinstance(waffle, WafflePolicy) and waffle.threshold is threshold
-    assert isinstance(make_policy("fixed-interval", threshold), FixedIntervalPolicy)
-    assert isinstance(make_policy("mouth-open", threshold), MouthOpenPolicy)
-    assert isinstance(make_policy("always-feed", threshold), AlwaysFeedPolicy)
+    waffle = make_policy("waffle", 8.0)
+    assert isinstance(waffle, WafflePolicy) and waffle.tau == 8.0
+    assert isinstance(make_policy("fixed-interval", 8.0), FixedIntervalPolicy)
+    assert isinstance(make_policy("mouth-open", 8.0), MouthOpenPolicy)
+    assert isinstance(make_policy("always-feed", 8.0), AlwaysFeedPolicy)
     with pytest.raises(ValueError, match="unknown policy"):
-        make_policy("random", threshold)
+        make_policy("random", 8.0)

@@ -17,7 +17,6 @@ from bitetiming.errors import InsufficientDataError, ParseError, ProtocolError, 
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     AlwaysFeedPolicy,
-    AssertivenessThreshold,
     Command,
     FixedIntervalPolicy,
     MouthOpenPolicy,
@@ -31,6 +30,7 @@ from bitetiming.sim import (
     BehaviorScript,
     BehaviorState,
     OracleLabeler,
+    ParticipantStyle,
     Phase,
     Segment,
     TickLog,
@@ -50,6 +50,20 @@ from bitetiming.sim import (
     _synth_mic,
     _taper,
 )
+
+# Every style parameter at the middle of its sampled range.
+MID_STYLE = ParticipantStyle(
+    chew_rate_hz=1.5,
+    chew_accel_amp=0.65,
+    chew_mic_amp=0.22,
+    talk_mic_amp=0.34,
+    head_motion_amp=1.6,
+    anticipation_amp=0.4,
+    idle_accel_sigma=0.025,
+    idle_mic_sigma=0.008,
+    tempo=1.0,
+)
+
 
 def drive(state, commands):
     bites = []
@@ -397,21 +411,14 @@ def test_sample_style_determinism_and_bounds():
         style = sample_style(np.random.default_rng(seed))
         assert 1.0 <= style.chew_rate_hz <= 2.0
         assert style.tempo > 0.0
-    mid = sample_style(np.random.default_rng(0), style_spread=0.0)
-    assert mid.chew_rate_hz == 1.5
-    assert mid.chew_accel_amp == 0.65
-    assert mid.tempo == 1.0
-    with pytest.raises(ValueError):
-        sample_style(np.random.default_rng(0), style_spread=1.5)
 
 
 def test_sample_behavior_script_shape():
-    style = sample_style(np.random.default_rng(1), style_spread=0.0)
     with pytest.raises(ValueError, match="at least 30"):
-        sample_behavior_script(np.random.default_rng(0), 20.0, "individual", style)
+        sample_behavior_script(np.random.default_rng(0), 20.0, "individual", MID_STYLE)
     for seed in range(10):
         script = sample_behavior_script(
-            np.random.default_rng(seed), 90.0, "individual", style
+            np.random.default_rng(seed), 90.0, "individual", MID_STYLE
         )
         first = script.segments[0]
         assert first.state is BehaviorState.IDLE
@@ -421,21 +428,19 @@ def test_sample_behavior_script_shape():
         )
         assert script.segments[-1].end_t == pytest.approx(90.0)
     social = sample_behavior_script(
-        np.random.default_rng(0), 300.0, "social", style
+        np.random.default_rng(0), 300.0, "social", MID_STYLE
     )
     assert any(s.state is BehaviorState.TALKING for s in social.segments)
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
 def test_sample_behavior_script_rejects_non_finite_durations(duration):
-    style = sample_style(np.random.default_rng(1), style_spread=0.0)
     with time_limit(2.0), pytest.raises(ValueError, match="at least 30 s, got"):
-        sample_behavior_script(np.random.default_rng(0), duration, "individual", style)
+        sample_behavior_script(np.random.default_rng(0), duration, "individual", MID_STYLE)
 
 
 def test_partner_script_alternates():
-    style = sample_style(np.random.default_rng(1), style_spread=0.0)
-    script = sample_partner_script(np.random.default_rng(5), 60.0, style)
+    script = sample_partner_script(np.random.default_rng(5), 60.0, MID_STYLE)
     states = [s.state for s in script.segments]
     assert states[0] is BehaviorState.IDLE
     for a, b in zip(states, states[1:]):
@@ -590,7 +595,7 @@ def test_mouth_open_session_triggers_at_staging_only(long_scn):
 
 def test_run_session_input_validation(long_scn, tmp_path):
     with pytest.raises(ValueError, match="predictor"):
-        run_session(long_scn.session, WafflePolicy(AssertivenessThreshold(6.0)))
+        run_session(long_scn.session, WafflePolicy(6.0))
     with pytest.raises(ValueError, match="oracle"):
         run_session(long_scn.session, MouthOpenPolicy())
     # read_session takes a file whose track has no lines as an empty track.
@@ -606,7 +611,7 @@ def test_run_session_input_validation(long_scn, tmp_path):
 def test_waffle_session_gaps_fail_safe(long_scn):
     log = run_session(
         long_scn.session,
-        WafflePolicy(AssertivenessThreshold(8.0)),
+        WafflePolicy(8.0),
         predictor=lambda row, t: 0.0,
     )
     first = log.ticks[0]
@@ -624,7 +629,7 @@ def test_waffle_session_rethresholds_every_cycle(long_scn):
     # not start the next one.
     log = run_session(
         long_scn.session,
-        WafflePolicy(AssertivenessThreshold(6.0)),
+        WafflePolicy(6.0),
         predictor=lambda row, t: 0.0 if t < 20.0 else 100.0,
     )
     assert len(log.bites) == 1
@@ -663,7 +668,7 @@ def test_waffle_with_oracle_consistent_model_respects_talking():
         return 0.0 if oracle.command_at(t) is Command.PROCEED else 100.0
 
     log = run_session(
-        scn.session, WafflePolicy(AssertivenessThreshold(6.0)), predictor=predictor
+        scn.session, WafflePolicy(6.0), predictor=predictor
     )
     for tick in log.ticks:
         segment = script.segment_at(tick.t)
@@ -809,7 +814,7 @@ def test_session_log_names_the_line_of_a_bite_too_large_for_a_float(tmp_path):
 def log_dir(tmp_path_factory, long_scn):
     # A waffle log: ticks with and without a prediction, gaps and bites.
     path = tmp_path_factory.mktemp("log")
-    policy = WafflePolicy(AssertivenessThreshold(6.0))
+    policy = WafflePolicy(6.0)
     log = run_session(long_scn.session, policy, predictor=lambda row, t: t % 9.0)
     assert log.bites and any(tick.gap for tick in log.ticks)
     write_session_log(log, path / "base.jsonl")
@@ -922,6 +927,6 @@ def test_model_predictor_adapter(ablation_models, row):
 
     for model in ablation_models:
         fn = model_predictor(model)
-        assert fn(row, 3.0).hex() == float(predict(model, row)).hex()
+        assert fn(row, 3.0).hex() == float(predict(model, row[None])[0]).hex()
         with pytest.raises(ValueError, match="no normalization statistics"):
             model_predictor(dataclasses.replace(model, normalization=None))
