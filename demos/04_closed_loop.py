@@ -13,7 +13,13 @@ from pathlib import Path
 from bitetiming.dataio import load_dataset
 from bitetiming.mlp import TrainConfig, train
 from bitetiming.pipeline import extract_dataset_windows
-from bitetiming.policy import Command, WafflePolicy, make_policy, map_assertiveness
+from bitetiming.policy import (
+    DEFAULT_LEVEL,
+    Command,
+    WafflePolicy,
+    make_policy,
+    map_assertiveness,
+)
 from bitetiming.sim import (
     BehaviorState,
     generate_dataset,
@@ -60,7 +66,7 @@ def main() -> None:
         describe(f"waffle level {level}", log)
 
     for name in ("fixed-interval", "mouth-open", "always-feed"):
-        policy = make_policy(name, map_assertiveness(3))
+        policy = make_policy(name, map_assertiveness(DEFAULT_LEVEL))
         log = run_session(
             scenario.session, policy, predictor=predictor, oracle=scenario.oracle
         )

@@ -16,6 +16,7 @@ from .features import ABLATIONS
 from .mlp import TrainConfig, load_model, save_model, train
 from .pipeline import extract_dataset_windows
 from .policy import (
+    DEFAULT_LEVEL,
     DEFAULT_TAU,
     POLICY_NAMES,
     Command,
@@ -52,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--manifest", required=True)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--ablation", choices=ABLATIONS, default="imu+mic")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--epochs", type=int, default=100)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_train.add_argument(
         "--loss-out", default=None, help="loss table path (default: <out>.loss.tsv)"
     )
@@ -70,14 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which modality ablations to evaluate",
     )
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--epochs", type=int, default=100)
+    p_eval.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_eval.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="closed-loop feeding simulation")
     p_sim.add_argument("--policy", choices=POLICY_NAMES, default="waffle")
     p_sim.add_argument("--model", default=None, help="model file (waffle policy)")
-    p_sim.add_argument("--level", type=int, default=3, help="assertiveness level 1..5")
+    p_sim.add_argument(
+        "--level", type=int, default=DEFAULT_LEVEL, help="assertiveness level 1..5"
+    )
     p_sim.add_argument("--duration", type=float, default=150.0)
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--participant", default="sim")

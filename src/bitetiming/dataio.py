@@ -416,6 +416,27 @@ def read_session(path: str | Path) -> SessionRecord:
     return session
 
 
+def read_document(path: Path, schema: str, error: type[ValueError]) -> tuple[str, dict]:
+    """A whole-file JSON document of ``schema``: its text exactly as decoded,
+    with no newline translation for a checksum to miss, and its object. Raises
+    ``error`` naming the file for non-UTF-8 bytes (with their line), non-JSON
+    text or no object with a ``schema`` field; SchemaVersionError for another schema."""
+    try:
+        text = _read_text(path)
+        doc = json.loads(text)
+    except ParseError as e:
+        raise error(str(e)) from None
+    except (ValueError, RecursionError) as e:
+        raise error(f"{path}: invalid JSON: {_json_reason(e)}") from e
+    if not isinstance(doc, dict) or "schema" not in doc:
+        raise error(f"{path}: expected an object with a 'schema' field")
+    if doc["schema"] != schema:
+        raise SchemaVersionError(
+            f"{path}: schema {doc['schema']!r} is not supported, expected {schema!r}"
+        )
+    return text, doc
+
+
 def write_manifest(session_paths: list[str | Path], path: str | Path) -> None:
     """Write a dataset manifest listing session files relative to it."""
     path = Path(path)
@@ -433,18 +454,7 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     path strings (a NUL character included), or it lists one file twice.
     """
     manifest_path = Path(manifest_path)
-    text = _read_text(manifest_path)
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise ParseError(f"{manifest_path}: invalid JSON: {_json_reason(e)}") from e
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise ParseError(f"{manifest_path}: expected an object with a 'schema' field")
-    if doc["schema"] != MANIFEST_SCHEMA:
-        raise SchemaVersionError(
-            f"{manifest_path}: schema {doc['schema']!r} is not supported, "
-            f"expected {MANIFEST_SCHEMA!r}"
-        )
+    _, doc = read_document(manifest_path, MANIFEST_SCHEMA, ParseError)
     rels = doc.get("sessions")
     # A NUL cannot be in a path: the OS call would raise a bare ValueError.
     if type(rels) is not list or not all(type(r) is str and "\0" not in r for r in rels):

@@ -300,10 +300,6 @@ def audit_fold(
     return model_digest(model)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 # report.tsv columns in order, each with the format spec of its cells
 # ("d" writes the is_best_tau flag as 1 or 0).
 _TSV_COLUMNS = {
@@ -376,29 +372,29 @@ def write_report_files(evaluations: list[LosoEvaluation], out_dir: str | Path) -
         for ev in evaluations:
             f.write(f"== ablation: {ev.ablation} ==\n")
             f.write(
-                f"regression MAE (s): {_fmt(ev.macro_mae())} +- {_fmt(ev.mae_std())}"
+                f"regression MAE (s): {ev.macro_mae():.6f} +- {ev.mae_std():.6f}"
                 f" over {len(ev.folds)} folds\n"
             )
-            f.write(f"naive train-mean MAE (s): {_fmt(ev.macro_naive_mae())}\n")
+            f.write(f"naive train-mean MAE (s): {ev.macro_naive_mae():.6f}\n")
             f.write("per-tau macro alignment:\n")
             for tau in TAU_GRID:
                 f.write(
-                    f"  tau={tau:g}s accuracy={_fmt(ev.macro_accuracy(tau))} "
-                    f"nmcc={_fmt(ev.macro_nmcc(tau))}\n"
+                    f"  tau={tau:g}s accuracy={ev.macro_accuracy(tau):.6f} "
+                    f"nmcc={ev.macro_nmcc(tau):.6f}\n"
                 )
             f.write(
                 f"fixed tau={DEFAULT_TAU:g}s: "
-                f"macro accuracy={_fmt(ev.macro_accuracy(DEFAULT_TAU))} "
-                f"nmcc={_fmt(ev.macro_nmcc(DEFAULT_TAU))} | "
-                f"micro accuracy={_fmt(ev.micro_accuracy(DEFAULT_TAU))} "
-                f"nmcc={_fmt(ev.micro_nmcc(DEFAULT_TAU))}\n"
+                f"macro accuracy={ev.macro_accuracy(DEFAULT_TAU):.6f} "
+                f"nmcc={ev.macro_nmcc(DEFAULT_TAU):.6f} | "
+                f"micro accuracy={ev.micro_accuracy(DEFAULT_TAU):.6f} "
+                f"nmcc={ev.micro_nmcc(DEFAULT_TAU):.6f}\n"
             )
             f.write(
                 f"swept optimum: "
-                f"macro accuracy={_fmt(ev.macro_accuracy(None))} "
-                f"nmcc={_fmt(ev.macro_nmcc(None))} | "
-                f"micro accuracy={_fmt(ev.micro_accuracy(None))} "
-                f"nmcc={_fmt(ev.micro_nmcc(None))}\n"
+                f"macro accuracy={ev.macro_accuracy(None):.6f} "
+                f"nmcc={ev.macro_nmcc(None):.6f} | "
+                f"micro accuracy={ev.micro_accuracy(None):.6f} "
+                f"nmcc={ev.micro_nmcc(None):.6f}\n"
             )
             best = ", ".join(
                 f"{fold.participant_id}:{fold.best_tau:g}" for fold in ev.folds

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _json_reason, f8_from_base64, f8_to_base64
-from .errors import DivergenceError, IntegrityError, SchemaVersionError
+from .dataio import f8_from_base64, f8_to_base64, read_document
+from .errors import DivergenceError, IntegrityError
 from .features import (
     FEATURE_DIM,
     FEATURE_ORDER_ID,
@@ -461,21 +461,7 @@ def load_model(path: str | Path) -> MlpModel:
             positive, or a ``train_config`` value of the wrong type.
     """
     path = Path(path)
-    try:
-        # Not read_text: its newline translation would hide an edited "\r".
-        text = path.read_bytes().decode("utf-8")
-        doc = json.loads(text)
-    except UnicodeDecodeError as e:
-        raise IntegrityError(f"{path}: not UTF-8 text: {e.reason}") from None
-    except (ValueError, RecursionError) as e:
-        raise IntegrityError(f"{path}: not valid JSON: {_json_reason(e)}") from e
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise IntegrityError(f"{path}: expected an object with a 'schema' field")
-    if doc["schema"] != MODEL_SCHEMA:
-        raise SchemaVersionError(
-            f"{path}: model schema {doc['schema']!r} is not supported, "
-            f"expected {MODEL_SCHEMA!r}"
-        )
+    text, doc = read_document(path, MODEL_SCHEMA, IntegrityError)
     stored = doc.get("checksum")
     head = f'{{"checksum":"{stored}",'
     if not text.startswith(head) or _sha256("{" + text[len(head) : -1]) != stored:

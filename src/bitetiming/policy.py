@@ -2,15 +2,15 @@
 
 The learned policy thresholds the predicted time to the next bite: the robot
 proceeds when the prediction is at or below the assertiveness threshold tau.
-User-facing assertiveness levels 1..5 map to tau = level + 3 seconds, so
-level 3 is the 6 s default. Tau is a plain float: ``TAU_GRID`` lists the
-levels' values, but the rule takes any tau in seconds. Once the utensil is
-within the commit distance of the mouth the trajectory always finishes,
-whatever the model says next.
+User-facing assertiveness levels 1..5 map to tau = level + 3 seconds
+(``map_assertiveness``), so level 3 is the 6 s default; ``TAU_GRID`` and
+``DEFAULT_TAU`` are derived from that map. Tau is a plain float: the rule
+takes any tau in seconds. Once the utensil is within the commit distance of
+the mouth the trajectory always finishes, whatever the model says next.
 
 Baselines: a fixed 45 s schedule, a mouth-open event trigger, and an
 always-proceed lower bound. Every policy is one class with ``name``,
-``needs_predictions``, ``reset()`` and ``step(inputs) -> Command``.
+``reset()`` and ``step(inputs) -> Command``; ``make_policy`` finds it by name.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from enum import Enum
 logger = logging.getLogger(__name__)
 
 COMMIT_DISTANCE_M = 0.05
-TAU_GRID = (4.0, 5.0, 6.0, 7.0, 8.0)
-DEFAULT_TAU = 6.0
 MIN_LEVEL = 1
 MAX_LEVEL = 5
+DEFAULT_LEVEL = 3
 FIXED_INTERVAL_SECONDS = 45.0
 CONTROL_TICK_SECONDS = 0.5
-
-POLICY_NAMES = ("waffle", "fixed-interval", "mouth-open", "always-feed")
 
 
 class Command(Enum):
@@ -48,6 +45,10 @@ def map_assertiveness(level: int) -> float:
             f"assertiveness level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {level}"
         )
     return float(level + 3)
+
+
+TAU_GRID = tuple(map(map_assertiveness, range(MIN_LEVEL, MAX_LEVEL + 1)))
+DEFAULT_TAU = map_assertiveness(DEFAULT_LEVEL)
 
 
 def decide(y_hat: float, tau: float) -> Command:
@@ -86,7 +87,6 @@ class WafflePolicy:
     """
 
     name = "waffle"
-    needs_predictions = True
 
     def __init__(self, tau: float) -> None:
         self.tau = tau
@@ -120,7 +120,6 @@ class FixedIntervalPolicy:
     """
 
     name = "fixed-interval"
-    needs_predictions = False
 
     def reset(self) -> None:
         pass
@@ -143,7 +142,6 @@ class MouthOpenPolicy:
     """
 
     name = "mouth-open"
-    needs_predictions = False
 
     def reset(self) -> None:
         pass
@@ -158,7 +156,6 @@ class AlwaysFeedPolicy:
     """The always-proceed lower bound."""
 
     name = "always-feed"
-    needs_predictions = False
 
     def reset(self) -> None:
         pass
@@ -167,14 +164,16 @@ class AlwaysFeedPolicy:
         return Command.PROCEED
 
 
+_POLICIES = {
+    cls.name: cls
+    for cls in (WafflePolicy, FixedIntervalPolicy, MouthOpenPolicy, AlwaysFeedPolicy)
+}
+POLICY_NAMES = tuple(_POLICIES)
+
+
 def make_policy(name: str, tau: float):
     """Construct a policy by its log name; only waffle reads ``tau``."""
-    if name == "waffle":
-        return WafflePolicy(tau)
-    if name == "fixed-interval":
-        return FixedIntervalPolicy()
-    if name == "mouth-open":
-        return MouthOpenPolicy()
-    if name == "always-feed":
-        return AlwaysFeedPolicy()
-    raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")
+    if name not in POLICY_NAMES:
+        raise ValueError(f"unknown policy {name!r}, expected one of {POLICY_NAMES}")
+    cls = _POLICIES[name]
+    return cls(tau) if cls is WafflePolicy else cls()

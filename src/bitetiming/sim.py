@@ -53,7 +53,7 @@ from .errors import InsufficientDataError, ParseError, ProtocolError
 from .features import ablation_indices
 from .mlp import _forward_cached
 from .pipeline import session_features
-from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs
+from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs, WafflePolicy
 
 LOG_SCHEMA = "waffle-log/1"
 
@@ -428,7 +428,6 @@ class OracleLabeler:
     """
 
     name = "oracle"
-    needs_predictions = False
 
     def __init__(
         self,
@@ -599,7 +598,6 @@ def synthesize_scenario(
 ) -> SyntheticScenario:
     """Generate behavior, sensors, and oracle-driven ground truth; the style
     is drawn from the seed unless one is given."""
-    _check_scenario(scenario)
     rng = np.random.default_rng(seed)
     if style is None:
         style = sample_style(rng)
@@ -721,14 +719,14 @@ def run_session(
     """Replay a session's sensors against a policy in closed loop.
 
     The policy is stepped once per control tick until the sensors end.
-    Policies that consume predictions get the trailing one-second window's
-    prediction via ``predictor(feature_row, window_end_t)``; ticks whose
-    window is not available (the first second, or past sensor coverage) are
-    logged as gaps and the policy sees ``y_hat=None``. The mouth-open
+    The waffle policy needs a predictor and gets the trailing one-second
+    window's prediction via ``predictor(feature_row, window_end_t)``; its
+    ticks whose window is not available (the first second, or past sensor
+    coverage) are logged as gaps, and it sees ``y_hat=None``. The mouth-open
     baseline needs the ``oracle`` of a generative source to produce its
     events.
     """
-    if policy.needs_predictions and predictor is None:
+    if isinstance(policy, WafflePolicy) and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
     if isinstance(policy, MouthOpenPolicy) and oracle is None:
         raise ValueError("the mouth-open policy needs the source's oracle")
@@ -771,7 +769,7 @@ def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=
             if row >= 0:
                 y_hat = float(predictor(features[row], t))
             else:
-                gap = policy.needs_predictions
+                gap = isinstance(policy, WafflePolicy)
         at_staging = state.phase is Phase.AT_STAGING
         mouth_open = (
             at_staging and oracle is not None and oracle.command_at(t) is Command.PROCEED

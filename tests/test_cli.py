@@ -395,7 +395,7 @@ def test_simulate_names_a_model_that_is_not_utf8(tmp_path, capsys):
     rc = main(["simulate", "--model", str(model_path), "--duration", "30", "--out", str(tmp_path / "log.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {model_path}: not UTF-8 text: invalid start byte"]
+    assert err == [f"error: {model_path}:1: not UTF-8 text: invalid start byte"]
 
 
 def test_simulate_names_a_model_whose_weight_does_not_fit_a_float(tmp_path, capsys):
@@ -425,7 +425,7 @@ def test_simulate_refuses_a_version_1_model(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            f"error: {model_path}: model schema 'bitetiming-model/{version}' is not supported, "
+            f"error: {model_path}: schema 'bitetiming-model/{version}' is not supported, "
             "expected 'bitetiming-model/6'"
         ]
         assert not (tmp_path / "log.jsonl").exists()

@@ -1,13 +1,15 @@
 """Every script in demos/ runs to completion against the package as it is,
-every name the README's Python examples import exists, the README's
-base64 decode reads what the package writes, and the README documents
-every schema id the package writes."""
+every name the README's Python examples import exists, every ``bitetiming``
+command the README shows parses, the README's base64 decode reads what the
+package writes, and the README documents every schema id the package
+writes."""
 
 import ast
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bitetiming.cli import build_parser
 from bitetiming.dataio import MANIFEST_SCHEMA, SESSION_SCHEMA, read_session, write_session
 from bitetiming.features import NormalizationStats
 from bitetiming.mlp import MODEL_SCHEMA, init_mlp, load_model, save_model
@@ -24,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 README_PYTHON = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+README_SH = re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S)
 
 
 def readme_decode():
@@ -62,6 +66,29 @@ def test_readme_imports_exist():
         module = importlib.import_module(node.module)
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, f"README imports {missing} from {node.module}"
+
+
+def readme_commands():
+    """Each ``bitetiming`` command in README's sh blocks, its continuation
+    lines joined and its comments dropped, as argv without the program."""
+    commands = []
+    for block in README_SH:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["bitetiming"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # An option the README shows but the CLI no longer has fails here.
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"synth", "train", "eval", "simulate"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI refuses README's `bitetiming {shlex.join(argv)}`")
 
 
 def test_readme_decode_reads_what_read_session_reads(tmp_path):

@@ -22,7 +22,6 @@ ALLOWED = {
     "sim: dataio._string",
     "sim: dataio._typed",
     "sim: mlp._forward_cached",
-    "mlp: dataio._json_reason",
 }
 
 

@@ -499,7 +499,7 @@ def test_load_refuses_a_version_1_file(tmp_path):
     for version in (1, 2, 3, 4, 5):
         write_old_model(path, doc, version)
         message = (
-            f"{path}: model schema 'bitetiming-model/{version}' is not supported, "
+            f"{path}: schema 'bitetiming-model/{version}' is not supported, "
             "expected 'bitetiming-model/6'"
         )
         with pytest.raises(SchemaVersionError, match=f"^{re.escape(message)}$"):
@@ -714,7 +714,7 @@ def test_load_names_the_file_of_a_huge_integer_or_deep_nesting(tmp_path, value, 
     text = path.read_text()
     assert text.count('"dropout_p":0.1') == 1
     path.write_text(text.replace('"dropout_p":0.1', f'"dropout_p":{value}'))
-    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: not valid JSON: {message}$"):
+    with pytest.raises(IntegrityError, match=f"^{re.escape(str(path))}: invalid JSON: {message}$"):
         load_model(path)
 
 
@@ -722,7 +722,8 @@ def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     path.write_bytes(path.read_bytes().replace(b'"schema"', b'"sch\xffema"', 1))
-    with pytest.raises(IntegrityError, match=f"^{path}: not UTF-8 text"):
+    message = f"{path}:1: not UTF-8 text: invalid start byte"
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
         load_model(path)
 
 

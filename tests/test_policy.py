@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitetiming.cli import build_parser
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
+    DEFAULT_LEVEL,
+    DEFAULT_TAU,
     FIXED_INTERVAL_SECONDS,
+    POLICY_NAMES,
     TAU_GRID,
     AlwaysFeedPolicy,
     Command,
@@ -33,6 +37,10 @@ def test_level_to_tau_mapping():
     for level in (0, 6, -1):
         with pytest.raises(ValueError):
             map_assertiveness(level)
+    # Derived from the map; perfbench/checks.py reads both.
+    assert TAU_GRID == (4.0, 5.0, 6.0, 7.0, 8.0)
+    assert DEFAULT_TAU == 6.0
+    assert build_parser().parse_args(["simulate", "--out", "x"]).level == DEFAULT_LEVEL
 
 
 def test_decide_boundary_is_inclusive():
@@ -248,5 +256,7 @@ def test_make_policy():
     assert isinstance(make_policy("fixed-interval", 8.0), FixedIntervalPolicy)
     assert isinstance(make_policy("mouth-open", 8.0), MouthOpenPolicy)
     assert isinstance(make_policy("always-feed", 8.0), AlwaysFeedPolicy)
+    for name in POLICY_NAMES:
+        assert make_policy(name, 6.0).name == name
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("random", 8.0)

@@ -411,6 +411,9 @@ def test_sample_style_determinism_and_bounds():
         style = sample_style(np.random.default_rng(seed))
         assert 1.0 <= style.chew_rate_hz <= 2.0
         assert style.tempo > 0.0
+    for rate in (0.5, 2.5):
+        with pytest.raises(ValueError, match=re.escape("chew_rate_hz must lie in [1, 2]")):
+            dataclasses.replace(a, chew_rate_hz=rate)
 
 
 def test_sample_behavior_script_shape():
