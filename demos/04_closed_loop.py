@@ -4,7 +4,9 @@ Trains a model on synthetic data, then drives the simulated robot through the
 same unseen social dining session with every policy. The learned "waffle"
 policy is shown at all five assertiveness levels (threshold = level + 3
 seconds) so the bite count can be seen rising with assertiveness while the
-proceed decisions stay aligned with the oracle's etiquette labels.
+proceed decisions stay aligned with the oracle's etiquette labels. The last
+column counts Stops sent while the utensil approaches within the commit
+distance of the mouth.
 """
 
 import tempfile
@@ -14,6 +16,7 @@ from bitetiming.dataio import load_dataset
 from bitetiming.mlp import TrainConfig, train
 from bitetiming.pipeline import extract_dataset_windows
 from bitetiming.policy import (
+    COMMIT_DISTANCE_M,
     DEFAULT_LEVEL,
     Command,
     WafflePolicy,
@@ -22,6 +25,7 @@ from bitetiming.policy import (
 )
 from bitetiming.sim import (
     BehaviorState,
+    Phase,
     generate_dataset,
     model_predictor,
     run_session,
@@ -37,8 +41,13 @@ def describe(name, log):
     arrivals = [b.feeding_arrival_t for b in log.bites]
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
     mean_gap = sum(gaps) / len(gaps) if gaps else float("nan")
+    committed_stops = sum(
+        1 for t in log.ticks
+        if t.command is Command.STOP and t.phase is Phase.APPROACHING
+        and t.distance_to_mouth <= COMMIT_DISTANCE_M
+    )
     print(f"{name:>22} {len(log.bites):>5} {mean_gap:>9.1f} "
-          f"{proceed / len(log.ticks):>8.2f}")
+          f"{proceed / len(log.ticks):>8.2f} {committed_stops:>13}")
 
 
 def main() -> None:
@@ -55,7 +64,8 @@ def main() -> None:
         1 for s in scenario.oracle.script.segments if s.state is BehaviorState.TALKING
     )
     print(f"session: 150 s social dining, {n_talking} talking segments\n")
-    print(f"{'policy':>22} {'bites':>5} {'gap (s)':>9} {'proceed':>8}")
+    print(f"{'policy':>22} {'bites':>5} {'gap (s)':>9} {'proceed':>8} "
+          f"{'commit stops':>13}")
 
     for level in range(1, 6):
         log = run_session(
@@ -72,8 +82,9 @@ def main() -> None:
         )
         describe(name, log)
 
-    print("\nhigher assertiveness never feeds less, and every policy keeps "
-          "the commit rule: no Stop within 5 cm of the mouth.")
+    print("\nhigher assertiveness never feeds less. waffle never stops an approach\n"
+          "within 5 cm of the mouth; a trigger baseline's latched trajectory\n"
+          "finishes whatever it sends.")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .policy import (
     DEFAULT_TAU,
     POLICY_NAMES,
     Command,
+    WafflePolicy,
     make_policy,
     map_assertiveness,
 )
@@ -76,14 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="closed-loop feeding simulation")
-    p_sim.add_argument("--policy", choices=POLICY_NAMES, default="waffle")
+    p_sim.add_argument("--policy", choices=POLICY_NAMES, default=WafflePolicy.name)
     p_sim.add_argument("--model", default=None, help="model file (waffle policy)")
     p_sim.add_argument(
         "--level", type=int, default=DEFAULT_LEVEL, help="assertiveness level 1..5"
     )
     p_sim.add_argument("--duration", type=float, default=150.0)
     p_sim.add_argument("--seed", type=int, default=7)
-    p_sim.add_argument("--participant", default="sim")
     p_sim.add_argument("--scenario", choices=SCENARIOS, default="individual")
     p_sim.add_argument("--out", required=True, help="session log file to write")
     p_sim.set_defaults(func=cmd_simulate)
@@ -155,22 +155,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    tau = map_assertiveness(args.level)
-
+    policy = make_policy(args.policy, map_assertiveness(args.level))
     check_duration(args.duration)
     predictor = None
-    if args.policy == "waffle":
+    if isinstance(policy, WafflePolicy):
         if args.model is None:
             raise ValueError("the waffle policy needs --model")
         predictor = model_predictor(load_model(args.model))
     scenario = synthesize_scenario(
-        participant_id=args.participant,
+        participant_id="sim",
         scenario=args.scenario,
         duration=args.duration,
         seed=args.seed,
     )
-    policy = make_policy(args.policy, tau)
-
     log = run_session(
         scenario.session,
         policy,

@@ -26,8 +26,8 @@ from __future__ import annotations
 import base64
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +49,30 @@ _FIELDS = {
 
 @dataclass(frozen=True)
 class BiteEvent:
-    """One completed feeding cycle: staging, then mouth arrival, then done."""
+    """One completed feeding cycle: staging, then mouth arrival, then done.
+    The field names are the keys of a file's bite line."""
 
     staging_arrival_t: float
     feeding_arrival_t: float
     bite_complete_t: float
 
     def __post_init__(self) -> None:
-        if not (
-            self.staging_arrival_t < self.feeding_arrival_t < self.bite_complete_t
-        ):
+        times = (self.staging_arrival_t, self.feeding_arrival_t, self.bite_complete_t)
+        try:
+            finite = all(map(math.isfinite, times))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not (finite and times[0] < times[1] < times[2]):
             raise TrackValidationError(
-                f"bite timestamps must be strictly ordered, got "
-                f"({self.staging_arrival_t}, {self.feeding_arrival_t}, "
-                f"{self.bite_complete_t})"
+                f"bite timestamps must be finite and strictly ordered, got {times}"
+            )
+
+    def check_follows(self, prev: BiteEvent, i: int) -> None:
+        """Refuse this bite, bite ``i``, if it starts before ``prev`` completes."""
+        if self.staging_arrival_t < prev.bite_complete_t:
+            raise TrackValidationError(
+                f"bite {i} starts staging at {self.staging_arrival_t} before "
+                f"bite {i - 1} completes at {prev.bite_complete_t}"
             )
 
 
@@ -116,22 +126,22 @@ def validate_session(session: SessionRecord) -> None:
         raise TrackValidationError(
             f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
         )
-    _require_finite(session.imu_t, "imu", "timestamp")
-    _require_increasing(session.imu_t, "imu")
-    if session.imu_accel.shape != (session.imu_t.size, 3):
-        raise TrackValidationError(
-            f"imu accel shape {session.imu_accel.shape} does not match "
-            f"{session.imu_t.size} timestamps"
-        )
-    _require_finite(session.imu_accel, "imu", "acceleration")
-    _require_finite(session.mic_t, "mic", "timestamp")
-    _require_increasing(session.mic_t, "mic")
-    if session.mic_amp.shape != session.mic_t.shape:
-        raise TrackValidationError(
-            f"mic amp shape {session.mic_amp.shape} does not match "
-            f"{session.mic_t.size} timestamps"
-        )
-    _require_finite(session.mic_amp, "mic", "amplitude")
+    imu_t, mic_t, motion_t = session.imu_t, session.mic_t, session.motion_t
+    tracks = (
+        ("imu", imu_t, session.imu_accel, (imu_t.size, 3), "accel", "acceleration"),
+        ("mic", mic_t, session.mic_amp, mic_t.shape, "amp", "amplitude"),
+        # No finiteness check: the 0/1 label check below refuses NaN.
+        ("motion", motion_t, session.motion_moving, motion_t.shape, "moving", None),
+    )
+    for track, t, values, shape, key, noun in tracks:
+        _require_finite(t, track, "timestamp")
+        _require_increasing(t, track)
+        if values.shape != shape:
+            raise TrackValidationError(
+                f"{track} {key} shape {values.shape} does not match {t.size} timestamps"
+            )
+        if noun is not None:
+            _require_finite(values, track, noun)
     bad = np.nonzero(np.abs(session.mic_amp) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
@@ -139,28 +149,8 @@ def validate_session(session: SessionRecord) -> None:
             f"mic amplitude at sample {i} is {session.mic_amp[i]!r}, "
             f"outside [-1, 1]"
         )
-    for i, b in enumerate(session.bites):
-        times = (b.staging_arrival_t, b.feeding_arrival_t, b.bite_complete_t)
-        try:
-            finite = all(map(math.isfinite, times))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise TrackValidationError(f"bite {i} timestamps {times} are not all finite")
-    for i in range(1, len(session.bites)):
-        prev, cur = session.bites[i - 1], session.bites[i]
-        if cur.staging_arrival_t < prev.bite_complete_t:
-            raise TrackValidationError(
-                f"bite {i} starts staging at {cur.staging_arrival_t} before "
-                f"bite {i - 1} completes at {prev.bite_complete_t}"
-            )
-    _require_finite(session.motion_t, "motion", "timestamp")
-    _require_increasing(session.motion_t, "motion")
-    if session.motion_moving.shape != session.motion_t.shape:
-        raise TrackValidationError(
-            f"motion moving shape {session.motion_moving.shape} does not "
-            f"match {session.motion_t.size} timestamps"
-        )
+    for i, (prev, bite) in enumerate(zip(session.bites, session.bites[1:]), 1):
+        bite.check_follows(prev, i)
     bad = np.nonzero(~np.isin(session.motion_moving, (0, 1)))[0]
     if bad.size:
         i = int(bad[0])
@@ -174,13 +164,7 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _bite_line(b: BiteEvent) -> str:
-    rec = {
-        "track": "bite",
-        "staging_arrival_t": b.staging_arrival_t,
-        "feeding_arrival_t": b.feeding_arrival_t,
-        "bite_complete_t": b.bite_complete_t,
-    }
-    return _encode(rec) + "\n"
+    return _encode({"track": "bite", **asdict(b)}) + "\n"
 
 
 def write_session(session: SessionRecord, path: str | Path) -> None:
@@ -303,13 +287,13 @@ def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
     return _typed(path, lineno, rec, key, (str,), "a string")
 
 
-def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
+def _bite(path: Path, lineno: int, rec: dict, after: Sequence[BiteEvent] = ()) -> BiteEvent:
+    """The bite a line holds, which must follow the last of ``after``."""
     try:
-        return BiteEvent(
-            staging_arrival_t=_number(path, lineno, rec, "staging_arrival_t"),
-            feeding_arrival_t=_number(path, lineno, rec, "feeding_arrival_t"),
-            bite_complete_t=_number(path, lineno, rec, "bite_complete_t"),
-        )
+        bite = BiteEvent(*(_number(path, lineno, rec, f.name) for f in fields(BiteEvent)))
+        if after:
+            bite.check_follows(after[-1], len(after))
+        return bite
     except TrackValidationError as e:
         raise TrackValidationError(f"{path}:{lineno}: {e}") from None
 

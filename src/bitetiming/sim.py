@@ -49,7 +49,7 @@ from .dataio import (
     write_manifest,
     write_session,
 )
-from .errors import InsufficientDataError, ParseError, ProtocolError
+from .errors import InsufficientDataError, ParseError, ProtocolError, TrackValidationError
 from .features import ablation_indices
 from .mlp import _forward_cached
 from .pipeline import session_features
@@ -351,11 +351,6 @@ def check_duration(duration: float) -> None:
         )
 
 
-def _check_scenario(scenario: str) -> None:
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def sample_behavior_script(
     rng: np.random.Generator,
     duration: float,
@@ -363,7 +358,8 @@ def sample_behavior_script(
     style: ParticipantStyle,
 ) -> BehaviorScript:
     """Sample the participant's behavior segments for one session."""
-    _check_scenario(scenario)
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
     check_duration(duration)
     transitions = (
         _SOCIAL_TRANSITIONS if scenario == "social" else _INDIVIDUAL_TRANSITIONS
@@ -422,23 +418,17 @@ class OracleLabeler:
 
     Individual scenario, in priority order: stop on aversive head motion,
     proceed when not chewing, proceed when chewing is almost done, stop while
-    chewing. The social scenario inserts the speech rules: proceed when the
-    participant is almost done talking, stop while they talk, stop when the
-    partner is almost done talking, proceed while the partner talks.
+    chewing. A partner script makes the scenario social, which inserts the
+    speech rules: proceed when the participant is almost done talking, stop
+    while they talk, stop when the partner is almost done talking, proceed
+    while the partner talks.
     """
 
     name = "oracle"
 
     def __init__(
-        self,
-        scenario: str,
-        script: BehaviorScript,
-        partner_script: BehaviorScript | None = None,
+        self, script: BehaviorScript, partner_script: BehaviorScript | None = None
     ) -> None:
-        _check_scenario(scenario)
-        if scenario == "social" and partner_script is None:
-            raise ValueError("the social scenario needs a partner script")
-        self.scenario = scenario
         self.script = script
         self.partner_script = partner_script
 
@@ -448,8 +438,7 @@ class OracleLabeler:
         state = seg.state
         if state is BehaviorState.HEAD_MOTION:
             return "stop_aversive_motion", Command.STOP
-        if self.scenario == "social":
-            assert self.partner_script is not None
+        if self.partner_script is not None:
             if state is BehaviorState.TALKING:
                 if seg.near_done(t):
                     return "proceed_talking_near_done", Command.PROCEED
@@ -612,7 +601,7 @@ def synthesize_scenario(
     mic_amp = _synth_mic(rng, mic_t, script, style)
 
     # Ticks run to ``duration``; replay runs to the tracks' ends just past it.
-    oracle = OracleLabeler(scenario, script, partner)
+    oracle = OracleLabeler(script, partner)
     log = SessionLog(oracle.name, participant_id, scenario, duration)
     final = _drive(log, oracle)
 
@@ -719,12 +708,12 @@ def run_session(
     """Replay a session's sensors against a policy in closed loop.
 
     The policy is stepped once per control tick until the sensors end.
-    The waffle policy needs a predictor and gets the trailing one-second
-    window's prediction via ``predictor(feature_row, window_end_t)``; its
-    ticks whose window is not available (the first second, or past sensor
-    coverage) are logged as gaps, and it sees ``y_hat=None``. The mouth-open
-    baseline needs the ``oracle`` of a generative source to produce its
-    events.
+    The waffle policy needs a predictor; any policy run with one gets the
+    trailing one-second window's prediction via ``predictor(feature_row,
+    window_end_t)``, and its ticks whose window is not available (the first
+    second, or past sensor coverage) are logged as gaps, where it sees
+    ``y_hat=None``. The mouth-open baseline needs the ``oracle`` of a
+    generative source to produce its events.
     """
     if isinstance(policy, WafflePolicy) and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
@@ -766,10 +755,9 @@ def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=
         if predictor is not None:
             tick = round(t / CONTROL_TICK_SECONDS)
             row = row_of_tick[tick] if tick < len(row_of_tick) else -1
-            if row >= 0:
+            gap = row < 0
+            if not gap:
                 y_hat = float(predictor(features[row], t))
-            else:
-                gap = isinstance(policy, WafflePolicy)
         at_staging = state.phase is Phase.AT_STAGING
         mouth_open = (
             at_staging and oracle is not None and oracle.command_at(t) is Command.PROCEED
@@ -848,8 +836,10 @@ def read_session_log(path: str | Path) -> SessionLog:
     Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
     malformed JSON, a missing field or one of the wrong type, a ``t``,
     ``distance`` or ``duration`` that is not finite, and an unknown track,
-    command or phase, and for a header without a schema; SchemaVersionError
-    for another schema.
+    command or phase, and for a header without a schema; TrackValidationError
+    naming ``path:line`` for a bite that is not finite and ordered or starts
+    before the one above it completes, and for a tick whose ``t`` does not
+    increase; SchemaVersionError for another schema.
     """
     path = Path(path)
     header, records = _records(path, LOG_SCHEMA)
@@ -862,15 +852,21 @@ def read_session_log(path: str | Path) -> SessionLog:
     for lineno, rec in records:
         track = rec.get("track")
         if track == "bite":
-            log.bites.append(_bite(path, lineno, rec))
+            log.bites.append(_bite(path, lineno, rec, log.bites))
         elif track == "policy":
+            t = _finite(path, lineno, rec, "t")
+            if log.ticks and t <= log.ticks[-1].t:
+                raise TrackValidationError(
+                    f"{path}:{lineno}: policy timestamps must be strictly increasing, "
+                    f"got t={t!r} after t={log.ticks[-1].t!r}"
+                )
             y_hat = _field(path, lineno, rec, "y_hat")
             if y_hat is not None:
                 y_hat = _number(path, lineno, rec, "y_hat")
             gap = "gap" in rec and _typed(path, lineno, rec, "gap", (bool,), "a boolean")
             log.ticks.append(
                 TickLog(
-                    t=_finite(path, lineno, rec, "t"),
+                    t=t,
                     command=_enum_field(path, lineno, rec, "command", Command),
                     distance_to_mouth=_finite(path, lineno, rec, "distance"),
                     phase=_enum_field(path, lineno, rec, "phase", Phase),

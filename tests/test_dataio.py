@@ -57,6 +57,28 @@ def test_bite_event_requires_ordered_timestamps():
         BiteEvent(staging_arrival_t=2.0, feeding_arrival_t=1.0, bite_complete_t=3.0)
     with pytest.raises(TrackValidationError):
         BiteEvent(staging_arrival_t=1.0, feeding_arrival_t=2.0, bite_complete_t=2.0)
+    # Not finite, or an int too large for a float, which would be written but
+    # not read back.
+    for times in [(2.0, 3.0, float("inf")), (float("nan"), 3.0, 4.0), (2.0, 10**399, 10**400)]:
+        message = f"bite timestamps must be finite and strictly ordered, got ({times[0]}, {times[1]}, {times[2]})"
+        with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
+            BiteEvent(*times)
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("imu_accel", np.zeros((5, 2)), "imu accel shape (5, 2) does not match 5 timestamps"),
+        ("mic_amp", np.zeros(3), "mic amp shape (3,) does not match 4 timestamps"),
+        ("motion_moving", np.zeros(4), "motion moving shape (4,) does not match 3 timestamps"),
+    ],
+    ids=["imu", "mic", "motion"],
+)
+def test_validation_names_a_track_whose_values_do_not_match_its_timestamps(tmp_path, field, values, message):
+    session = small_session()
+    setattr(session, field, values)
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
+        write_session(session, tmp_path / "s.jsonl")
 
 
 def test_session_round_trip(tmp_path):
@@ -453,20 +475,9 @@ def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno
     path = tmp_path / "s.jsonl"
     writer(small_session(), path)
     rewrite_line(path, lineno - 1, bite_complete_t=float("inf"))  # written as Infinity
-    with pytest.raises(
-        TrackValidationError, match=re.escape(f"{path}: bite 0 timestamps (0.5, 1.0, inf) are not all finite")
-    ):
+    message = f"{path}:{lineno}: bite timestamps must be finite and strictly ordered, got (0.5, 1.0, inf)"
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
         read_session(path)
-
-
-@pytest.mark.parametrize("bite", [BiteEvent(2.0, 3.0, float("inf")), BiteEvent(2.0, 10**399, 10**400)])
-def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite):
-    # An int too large for a float would be written but not read back.
-    session = small_session()
-    session.bites = [BiteEvent(0.5, 1.0, 1.5), bite]
-    with pytest.raises(TrackValidationError, match="bite 1 timestamps"):
-        write_session(session, tmp_path / "s.jsonl")
-    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,13 @@ from hypothesis.extra.numpy import arrays
 from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
 
 from bitetiming.dataio import _encode, derive_time_to_bite, load_dataset, read_session, validate_session, write_session
-from bitetiming.errors import InsufficientDataError, ParseError, ProtocolError, SchemaVersionError
+from bitetiming.errors import (
+    InsufficientDataError,
+    ParseError,
+    ProtocolError,
+    SchemaVersionError,
+    TrackValidationError,
+)
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     AlwaysFeedPolicy,
@@ -337,7 +343,7 @@ def test_oracle_individual_rules():
             seg(22, 30, BehaviorState.IDLE),
         ),
     )
-    oracle = OracleLabeler("individual", script)
+    oracle = OracleLabeler(script)
     assert oracle.evaluate(5.0) == ("proceed_not_chewing", Command.PROCEED)
     assert oracle.evaluate(12.0) == ("stop_chewing", Command.STOP)
     assert oracle.evaluate(18.0) == ("proceed_chewing_near_done", Command.PROCEED)
@@ -362,7 +368,7 @@ def test_oracle_social_rules():
             seg(10, 30, BehaviorState.IDLE),
         ),
     )
-    oracle = OracleLabeler("social", script, partner)
+    oracle = OracleLabeler(script, partner)
     assert oracle.evaluate(12.0) == ("stop_talking", Command.STOP)
     assert oracle.evaluate(18.5) == ("proceed_talking_near_done", Command.PROCEED)
     assert oracle.evaluate(6.0) == ("proceed_partner_talking", Command.PROCEED)
@@ -378,17 +384,9 @@ def test_oracle_partner_speech_outranks_chewing():
     partner = BehaviorScript(
         duration=30.0, segments=(seg(0, 30, BehaviorState.TALKING),)
     )
-    oracle = OracleLabeler("social", script, partner)
+    oracle = OracleLabeler(script, partner)
     assert oracle.evaluate(5.0) == ("proceed_partner_talking", Command.PROCEED)
     assert oracle.evaluate(29.0) == ("stop_partner_near_done", Command.STOP)
-
-
-def test_oracle_validation():
-    script = BehaviorScript(duration=30.0, segments=(seg(0, 30, BehaviorState.IDLE),))
-    with pytest.raises(ValueError, match="partner"):
-        OracleLabeler("social", script)
-    with pytest.raises(ValueError, match="scenario"):
-        OracleLabeler("group", script)
 
 
 def test_unknown_scenario_is_refused_before_any_synthesis(monkeypatch):
@@ -626,6 +624,13 @@ def test_waffle_session_gaps_fail_safe(long_scn):
     assert covered and all(t.y_hat is not None for t in covered)
 
 
+def test_any_policy_run_with_a_predictor_logs_its_gaps(long_scn):
+    log = run_session(long_scn.session, AlwaysFeedPolicy(), predictor=lambda row, t: 0.0)
+    gaps = [tick.gap for tick in log.ticks]
+    assert any(gaps) and not all(gaps)
+    assert gaps == [tick.y_hat is None for tick in log.ticks]
+
+
 def test_waffle_session_rethresholds_every_cycle(long_scn):
     # A predictor that turns hostile after the first bite must end the
     # feeding: the commit latch may finish the current trajectory but must
@@ -810,6 +815,35 @@ def test_session_log_names_the_line_of_a_bite_too_large_for_a_float(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in (LOG_HEADER, LOG_TICK, bite)))
     message = f"{path}:3: 'bite' field 'feeding_arrival_t' does not fit a float"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_session_log(path)
+
+
+LOG_BITE = {"track": "bite", "staging_arrival_t": 0.5, "feeding_arrival_t": 1.0, "bite_complete_t": 1.5}
+
+
+@pytest.mark.parametrize(
+    "records, lineno, message",
+    [
+        (
+            [LOG_BITE | {"bite_complete_t": float("inf")}],  # written as Infinity
+            2,
+            "bite timestamps must be finite and strictly ordered, got (0.5, 1.0, inf)",
+        ),
+        # A repeated bite line, and two tick lines swapped.
+        ([LOG_BITE, LOG_TICK, LOG_BITE], 4, "bite 1 starts staging at 0.5 before bite 0 completes at 1.5"),
+        (
+            [LOG_TICK | {"t": 0.5}, LOG_BITE, LOG_TICK],
+            4,
+            "policy timestamps must be strictly increasing, got t=0.0 after t=0.5",
+        ),
+        ([LOG_TICK, LOG_TICK], 3, "policy timestamps must be strictly increasing, got t=0.0 after t=0.0"),
+    ],
+    ids=["infinite-bite", "overlapping-bites", "tick-back-in-time", "repeated-tick"],
+)
+def test_session_log_names_the_line_of_a_bite_or_tick_out_of_order(tmp_path, records, lineno, message):
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in (LOG_HEADER, *records)))
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(f'{path}:{lineno}: {message}')}$"):
         read_session_log(path)
 
 
