@@ -480,6 +480,17 @@ def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno
         read_session(path)
 
 
+@pytest.mark.parametrize("bite", [(2.0, 3.0, float("inf")), (2.0, 10**399, 10**400)])
+def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite):
+    # An int too large for a float would be written but not read back. Such a
+    # bite is refused when it is built, before write_session starts a file.
+    session = small_session()
+    with pytest.raises(TrackValidationError, match="^bite timestamps must be finite"):
+        session.bites = [BiteEvent(0.5, 1.0, 1.5), BiteEvent(*bite)]
+        write_session(session, tmp_path / "s.jsonl")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
