@@ -2,8 +2,9 @@
 
 A ``waffle/3`` session file is line-delimited JSON: a header line
 ``{"schema": "waffle/3", "participant": ..., "scenario": ...}``, one line per
-bite, and one line per column of each sensor track, holding the base64 of
-the column's little-endian float64 bytes (every column's one dtype):
+bite, then one line per column of each sensor track in this order, holding
+the base64 of the column's little-endian float64 bytes (every column's one
+dtype):
 
     {"track": "bite", "staging_arrival_t": .., "feeding_arrival_t": ..,
      "bite_complete_t": ..}
@@ -12,9 +13,9 @@ the column's little-endian float64 bytes (every column's one dtype):
     {"track": "motion", "t": ".."}      then "moving" (0.0 or 1.0)
 
 Timestamps are seconds from session start, accelerations m/s^2, microphone
-amplitude normalized to [-1, 1]. A reader also takes several columns of one
-track on one line. Each column appears once, and the columns of a track have
-equal lengths; a track without a line is empty. Keys a line does not read are
+amplitude normalized to [-1, 1]. The reader takes exactly this layout: a
+line that is not the next column, or a line after the last, is refused, and
+the columns of a track have equal lengths. Keys a line does not read are
 ignored. No other session schema is read: a file of an older one is refused,
 and ``bitetiming synth`` with its seed writes the same dataset again. A
 dataset manifest is ``{"schema": "waffle-manifest/1", "sessions": [paths...]}``
@@ -283,8 +284,12 @@ def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
     return value
 
 
-def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
-    return _typed(path, lineno, rec, key, (str,), "a string")
+def _string(path: Path, lineno: int, rec: dict, key: str, choices: Sequence[str] = ()) -> str:
+    """``rec[key]`` if it is a string, and one of ``choices`` if any are given."""
+    value = _typed(path, lineno, rec, key, (str,), "a string")
+    if choices and value not in choices:
+        raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}, expected one of {choices}")
+    return value
 
 
 def _bite(path: Path, lineno: int, rec: dict, after: Sequence[BiteEvent] = ()) -> BiteEvent:
@@ -318,35 +323,16 @@ def f8_from_base64(value, where: str, size: int | None = None) -> np.ndarray:
     return np.frombuffer(raw, "<f8")
 
 
-def _track(path: Path, track: str, columns: dict[str, tuple[int, np.ndarray]]) -> np.ndarray:
-    """A track's columns, each with the line it came from, as a float64
-    (columns, samples) array of its own. A track without a column is empty."""
-    keys = _FIELDS[track]
-    if not columns:
-        return np.empty((len(keys), 0))
-    for key in keys:
-        if key not in columns:
-            raise ParseError(f"{path}: {track!r} track has no {key!r} column")
-    first, t = columns[keys[0]]
-    for key in keys[1:]:
-        lineno, values = columns[key]
-        if values.size != t.size:
-            raise ParseError(
-                f"{path}:{lineno}: {track!r} field {key!r} has {values.size} values, "
-                f"{keys[0]!r} on line {first} has {t.size}"
-            )
-    return np.stack([columns[key][1] for key in keys])
-
-
 def read_session(path: str | Path) -> SessionRecord:
     """Read and validate one ``waffle/3`` session file.
 
     Raises:
         ParseError: bytes that are not UTF-8, malformed JSON, a missing
             field, a bite value that is not a number or does not fit a
-            float, a column that is not a string, not valid base64, not a
-            whole number of float64 values, appears twice or differs in
-            length from its track's first; with the line number.
+            float, a line that is not the next column or follows the last,
+            a column that is not a string, not valid base64, not a whole
+            number of float64 values or differs in length from its track's
+            first; with the line number.
         SchemaVersionError: the header declares another schema.
         TrackValidationError: parsed tracks violate format invariants, with
             the path.
@@ -356,29 +342,33 @@ def read_session(path: str | Path) -> SessionRecord:
     participant = _string(path, 1, header, "participant")
     scenario = _string(path, 1, header, "scenario")
 
-    # Each track's columns as (line, float64 array).
-    columns: dict[str, dict] = {track: {} for track in _FIELDS}
-    bites: list[BiteEvent] = []
-    for lineno, rec in records:
-        track = rec.get("track")
-        if track == "bite":
-            bites.append(_bite(path, lineno, rec))
-            continue
-        # A tuple, not the dict: a track such as {} cannot be hashed.
-        if track not in ("imu", "mic", "motion"):
-            raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
-        for key in _FIELDS[track]:
-            if key not in rec:
-                continue
-            if key in columns[track]:
-                raise ParseError(
-                    f"{path}:{lineno}: {track!r} field {key!r} appears twice, "
-                    f"first on line {columns[track][key][0]}"
-                )
+    # The lines in the writer's order: the bites, the columns, then the end.
+    bites, tracks = [], []
+    lineno, rec = next(records, (2, None))
+    while rec is not None and rec.get("track") == "bite":
+        bites.append(_bite(path, lineno, rec))
+        lineno, rec = next(records, (lineno + 1, None))
+    for track, keys in _FIELDS.items():
+        first, columns = lineno, []
+        for key in keys:
+            if rec is None:
+                raise ParseError(f"{path}:{lineno}: file ends before the {track!r} column {key!r}")
+            if rec.get("track") != track or key not in rec:
+                raise ParseError(f"{path}:{lineno}: expected the {track!r} column {key!r}")
             where = f"{path}:{lineno}: {track!r} field {key!r}"
-            columns[track][key] = (lineno, f8_from_base64(rec[key], where))
+            column = f8_from_base64(rec[key], where)
+            if columns and column.size != columns[0].size:
+                raise ParseError(
+                    f"{where} has {column.size} values, 't' on line {first} has {columns[0].size}"
+                )
+            columns.append(column)
+            lineno, rec = next(records, (lineno + 1, None))
+        # A float64 (columns, samples) array of the track's own.
+        tracks.append(np.stack(columns))
+    if rec is not None:
+        raise ParseError(f"{path}:{lineno}: expected the end of the file after the last column")
 
-    imu, mic, motion = (_track(path, track, columns[track]) for track in _FIELDS)
+    imu, mic, motion = tracks
     session = SessionRecord(
         participant_id=participant,
         scenario=scenario,

@@ -44,7 +44,6 @@ from .dataio import (
     _number,
     _records,
     _string,
-    _typed,
     validate_session,
     write_manifest,
     write_session,
@@ -53,9 +52,10 @@ from .errors import InsufficientDataError, ParseError, ProtocolError, TrackValid
 from .features import ablation_indices
 from .mlp import _forward_cached
 from .pipeline import session_features
-from .policy import CONTROL_TICK_SECONDS, Command, MouthOpenPolicy, TickInputs, WafflePolicy
+from .policy import CONTROL_TICK_SECONDS, POLICY_NAMES, Command, MouthOpenPolicy
+from .policy import TickInputs, WafflePolicy
 
-LOG_SCHEMA = "waffle-log/1"
+LOG_SCHEMA = "waffle-log/2"
 
 # Synthetic raw-track rates. Deliberately below the canonical grids: the
 # resampler interpolates up, and the scripted signals live well under the
@@ -671,7 +671,6 @@ class TickLog:
     distance_to_mouth: float
     phase: Phase
     y_hat: float | None = None
-    gap: bool = False
 
 
 @dataclass
@@ -708,12 +707,13 @@ def run_session(
     """Replay a session's sensors against a policy in closed loop.
 
     The policy is stepped once per control tick until the sensors end.
-    The waffle policy needs a predictor; any policy run with one gets the
-    trailing one-second window's prediction via ``predictor(feature_row,
-    window_end_t)``, and its ticks whose window is not available (the first
-    second, or past sensor coverage) are logged as gaps, where it sees
-    ``y_hat=None``. The mouth-open baseline needs the ``oracle`` of a
-    generative source to produce its events.
+    The waffle policy needs a predictor; any policy run with one gets, on
+    each tick, the prediction ``predictor(feature_row, t)`` of the window
+    that ends nearest the tick, a window halfway between two ticks going to
+    the later one. A tick that no window ends near (the first second, or
+    past sensor coverage) is a gap: the policy sees ``y_hat=None``, and so
+    does the log. The mouth-open baseline needs the ``oracle`` of a
+    generative source to produce its events; no other policy reads it.
     """
     if isinstance(policy, WafflePolicy) and predictor is None:
         raise ValueError(f"policy {policy.name!r} needs a predictor")
@@ -727,16 +727,17 @@ def run_session(
 
     features = row_of_tick = None
     if predictor is not None:
-        # Row of the window ending on each tick index; -1 where none does. A
-        # later window wins a tick that two windows round to.
+        # Row of the window ending on each tick index; -1 where none does.
+        # Windows hop one tick, so with ties rounded up no two share a tick.
         end_t, features = session_features(source)
-        ticks = np.rint(end_t / CONTROL_TICK_SECONDS).astype(np.intp)
-        last = np.append(ticks[1:] != ticks[:-1], True)
+        ticks = np.floor(end_t / CONTROL_TICK_SECONDS + 0.5).astype(np.intp)
         row_of_tick = np.full(ticks[-1] + 1, -1, dtype=np.intp)
-        row_of_tick[ticks[last]] = np.nonzero(last)[0]
+        row_of_tick[ticks] = np.arange(ticks.size)
         row_of_tick = row_of_tick.tolist()
 
     log = SessionLog(policy.name, source.participant_id, source.scenario, duration)
+    # The oracle's per-tick lookup feeds the mouth-open event and nothing else.
+    oracle = oracle if isinstance(policy, MouthOpenPolicy) else None
     _drive(log, policy, oracle, predictor, features, row_of_tick)
     return log
 
@@ -751,12 +752,10 @@ def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=
     while state.clock + CONTROL_TICK_SECONDS <= log.duration + _EPS:
         t = state.clock
         y_hat = None
-        gap = False
         if predictor is not None:
             tick = round(t / CONTROL_TICK_SECONDS)
             row = row_of_tick[tick] if tick < len(row_of_tick) else -1
-            gap = row < 0
-            if not gap:
+            if row >= 0:
                 y_hat = float(predictor(features[row], t))
         at_staging = state.phase is Phase.AT_STAGING
         mouth_open = (
@@ -766,7 +765,7 @@ def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=
         command = policy.step(
             TickInputs(t, distance, at_staging, bite_just_completed, y_hat, mouth_open)
         )
-        log.ticks.append(TickLog(t, command, distance, state.phase, y_hat, gap))
+        log.ticks.append(TickLog(t, command, distance, state.phase, y_hat))
         state, bite = step_robot(state, command)
         bite_just_completed = bite is not None
         if bite is not None:
@@ -784,8 +783,7 @@ def _advanced(log: SessionLog, final: RobotState) -> np.ndarray:
 
 
 _TICK_LINE = (
-    '{{"track":"policy","t":{!r},"policy":{},"command":"{}","y_hat":{},'
-    '"distance":{!r},"phase":"{}","gap":{}}}\n'
+    '{{"track":"policy","t":{!r},"command":"{}","y_hat":{},"distance":{!r},"phase":"{}"}}\n'
 ).format
 
 
@@ -798,7 +796,6 @@ def write_session_log(log: SessionLog, path: str | Path) -> None:
         "policy": log.policy_name,
         "duration": log.duration,
     }
-    policy = _encode(log.policy_name)
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(_encode(header) + "\n")
         for b in log.bites:
@@ -807,8 +804,8 @@ def write_session_log(log: SessionLog, path: str | Path) -> None:
         # a finite float, whose repr is the text json writes for it.
         f.writelines(
             _TICK_LINE(
-                tick.t, policy, tick.command.value, _encode(tick.y_hat),
-                tick.distance_to_mouth, tick.phase.value, "true" if tick.gap else "false",
+                tick.t, tick.command.value, _encode(tick.y_hat),
+                tick.distance_to_mouth, tick.phase.value,
             )
             for tick in log.ticks
         )
@@ -831,12 +828,14 @@ def _finite(path: Path, lineno: int, rec: dict, key: str) -> float:
 
 
 def read_session_log(path: str | Path) -> SessionLog:
-    """Read back a closed-loop trace written by write_session_log.
+    """Read back a ``waffle-log/2`` trace written by write_session_log. Keys
+    a line does not read are ignored.
 
     Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
     malformed JSON, a missing field or one of the wrong type, a ``t``,
-    ``distance`` or ``duration`` that is not finite, and an unknown track,
-    command or phase, and for a header without a schema; TrackValidationError
+    ``distance`` or ``duration`` that is not finite, a ``duration`` that is
+    not positive, an unknown scenario, policy, track, command or phase, and
+    for a header without a schema; TrackValidationError
     naming ``path:line`` for a bite that is not finite and ordered or starts
     before the one above it completes, and for a tick whose ``t`` does not
     increase; SchemaVersionError for another schema.
@@ -844,11 +843,13 @@ def read_session_log(path: str | Path) -> SessionLog:
     path = Path(path)
     header, records = _records(path, LOG_SCHEMA)
     log = SessionLog(
-        policy_name=_string(path, 1, header, "policy"),
+        policy_name=_string(path, 1, header, "policy", (*POLICY_NAMES, OracleLabeler.name)),
         participant_id=_string(path, 1, header, "participant"),
-        scenario=_string(path, 1, header, "scenario"),
+        scenario=_string(path, 1, header, "scenario", SCENARIOS),
         duration=_finite(path, 1, header, "duration"),
     )
+    if log.duration <= 0:
+        raise ParseError(f"{path}:1: 'header' field 'duration' is not positive: {log.duration!r}")
     for lineno, rec in records:
         track = rec.get("track")
         if track == "bite":
@@ -863,7 +864,6 @@ def read_session_log(path: str | Path) -> SessionLog:
             y_hat = _field(path, lineno, rec, "y_hat")
             if y_hat is not None:
                 y_hat = _number(path, lineno, rec, "y_hat")
-            gap = "gap" in rec and _typed(path, lineno, rec, "gap", (bool,), "a boolean")
             log.ticks.append(
                 TickLog(
                     t=t,
@@ -871,7 +871,6 @@ def read_session_log(path: str | Path) -> SessionLog:
                     distance_to_mouth=_finite(path, lineno, rec, "distance"),
                     phase=_enum_field(path, lineno, rec, "phase", Phase),
                     y_hat=y_hat,
-                    gap=gap,
                 )
             )
         else:

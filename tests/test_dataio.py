@@ -1,6 +1,7 @@
 """Session file round trips, validation errors, and label derivation."""
 
 import base64
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -177,7 +178,7 @@ def test_read_session_unknown_track(tmp_path):
         '{"schema":"waffle/3","participant":"p","scenario":"individual"}\n'
         '{"track":"gaze","t":"AAAAAAAAAAA="}\n'
     )
-    with pytest.raises(ParseError, match=":2: unknown track 'gaze'"):
+    with pytest.raises(ParseError, match=":2: expected the 'imu' column 't'$"):
         read_session(path)
 
 
@@ -393,7 +394,7 @@ def test_read_session_names_a_missing_column(tmp_path):
     write_session(small_session(), path)
     lines = [line for line in path.read_text().splitlines() if '"az"' not in line]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'imu' track has no 'az' column$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:6: expected the 'imu' column 'az'$"):
         read_session(path)
 
 
@@ -403,37 +404,36 @@ def test_read_session_rejects_a_column_that_appears_twice(tmp_path):
     lines = path.read_text().splitlines()
     assert json.loads(lines[6]) == {"track": "mic", "t": b64(small_session().mic_t)}
     path.write_text("\n".join(lines[:7] + lines[6:]) + "\n")
-    with pytest.raises(
-        ParseError, match=f"^{re.escape(str(path))}:8: 'mic' field 't' appears twice, first on line 7$"
-    ):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:8: expected the 'mic' column 'amp'$"):
         read_session(path)
 
 
-def test_read_session_takes_several_columns_of_a_track_on_one_line(tmp_path):
-    # Several columns of a track on one line, in any order, and imu over two lines.
-    session = small_session()
-    ax, ay, az = map(b64, session.imu_accel.T)
-    records = [
-        {"schema": "waffle/3", "participant": session.participant_id, "scenario": session.scenario},
-        {"track": "imu", "az": az, "t": b64(session.imu_t), "ay": ay},
-        {"track": "imu", "ax": ax},
-        {"track": "mic", "t": b64(session.mic_t), "amp": b64(session.mic_amp)},
-        {"track": "motion", "t": b64(session.motion_t), "moving": b64(session.motion_moving)},
-        *({"track": "bite", **vars(b)} for b in session.bites),
-    ]
-    path = tmp_path / "s.jsonl"
-    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    assert_sessions_equal(read_session(path), session)
+def several_columns_on_one_line(lines):
+    ax, ay = json.loads(lines[3]), json.loads(lines[4])
+    return lines[:3] + [json.dumps(ax | ay)] + lines[5:]
 
 
-def test_read_session_reads_a_missing_track_as_empty(tmp_path):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], ":3: expected the 'imu' column 'ax'", id="bite-after-a-column"),
+        pytest.param(several_columns_on_one_line, ":5: expected the 'imu' column 'ay'", id="two-columns-on-one-line"),
+        pytest.param(lambda lines: lines + lines[-1:], ":11: expected the end of the file after the last column", id="line-after-the-last"),
+        pytest.param(lambda lines: lines[:-2], ":9: file ends before the 'motion' column 't'", id="track-without-a-line"),
+        pytest.param(lambda lines: lines + [""], None, id="blank-line"),
+    ],
+)
+def test_read_session_takes_only_the_layout_write_session_writes(tmp_path, edit, message):
+    # waffle/3 has one layout: the header, the bites, then each column on a
+    # line of its own in the writer's order. Blank lines are skipped.
     path = tmp_path / "s.jsonl"
     write_session(small_session(), path)
-    lines = [line for line in path.read_text().splitlines() if '"track":"motion"' not in line]
-    path.write_text("\n".join(lines) + "\n")
-    session = read_session(path)
-    assert session.motion_t.shape == (0,) and session.motion_moving.dtype == np.int64
-    assert session.imu_accel.shape == (5, 3)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    if message is None:
+        assert_sessions_equal(read_session(path), small_session())
+        return
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path) + message)}$"):
+        read_session(path)
 
 
 @pytest.mark.parametrize(
@@ -452,14 +452,12 @@ def test_read_session_validates_columns_with_the_path(tmp_path, track, key, inde
         read_session(path)
 
 
-def bites_last(session, path):
-    """Write a waffle/3 file whose bite lines follow the track columns."""
-    write_session(session, path)
-    header, *lines = path.read_text().splitlines(keepends=True)
-    path.write_text(header + "".join(sorted(lines, key=lambda line: '"track":"bite"' in line)))
+def after_a_bite(session, path):
+    """Write a waffle/3 file with one more bite line, before the session's own."""
+    write_session(dataclasses.replace(session, bites=[BiteEvent(0.1, 0.2, 0.3), *session.bites]), path)
 
 
-@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (bites_last, 10)])
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (after_a_bite, 3)])
 def test_read_session_names_the_line_of_a_bite_too_large_for_a_float(tmp_path, writer, lineno):
     path = tmp_path / "s.jsonl"
     writer(small_session(), path)
@@ -470,7 +468,7 @@ def test_read_session_names_the_line_of_a_bite_too_large_for_a_float(tmp_path, w
         read_session(path)
 
 
-@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (bites_last, 10)])
+@pytest.mark.parametrize("writer, lineno", [(write_session, 2), (after_a_bite, 3)])
 def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno):
     path = tmp_path / "s.jsonl"
     writer(small_session(), path)
@@ -577,6 +575,37 @@ def test_read_session_column_mutations_load_or_name_the_file(fuzz_dir, data, mut
         assert str(path) in str(e)
     else:
         assert session.motion_moving.tolist() == motion_labels_in(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), merge=st.booleans())
+def test_read_session_line_moves_and_merges_load_the_same_session_or_name_the_file(fuzz_dir, data, merge):
+    # Move one line of a two-bite waffle/3 file to another place, or merge
+    # it into another line: as one object if both are column lines (several
+    # columns on one line), otherwise as their texts side by side. The
+    # loader either returns the written session or raises a package
+    # ValueError that names the file; it never loads another session.
+    session = small_session()
+    source = fuzz_dir / "two_bites.jsonl"
+    after_a_bite(session, source)
+    written = read_session(source)
+    lines = source.read_text().splitlines()
+    i, j = (data.draw(st.integers(0, len(lines) - 1), label=label) for label in ("from", "to"))
+    if merge and i != j:
+        a, b = lines[j], lines.pop(i)
+        columns = all(json.loads(line).get("track") in ("imu", "mic", "motion") for line in (a, b))
+        lines[lines.index(a)] = json.dumps(json.loads(a) | json.loads(b)) if columns else a + b
+    else:
+        lines.insert(j, lines.pop(i))
+    path = fuzz_dir / "moved.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        session = read_session(path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert str(path) in str(e)
+    else:
+        assert_sessions_equal(session, written)
 
 
 def reference_parse_line(path, lineno, line):

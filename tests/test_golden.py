@@ -25,7 +25,11 @@ its step size, so again other weights), the same six hashes were
 re-recorded, and this time the loss table moved with them. ``model.json``
 alone was re-recorded when models became ``bitetiming-model/6`` (its
 ``train_config`` no longer stores the Adam constants and the label cap, which
-became fixed), with the same weights.
+became fixed), with the same weights. Both ``sim.jsonl`` files alone were
+re-recorded when logs became ``waffle-log/2``: each tick line dropped its
+``policy`` field, which repeats the header, and its ``gap`` field, which is
+true exactly when a predictor ran and ``y_hat`` is null. Every other byte of
+the two logs is unchanged.
 Float artifacts depend on the numpy build; the hashes were recorded with
 numpy 2.4.x on x86-64 OpenBLAS.
 
@@ -58,11 +62,11 @@ GOLDEN = {
     "reports/report.jsonl": "ec71e963704b9076c33e163d7d61dfe900657422a46373180c3fe7912820219c",
     "reports/report.tsv": "d3d0dbb7e4ada824d3d563e2b4022cac1d8b2175fc6b18945dd97d6bbd0531e9",
     "reports/summary.txt": "3c6f1de228b00e2c2778c3b7ecb00956f77791bdb8b822f9c58f9cbffe0a195f",
-    "sim.jsonl": "5b79b8058c0b2c4c95e418590aec1abc097deaac6b8affb9d1581cb052672f1d",
+    "sim.jsonl": "9ba471f1b8746b95e1e5b0b2020ffeb4bab9392ba32d3427128a0cf797d797eb",
 }
 GOLDEN_LONG = {
     "session.jsonl": "30da148d803ef68843742749489a88169c3258cb2d652a0fdb53cee5f7986218",
-    "sim.jsonl": "75a994c588f23f0a53b8c45f8fd35d9663420c19090643ebd49b775fd5bb26c9",
+    "sim.jsonl": "5b0b739340abc2e1133d95fb680f9ec59ed96a22ac7113b753e9afdc102e9764",
 }
 
 golden_numpy = pytest.mark.skipif(

@@ -23,7 +23,6 @@ ALLOWED = {
     "sim: dataio._number",
     "sim: dataio._records",
     "sim: dataio._string",
-    "sim: dataio._typed",
     "sim: mlp._forward_cached",
 }
 

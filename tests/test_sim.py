@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
 
-from bitetiming.dataio import _encode, derive_time_to_bite, load_dataset, read_session, validate_session, write_session
+from bitetiming.dataio import BiteEvent, _encode, derive_time_to_bite, load_dataset, read_session, validate_session, write_session
 from bitetiming.errors import (
     InsufficientDataError,
     ParseError,
@@ -29,6 +29,7 @@ from bitetiming.policy import (
     WafflePolicy,
     map_assertiveness,
 )
+from bitetiming.pipeline import session_features
 import bitetiming.sim as sim
 from bitetiming.sim import (
     ANTICIPATION_RAMP_S,
@@ -599,12 +600,11 @@ def test_run_session_input_validation(long_scn, tmp_path):
         run_session(long_scn.session, WafflePolicy(6.0))
     with pytest.raises(ValueError, match="oracle"):
         run_session(long_scn.session, MouthOpenPolicy())
-    # read_session takes a file whose track has no lines as an empty track.
+    # A session file whose track holds no samples.
     path = tmp_path / "s.jsonl"
     for track in ("imu", "mic"):
-        write_session(long_scn.session, path)
-        lines = [line for line in path.read_text().splitlines() if f'"track":"{track}"' not in line]
-        path.write_text("\n".join(lines) + "\n")
+        empty = {"imu_t": np.empty(0), "imu_accel": np.empty((0, 3))} if track == "imu" else {"mic_t": np.empty(0), "mic_amp": np.empty(0)}
+        write_session(dataclasses.replace(long_scn.session, **empty), path)
         with pytest.raises(InsufficientDataError, match=f"^cannot replay a session whose {track} track is empty$"):
             run_session(read_session(path), AlwaysFeedPolicy())
 
@@ -617,18 +617,51 @@ def test_waffle_session_gaps_fail_safe(long_scn):
     )
     first = log.ticks[0]
     assert first.t == 0.0
-    assert first.gap
     assert first.y_hat is None
     assert first.command is Command.STOP
-    covered = [t for t in log.ticks if not t.gap]
-    assert covered and all(t.y_hat is not None for t in covered)
+    assert any(t.y_hat is not None for t in log.ticks)
+
+
+def gap_ticks(log):
+    return [tick.t for tick in log.ticks if tick.y_hat is None]
 
 
 def test_any_policy_run_with_a_predictor_logs_its_gaps(long_scn):
+    # The first window ends at 1 s: the two ticks before it are gaps.
     log = run_session(long_scn.session, AlwaysFeedPolicy(), predictor=lambda row, t: 0.0)
-    gaps = [tick.gap for tick in log.ticks]
-    assert any(gaps) and not all(gaps)
-    assert gaps == [tick.y_hat is None for tick in log.ticks]
+    assert gap_ticks(log) == [0.0, 0.5]
+
+
+def shifted(session, dt):
+    """``session`` with every track and bite ``dt`` seconds later."""
+    return dataclasses.replace(
+        session,
+        imu_t=session.imu_t + dt,
+        mic_t=session.mic_t + dt,
+        motion_t=session.motion_t + dt,
+        bites=[BiteEvent(*(t + dt for t in dataclasses.astuple(b))) for b in session.bites],
+    )
+
+
+def test_a_session_off_the_tick_grid_has_gaps_only_before_its_first_window(long_scn):
+    # Windows ending halfway between two ticks go to the later one, so each
+    # tick from the first window's on reads the window that ended a quarter
+    # second before it.
+    session = shifted(long_scn.session, 0.25)
+    end_t, features = session_features(session)
+    log = run_session(session, AlwaysFeedPolicy(), predictor=lambda row, t: row[0])
+    assert end_t[0] == 1.25 and gap_ticks(log) == [0.0, 0.5, 1.0]
+    assert [tick.y_hat for tick in log.ticks[3:]] == features[: len(log.ticks) - 3, 0].tolist()
+
+
+def test_only_the_mouth_open_policy_reads_the_oracle(long_scn, tmp_path):
+    logs = [
+        run_session(long_scn.session, WafflePolicy(6.0), predictor=lambda row, t: t % 9.0, oracle=oracle)
+        for oracle in (None, long_scn.oracle)
+    ]
+    for log, name in zip(logs, ("without", "with")):
+        write_session_log(log, tmp_path / f"{name}.jsonl")
+    assert (tmp_path / "without.jsonl").read_bytes() == (tmp_path / "with.jsonl").read_bytes()
 
 
 def test_waffle_session_rethresholds_every_cycle(long_scn):
@@ -727,18 +760,19 @@ def test_session_log_read_errors(tmp_path):
     with pytest.raises(ParseError):
         read_session_log(empty)
     bad_schema = tmp_path / "bad.jsonl"
-    bad_schema.write_text('{"schema":"waffle-log/9"}\n')
-    with pytest.raises(SchemaVersionError):
-        read_session_log(bad_schema)
+    for schema in ("waffle-log/9", "waffle-log/1"):
+        bad_schema.write_text(f'{{"schema":"{schema}"}}\n')
+        with pytest.raises(SchemaVersionError):
+            read_session_log(bad_schema)
     bad_track = tmp_path / "track.jsonl"
     bad_track.write_text(
-        '{"schema":"waffle-log/1","participant":"p","scenario":"individual",'
+        '{"schema":"waffle-log/2","participant":"p","scenario":"individual",'
         '"policy":"always-feed","duration":1.0}\n{"track":"gaze"}\n'
     )
     with pytest.raises(ParseError, match="gaze"):
         read_session_log(bad_track)
     header = (
-        '{"schema":"waffle-log/1","participant":"p","scenario":"individual",'
+        '{"schema":"waffle-log/2","participant":"p","scenario":"individual",'
         '"policy":"always-feed","duration":1.0}\n'
     )
     tick = (
@@ -748,7 +782,7 @@ def test_session_log_read_errors(tmp_path):
     cases = [
         (header + "{not json}\n", ":2: invalid JSON"),
         (header.replace('"policy":"always-feed",', ""), ":1: .*'policy'"),
-        (header.replace('"schema":"waffle-log/1",', ""), ":1: header is missing the 'schema' field$"),
+        (header.replace('"schema":"waffle-log/2",', ""), ":1: header is missing the 'schema' field$"),
         (header + tick.replace('"command":"proceed",', ""), ":2: .*'command'"),
         (header + tick.replace('"proceed"', '"hover"'), ":2: unknown command 'hover'"),
         (header + tick.replace('"at_staging"', '"orbit"'), ":2: unknown phase 'orbit'"),
@@ -757,6 +791,9 @@ def test_session_log_read_errors(tmp_path):
         (header + tick.replace('"t":0.0', '"t":NaN'), ":2: 'policy' field 't' is not finite: nan$"),
         (header + tick.replace('"distance":0.381', '"distance":Infinity'), ":2: .*'distance' is not finite"),
         (header.replace('"duration":1.0', '"duration":NaN'), ":1: 'header' field 'duration' is not finite"),
+        (header.replace('"individual"', '"group"'), ":1: unknown scenario 'group', expected one of"),
+        (header.replace('"always-feed"', '"nobody"'), ":1: unknown policy 'nobody', expected one of"),
+        (header.replace('"duration":1.0', '"duration":-5.0'), ":1: 'header' field 'duration' is not positive: -5.0$"),
     ]
     for i, (text, message) in enumerate(cases):
         path = tmp_path / f"case{i}.jsonl"
@@ -770,7 +807,7 @@ def test_session_log_read_errors(tmp_path):
 
 
 LOG_HEADER = {
-    "schema": "waffle-log/1",
+    "schema": "waffle-log/2",
     "participant": "p",
     "scenario": "individual",
     "policy": "always-feed",
@@ -783,7 +820,6 @@ LOG_TICK = {
     "y_hat": None,
     "distance": 0.381,
     "phase": "at_staging",
-    "gap": False,
 }
 
 
@@ -793,8 +829,6 @@ LOG_TICK = {
         (0, "participant", {"a": 1}, "a string"),
         (0, "scenario", 3, "a string"),
         (0, "policy", None, "a string"),
-        (1, "gap", "yes", "a boolean"),
-        (1, "gap", 1, "a boolean"),
     ],
 )
 def test_session_log_names_the_line_of_a_wrongly_typed_field(
@@ -849,11 +883,11 @@ def test_session_log_names_the_line_of_a_bite_or_tick_out_of_order(tmp_path, rec
 
 @pytest.fixture(scope="module")
 def log_dir(tmp_path_factory, long_scn):
-    # A waffle log: ticks with and without a prediction, gaps and bites.
+    # A waffle log: ticks with and without a prediction, and bites.
     path = tmp_path_factory.mktemp("log")
     policy = WafflePolicy(6.0)
     log = run_session(long_scn.session, policy, predictor=lambda row, t: t % 9.0)
-    assert log.bites and any(tick.gap for tick in log.ticks)
+    assert log.bites and gap_ticks(log)
     write_session_log(log, path / "base.jsonl")
     return path
 
@@ -863,8 +897,7 @@ def log_dir(tmp_path_factory, long_scn):
 def test_session_log_mutations_load_or_name_the_file(log_dir, data):
     # Delete or replace one value of one line. The loader either returns a
     # log that writes back to the mutated lines, or raises a package
-    # ValueError naming the file. A tick's own "policy" field is not read
-    # (the header's is written back), and a tick without "gap" reads false.
+    # ValueError naming the file.
     lines = (log_dir / "base.jsonl").read_text().splitlines()
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     records = [json.loads(line) for line in lines]
@@ -877,14 +910,11 @@ def test_session_log_mutations_load_or_name_the_file(log_dir, data):
         assert type(e).__module__ == "bitetiming.errors"
         assert str(path) in str(e)
     else:
-        for rec in records[1:]:
-            if rec["track"] == "policy":
-                rec.update(policy=records[0]["policy"], gap=rec.get("gap", False))
         write_session_log(log, log_dir / "rewritten.jsonl")
         rewritten = (log_dir / "rewritten.jsonl").read_text().splitlines()
         assert same_json([json.loads(line) for line in rewritten], records)
         for tick in log.ticks:
-            assert type(tick.t) in (int, float) and type(tick.gap) is bool
+            assert type(tick.t) in (int, float)
 
 
 def test_generate_dataset_layout(tmp_path):
@@ -916,17 +946,9 @@ def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
     source.write_text(json.dumps(LOG_HEADER) + "\n" + json.dumps(LOG_TICK | {"t": 3}) + "\n")
     log = read_session_log(source)
     assert type(log.ticks[0].t) is int
-    log.policy_name = 'w\u00e4ffle "2"'
-    cases = [
-        (0.1 + 0.2, None, True),
-        (1e16, 1.25, False),
-        (5e-324, float("nan"), True),
-        (1e-7, float("inf"), False),
-        (123.5, float("-inf"), False),
-        (7.0, -0.0, False),
-    ]
-    for t, y_hat, gap in cases:
-        log.ticks.append(TickLog(t, Command.STOP, t / 3, Phase.APPROACHING, y_hat, gap))
+    cases = [(0.1 + 0.2, None), (1e16, 1.25), (5e-324, float("nan")), (1e-7, float("inf")), (123.5, float("-inf")), (7.0, -0.0)]
+    for t, y_hat in cases:
+        log.ticks.append(TickLog(t, Command.STOP, t / 3, Phase.APPROACHING, y_hat))
     path = tmp_path / "log.jsonl"
     write_session_log(log, path)
     # The reference: the record each tick line was once encoded from.
@@ -934,16 +956,23 @@ def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
         _encode({
             "track": "policy",
             "t": tick.t,
-            "policy": log.policy_name,
             "command": tick.command.value,
             "y_hat": tick.y_hat,
             "distance": tick.distance_to_mouth,
             "phase": tick.phase.value,
-            "gap": tick.gap,
         })
         for tick in log.ticks
     ]
-    assert path.read_text().splitlines()[1:] == expected
+    lines = path.read_text().splitlines()
+    assert lines[1:] == expected
+    # A tick line holds exactly the keys the reader reads: without any one
+    # of them, the line is refused.
+    header, tick = lines[0], json.loads(lines[1])
+    for key in tick:
+        path.write_text(f"{header}\n{json.dumps({k: v for k, v in tick.items() if k != key})}\n")
+        message = "unknown track None" if key == "track" else f"'policy' line is missing field {key!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            read_session_log(path)
 
 
 @pytest.fixture(scope="module")
