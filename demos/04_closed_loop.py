@@ -19,13 +19,13 @@ from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     DEFAULT_LEVEL,
     Command,
+    Phase,
     WafflePolicy,
     make_policy,
     map_assertiveness,
 )
 from bitetiming.sim import (
     BehaviorState,
-    Phase,
     generate_dataset,
     model_predictor,
     run_session,

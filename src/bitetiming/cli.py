@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataio import SCENARIOS, load_dataset
+from .dataio import SCENARIOS, load_dataset, write_session_log
 from .evaluation import run_loso, write_report_files
 from .features import ABLATIONS
 from .mlp import TrainConfig, load_model, save_model, train
@@ -30,7 +30,6 @@ from .sim import (
     run_session,
     generate_dataset,
     synthesize_scenario,
-    write_session_log,
 )
 
 
@@ -56,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--ablation", choices=ABLATIONS, default="imu+mic")
     p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
     p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p_train.add_argument(
-        "--loss-out", default=None, help="loss table path (default: <out>.loss.tsv)"
-    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(
@@ -118,9 +114,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    loss_path = Path(args.loss_out) if args.loss_out else out.with_suffix(
-        out.suffix + ".loss.tsv"
-    )
+    loss_path = out.with_suffix(out.suffix + ".loss.tsv")
     with loss_path.open("w", encoding="utf-8") as f:
         f.write("epoch\ttrain_mae\n")
         for epoch, loss in enumerate(losses):

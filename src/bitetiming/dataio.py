@@ -1,4 +1,5 @@
-"""Session file format, dataset manifests, and ground-truth label derivation.
+"""Session and closed-loop log formats, dataset manifests, and ground-truth
+label derivation.
 
 A ``waffle/3`` session file is line-delimited JSON: a header line
 ``{"schema": "waffle/3", "participant": ..., "scenario": ...}``, one line per
@@ -20,6 +21,17 @@ ignored. No other session schema is read: a file of an older one is refused,
 and ``bitetiming synth`` with its seed writes the same dataset again. A
 dataset manifest is ``{"schema": "waffle-manifest/1", "sessions": [paths...]}``
 with paths relative to the manifest's directory.
+
+A ``waffle-log/2`` closed-loop log is line-delimited JSON too: a header
+``{"schema": "waffle-log/2", "participant": ..., "scenario": ..., "policy":
+..., "duration": ...}``, one bite line per bite as above, then one line per
+control tick, in time order:
+
+    {"track": "policy", "t": 0.5, "command": "stop", "y_hat": null,
+     "distance": 0.381, "phase": "acquiring"}
+
+``y_hat`` is null on a tick without a prediction. ``validate_log`` holds the
+format's rules, and the writer and the reader apply the same ones.
 """
 
 from __future__ import annotations
@@ -27,16 +39,19 @@ from __future__ import annotations
 import base64
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, SchemaVersionError, TrackValidationError
+from .policy import ORACLE_NAME, POLICY_NAMES, Command, Phase
 
 SESSION_SCHEMA = "waffle/3"
 MANIFEST_SCHEMA = "waffle-manifest/1"
+LOG_SCHEMA = "waffle-log/2"
 
 SCENARIOS = ("individual", "social")
 
@@ -59,11 +74,7 @@ class BiteEvent:
 
     def __post_init__(self) -> None:
         times = (self.staging_arrival_t, self.feeding_arrival_t, self.bite_complete_t)
-        try:
-            finite = all(map(math.isfinite, times))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not (finite and times[0] < times[1] < times[2]):
+        if not (all(map(_finite, times)) and times[0] < times[1] < times[2]):
             raise TrackValidationError(
                 f"bite timestamps must be finite and strictly ordered, got {times}"
             )
@@ -75,6 +86,14 @@ class BiteEvent:
                 f"bite {i} starts staging at {self.staging_arrival_t} before "
                 f"bite {i - 1} completes at {prev.bite_complete_t}"
             )
+
+
+def _finite(value) -> bool:
+    """Whether a number is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -284,23 +303,30 @@ def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
     return value
 
 
-def _string(path: Path, lineno: int, rec: dict, key: str, choices: Sequence[str] = ()) -> str:
-    """``rec[key]`` if it is a string, and one of ``choices`` if any are given."""
-    value = _typed(path, lineno, rec, key, (str,), "a string")
-    if choices and value not in choices:
-        raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}, expected one of {choices}")
-    return value
+def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
+    return _typed(path, lineno, rec, key, (str,), "a string")
 
 
-def _bite(path: Path, lineno: int, rec: dict, after: Sequence[BiteEvent] = ()) -> BiteEvent:
-    """The bite a line holds, which must follow the last of ``after``."""
+def _enum(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
+    """The member of ``enum`` whose value ``rec[key]`` is."""
+    value = _field(path, lineno, rec, key)
     try:
-        bite = BiteEvent(*(_number(path, lineno, rec, f.name) for f in fields(BiteEvent)))
-        if after:
-            bite.check_follows(after[-1], len(after))
-        return bite
-    except TrackValidationError as e:
-        raise TrackValidationError(f"{path}:{lineno}: {e}") from None
+        return enum(value)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}") from None
+
+
+def _at(path: Path, lineno: int, check, *args):
+    """``check(*args)``; a package error it raises names ``path:lineno``."""
+    try:
+        return check(*args)
+    except (ParseError, TrackValidationError) as e:
+        raise type(e)(f"{path}:{lineno}: {e}") from None
+
+
+def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
+    times = [_number(path, lineno, rec, f.name) for f in fields(BiteEvent)]
+    return _at(path, lineno, BiteEvent, *times)
 
 
 def f8_to_base64(values: np.ndarray) -> str:
@@ -388,6 +414,152 @@ def read_session(path: str | Path) -> SessionRecord:
     # than truncated to 0.
     session.motion_moving = session.motion_moving.astype(np.int64)
     return session
+
+
+@dataclass(slots=True)
+class TickLog:
+    """One control tick as seen by the policy (state before stepping)."""
+
+    t: float
+    command: Command
+    distance_to_mouth: float
+    phase: Phase
+    y_hat: float | None = None
+
+
+@dataclass
+class SessionLog:
+    """Closed-loop trace of one simulated session."""
+
+    policy_name: str
+    participant_id: str
+    scenario: str
+    duration: float
+    ticks: list[TickLog] = field(default_factory=list)
+    bites: list[BiteEvent] = field(default_factory=list)
+
+
+def _check_number(value, what: str, key: str) -> None:
+    # type(), not isinstance(): a bool is an int, and the repr of a numpy
+    # scalar, which a tick line would hold, is not JSON.
+    if type(value) not in (int, float):
+        raise ParseError(f"{what!r} field {key!r} is not a number: {value!r}")
+    if not _finite(value):
+        raise ParseError(f"{what!r} field {key!r} is not finite: {value!r}")
+
+
+def _check_tick(tick: TickLog, prev: TickLog | None, duration: float) -> None:
+    """Refuse ``tick`` of a log of ``duration`` seconds, after ``prev``."""
+    _check_number(tick.t, "policy", "t")
+    _check_number(tick.distance_to_mouth, "policy", "distance")
+    if prev is not None and tick.t <= prev.t:
+        raise TrackValidationError(
+            f"policy timestamps must be strictly increasing, got t={tick.t!r} after t={prev.t!r}"
+        )
+    if not 0 <= tick.t < duration:
+        raise TrackValidationError(f"policy tick at t={tick.t!r} is outside [0, {duration!r})")
+    if tick.distance_to_mouth < 0:
+        raise TrackValidationError(
+            f"policy distance at t={tick.t!r} is {tick.distance_to_mouth!r}, below 0"
+        )
+
+
+def validate_log(log: SessionLog) -> None:
+    """Check a closed-loop log against the rules of its format, which
+    read_session_log applies line by line: the scenario is one of SCENARIOS,
+    the policy one of POLICY_NAMES or the oracle's, and the duration finite
+    and above 0; each bite follows the one before; each tick's ``t`` and
+    distance are finite ints or floats, ``t`` increases within [0, duration)
+    and the distance is at least 0.
+
+    Raises ParseError for an unknown name or a value that is not a finite
+    number, TrackValidationError for bites or ticks out of order or range.
+    """
+    if log.scenario not in SCENARIOS:
+        raise ParseError(f"unknown scenario {log.scenario!r}, expected one of {SCENARIOS}")
+    policies = (*POLICY_NAMES, ORACLE_NAME)
+    if log.policy_name not in policies:
+        raise ParseError(f"unknown policy {log.policy_name!r}, expected one of {policies}")
+    _check_number(log.duration, "header", "duration")
+    if log.duration <= 0:
+        raise ParseError(f"'header' field 'duration' is not positive: {log.duration!r}")
+    for i, (prev, bite) in enumerate(zip(log.bites, log.bites[1:]), 1):
+        bite.check_follows(prev, i)
+    for prev, tick in zip([None, *log.ticks], log.ticks):
+        _check_tick(tick, prev, log.duration)
+
+
+_TICK_LINE = (
+    '{{"track":"policy","t":{!r},"command":"{}","y_hat":{},"distance":{!r},"phase":"{}"}}\n'
+).format
+
+
+def write_session_log(log: SessionLog, path: str | Path) -> None:
+    """Write a closed-loop trace in the ``waffle-log/2`` format. A log that
+    validate_log refuses raises its error, and no file is written."""
+    validate_log(log)
+    header = {
+        "schema": LOG_SCHEMA,
+        "participant": log.participant_id,
+        "scenario": log.scenario,
+        "policy": log.policy_name,
+        "duration": log.duration,
+    }
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(_encode(header) + "\n")
+        f.writelines(map(_bite_line, log.bites))
+        # t and distance are an int or a finite float, whose repr is the
+        # text json writes for it.
+        f.writelines(
+            _TICK_LINE(
+                tick.t, tick.command.value, _encode(tick.y_hat),
+                tick.distance_to_mouth, tick.phase.value,
+            )
+            for tick in log.ticks
+        )
+
+
+def read_session_log(path: str | Path) -> SessionLog:
+    """Read back a ``waffle-log/2`` trace written by write_session_log. Keys
+    a line does not read are ignored.
+
+    Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
+    malformed JSON, a missing field or one of the wrong type, an unknown
+    track, command or phase, and for a header without a schema;
+    SchemaVersionError for another schema; and validate_log's errors for the
+    header or the line that breaks its rules, naming ``path:line``.
+    """
+    path = Path(path)
+    header, records = _records(path, LOG_SCHEMA)
+    log = SessionLog(
+        policy_name=_string(path, 1, header, "policy"),
+        participant_id=_string(path, 1, header, "participant"),
+        scenario=_string(path, 1, header, "scenario"),
+        duration=_number(path, 1, header, "duration"),
+    )
+    _at(path, 1, validate_log, log)  # the header: the log has no lines yet
+    for lineno, rec in records:
+        track = rec.get("track")
+        if track == "bite":
+            bite = _bite(path, lineno, rec)
+            if log.bites:
+                _at(path, lineno, bite.check_follows, log.bites[-1], len(log.bites))
+            log.bites.append(bite)
+        elif track == "policy":
+            y_hat = _field(path, lineno, rec, "y_hat")
+            tick = TickLog(
+                t=_number(path, lineno, rec, "t"),
+                command=_enum(path, lineno, rec, "command", Command),
+                distance_to_mouth=_number(path, lineno, rec, "distance"),
+                phase=_enum(path, lineno, rec, "phase", Phase),
+                y_hat=None if y_hat is None else _number(path, lineno, rec, "y_hat"),
+            )
+            prev = log.ticks[-1] if log.ticks else None
+            _at(path, lineno, _check_tick, tick, prev, log.duration)
+            log.ticks.append(tick)
+        else:
+            raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
+    return log
 
 
 def read_document(path: Path, schema: str, error: type[ValueError]) -> tuple[str, dict]:

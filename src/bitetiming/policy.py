@@ -38,6 +38,14 @@ class Command(Enum):
     TRIGGER_FULL_TRAJECTORY = "trigger_full_trajectory"
 
 
+class Phase(Enum):
+    ACQUIRING = "acquiring"
+    AT_STAGING = "at_staging"
+    APPROACHING = "approaching"
+    AT_FEEDING = "at_feeding"
+    RETURNING = "returning"
+
+
 def map_assertiveness(level: int) -> float:
     """Map an assertiveness level 1..5 to its threshold tau = level + 3 s."""
     if not MIN_LEVEL <= level <= MAX_LEVEL:
@@ -169,6 +177,7 @@ _POLICIES = {
     for cls in (WafflePolicy, FixedIntervalPolicy, MouthOpenPolicy, AlwaysFeedPolicy)
 }
 POLICY_NAMES = tuple(_POLICIES)
+ORACLE_NAME = "oracle"  # sim.OracleLabeler's, which make_policy does not build
 
 
 def make_policy(name: str, tau: float):

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .policy import CONTROL_TICK_SECONDS
 
 IMU_RATE_HZ = 200.0
 MIC_RATE_HZ = 100.0
 WINDOW_SECONDS = 1.0
-HOP_SECONDS = 0.5
+# Windows hop one control tick, so the closed loop reads a fresh window on
+# every tick (sim.run_session maps each window to the tick it ends on).
+HOP_SECONDS = CONTROL_TICK_SECONDS
 
 IMU_WINDOW_SAMPLES = int(round(IMU_RATE_HZ * WINDOW_SECONDS))
 MIC_WINDOW_SAMPLES = int(round(MIC_RATE_HZ * WINDOW_SECONDS))

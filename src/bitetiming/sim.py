@@ -25,7 +25,6 @@ seed.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,29 +32,23 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataio
 from .dataio import (
     SCENARIOS,
     BiteEvent,
+    SessionLog,
     SessionRecord,
-    _bite,
-    _bite_line,
-    _encode,
-    _field,
-    _number,
-    _records,
-    _string,
+    TickLog,
     validate_session,
     write_manifest,
     write_session,
 )
-from .errors import InsufficientDataError, ParseError, ProtocolError, TrackValidationError
+from .errors import InsufficientDataError, ProtocolError
 from .features import ablation_indices
 from .mlp import _forward_cached
 from .pipeline import session_features
-from .policy import CONTROL_TICK_SECONDS, POLICY_NAMES, Command, MouthOpenPolicy
+from .policy import CONTROL_TICK_SECONDS, ORACLE_NAME, Command, MouthOpenPolicy, Phase
 from .policy import TickInputs, WafflePolicy
-
-LOG_SCHEMA = "waffle-log/2"
 
 # Synthetic raw-track rates. Deliberately below the canonical grids: the
 # resampler interpolates up, and the scripted signals live well under the
@@ -81,14 +74,6 @@ class TrajectoryConfig:
     control_dt_s = CONTROL_TICK_SECONDS
     acquire_duration_s = 3.0
     bite_duration_s = 2.0
-
-
-class Phase(Enum):
-    ACQUIRING = "acquiring"
-    AT_STAGING = "at_staging"
-    APPROACHING = "approaching"
-    AT_FEEDING = "at_feeding"
-    RETURNING = "returning"
 
 
 @dataclass(slots=True)
@@ -424,7 +409,7 @@ class OracleLabeler:
     while the partner talks.
     """
 
-    name = "oracle"
+    name = ORACLE_NAME
 
     def __init__(
         self, script: BehaviorScript, partner_script: BehaviorScript | None = None
@@ -662,29 +647,6 @@ def generate_dataset(
     return manifest_path
 
 
-@dataclass(slots=True)
-class TickLog:
-    """One control tick as seen by the policy (state before stepping)."""
-
-    t: float
-    command: Command
-    distance_to_mouth: float
-    phase: Phase
-    y_hat: float | None = None
-
-
-@dataclass
-class SessionLog:
-    """Closed-loop trace of one simulated session."""
-
-    policy_name: str
-    participant_id: str
-    scenario: str
-    duration: float
-    ticks: list[TickLog] = field(default_factory=list)
-    bites: list[BiteEvent] = field(default_factory=list)
-
-
 def model_predictor(model):
     """Adapt a trained regressor to run_session's predictor interface. The
     model is checked and its columns, z-score and weights bound once, so a
@@ -782,97 +744,6 @@ def _advanced(log: SessionLog, final: RobotState) -> np.ndarray:
     return (d[1:] < d[:-1] - 1e-12).astype(np.int64)
 
 
-_TICK_LINE = (
-    '{{"track":"policy","t":{!r},"command":"{}","y_hat":{},"distance":{!r},"phase":"{}"}}\n'
-).format
-
-
-def write_session_log(log: SessionLog, path: str | Path) -> None:
-    """Write a closed-loop trace in the session line format plus a policy track."""
-    header = {
-        "schema": LOG_SCHEMA,
-        "participant": log.participant_id,
-        "scenario": log.scenario,
-        "policy": log.policy_name,
-        "duration": log.duration,
-    }
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.write(_encode(header) + "\n")
-        for b in log.bites:
-            f.write(_bite_line(b))
-        # run_session and read_session_log give t and distance as an int or
-        # a finite float, whose repr is the text json writes for it.
-        f.writelines(
-            _TICK_LINE(
-                tick.t, tick.command.value, _encode(tick.y_hat),
-                tick.distance_to_mouth, tick.phase.value,
-            )
-            for tick in log.ticks
-        )
-
-
-def _enum_field(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
-    value = _field(path, lineno, rec, key)
-    try:
-        return enum(value)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}") from None
-
-
-def _finite(path: Path, lineno: int, rec: dict, key: str) -> float:
-    value = _number(path, lineno, rec, key)
-    if not math.isfinite(value):
-        what = rec.get("track", "header")
-        raise ParseError(f"{path}:{lineno}: {what!r} field {key!r} is not finite: {value!r}")
-    return value
-
-
-def read_session_log(path: str | Path) -> SessionLog:
-    """Read back a ``waffle-log/2`` trace written by write_session_log. Keys
-    a line does not read are ignored.
-
-    Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
-    malformed JSON, a missing field or one of the wrong type, a ``t``,
-    ``distance`` or ``duration`` that is not finite, a ``duration`` that is
-    not positive, an unknown scenario, policy, track, command or phase, and
-    for a header without a schema; TrackValidationError
-    naming ``path:line`` for a bite that is not finite and ordered or starts
-    before the one above it completes, and for a tick whose ``t`` does not
-    increase; SchemaVersionError for another schema.
-    """
-    path = Path(path)
-    header, records = _records(path, LOG_SCHEMA)
-    log = SessionLog(
-        policy_name=_string(path, 1, header, "policy", (*POLICY_NAMES, OracleLabeler.name)),
-        participant_id=_string(path, 1, header, "participant"),
-        scenario=_string(path, 1, header, "scenario", SCENARIOS),
-        duration=_finite(path, 1, header, "duration"),
-    )
-    if log.duration <= 0:
-        raise ParseError(f"{path}:1: 'header' field 'duration' is not positive: {log.duration!r}")
-    for lineno, rec in records:
-        track = rec.get("track")
-        if track == "bite":
-            log.bites.append(_bite(path, lineno, rec, log.bites))
-        elif track == "policy":
-            t = _finite(path, lineno, rec, "t")
-            if log.ticks and t <= log.ticks[-1].t:
-                raise TrackValidationError(
-                    f"{path}:{lineno}: policy timestamps must be strictly increasing, "
-                    f"got t={t!r} after t={log.ticks[-1].t!r}"
-                )
-            y_hat = _field(path, lineno, rec, "y_hat")
-            if y_hat is not None:
-                y_hat = _number(path, lineno, rec, "y_hat")
-            log.ticks.append(
-                TickLog(
-                    t=t,
-                    command=_enum_field(path, lineno, rec, "command", Command),
-                    distance_to_mouth=_finite(path, lineno, rec, "distance"),
-                    phase=_enum_field(path, lineno, rec, "phase", Phase),
-                    y_hat=y_hat,
-                )
-            )
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown track {track!r}")
-    return log
+# Kept only until perfbench/ imports and traces the log codec from dataio.
+write_session_log = dataio.write_session_log
+read_session_log = dataio.read_session_log

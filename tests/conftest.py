@@ -160,11 +160,11 @@ def write_old_model(path, doc, version):
 JUNK = ("abc", "1.5", True, None, 0.7, -3, {}, [])
 
 
-def mutate_json(data, node):
+def mutate_json(data, node, junk=JUNK):
     """Delete or replace one value somewhere inside a JSON object, in place.
 
     Draws a path from ``node`` down through nested objects and arrays, then
-    deletes the value at its end or sets it to one of ``JUNK``.
+    deletes the value at its end or sets it to one of ``junk``.
     """
     while True:
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
@@ -173,7 +173,7 @@ def mutate_json(data, node):
         if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
             node = child
             continue
-        value = data.draw(st.sampled_from(("delete",) + JUNK), label="value")
+        value = data.draw(st.sampled_from(("delete",) + junk), label="value")
         if value == "delete":
             del node[key]
         else:

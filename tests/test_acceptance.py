@@ -16,7 +16,7 @@ import pytest
 from conftest import brute_force_features, make_window, window_features
 
 from bitetiming.cli import main as cli_main
-from bitetiming.dataio import load_dataset
+from bitetiming.dataio import load_dataset, write_session_log
 from bitetiming.errors import SchemaVersionError
 from bitetiming.evaluation import confusion, mcc, nmcc, run_loso, ConfusionCounts
 from bitetiming.mlp import (
@@ -33,16 +33,15 @@ from bitetiming.policy import (
     COMMIT_DISTANCE_M,
     Command,
     FixedIntervalPolicy,
+    Phase,
     WafflePolicy,
     map_assertiveness,
 )
 from bitetiming.sim import (
-    Phase,
     generate_dataset,
     model_predictor,
     run_session,
     synthesize_scenario,
-    write_session_log,
 )
 
 ABLATIONS = ("imu+mic", "imu", "mic")

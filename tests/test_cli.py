@@ -19,7 +19,7 @@ from bitetiming.cli import main
 from bitetiming.features import NormalizationStats
 from bitetiming.mlp import init_mlp, load_model, model_digest, save_model
 from bitetiming.policy import Command
-from bitetiming.sim import read_session_log
+from bitetiming.dataio import read_session_log
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from bitetiming.cli import build_parser
-from bitetiming.dataio import MANIFEST_SCHEMA, SESSION_SCHEMA, read_session, write_session
+from bitetiming.dataio import LOG_SCHEMA, MANIFEST_SCHEMA, SESSION_SCHEMA, read_session, write_session
 from bitetiming.features import NormalizationStats
 from bitetiming.mlp import MODEL_SCHEMA, init_mlp, load_model, save_model
-from bitetiming.sim import LOG_SCHEMA, synthesize_scenario
+from bitetiming.sim import synthesize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

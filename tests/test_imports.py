@@ -15,16 +15,7 @@ import bitetiming
 PACKAGE = Path(bitetiming.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
-ALLOWED = {
-    "sim: dataio._bite",
-    "sim: dataio._bite_line",
-    "sim: dataio._encode",
-    "sim: dataio._field",
-    "sim: dataio._number",
-    "sim: dataio._records",
-    "sim: dataio._string",
-    "sim: mlp._forward_cached",
-}
+ALLOWED = {"sim: mlp._forward_cached"}
 
 
 def test_private_cross_module_imports_only_shrink():

@@ -60,6 +60,15 @@ def test_every_package_name_perfbench_imports_exists(monkeypatch):
     assert missing == []
 
 
+def test_sims_log_codec_names_are_dataios():
+    # perfbench imports and traces the log codec under sim; the tracer wraps
+    # every package name bound to a target, so the aliases time dataio's.
+    from bitetiming import dataio, sim
+
+    assert sim.write_session_log is dataio.write_session_log
+    assert sim.read_session_log is dataio.read_session_log
+
+
 def test_the_closed_loop_calls_perfbench_makes(monkeypatch):
     # run.py's closed_loop and checks.py's oracle_nmcc, on a 30 s session.
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -10,9 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import JSON_LIMITS, mutate_json, same_json, time_limit
+from conftest import JSON_LIMITS, JUNK, mutate_json, same_json, time_limit
 
-from bitetiming.dataio import BiteEvent, _encode, derive_time_to_bite, load_dataset, read_session, validate_session, write_session
+from bitetiming.dataio import (
+    SCENARIOS,
+    BiteEvent,
+    SessionLog,
+    TickLog,
+    _encode,
+    derive_time_to_bite,
+    load_dataset,
+    read_session,
+    read_session_log,
+    validate_session,
+    write_session,
+    write_session_log,
+)
 from bitetiming.errors import (
     InsufficientDataError,
     ParseError,
@@ -22,10 +35,12 @@ from bitetiming.errors import (
 )
 from bitetiming.policy import (
     COMMIT_DISTANCE_M,
+    POLICY_NAMES,
     AlwaysFeedPolicy,
     Command,
     FixedIntervalPolicy,
     MouthOpenPolicy,
+    Phase,
     WafflePolicy,
     map_assertiveness,
 )
@@ -38,21 +53,17 @@ from bitetiming.sim import (
     BehaviorState,
     OracleLabeler,
     ParticipantStyle,
-    Phase,
     Segment,
-    TickLog,
     TrajectoryConfig,
     generate_dataset,
     initial_robot_state,
     model_predictor,
-    read_session_log,
     run_session,
     sample_behavior_script,
     sample_partner_script,
     sample_style,
     step_robot,
     synthesize_scenario,
-    write_session_log,
     _synth_imu,
     _synth_mic,
     _taper,
@@ -871,8 +882,14 @@ LOG_BITE = {"track": "bite", "staging_arrival_t": 0.5, "feeding_arrival_t": 1.0,
             "policy timestamps must be strictly increasing, got t=0.0 after t=0.5",
         ),
         ([LOG_TICK, LOG_TICK], 3, "policy timestamps must be strictly increasing, got t=0.0 after t=0.0"),
+        ([LOG_TICK | {"t": -0.5}], 2, "policy tick at t=-0.5 is outside [0, 1.0)"),
+        ([LOG_TICK, LOG_TICK | {"t": 1.0}], 3, "policy tick at t=1.0 is outside [0, 1.0)"),
+        ([LOG_TICK | {"distance": -3.0}], 2, "policy distance at t=0.0 is -3.0, below 0"),
     ],
-    ids=["infinite-bite", "overlapping-bites", "tick-back-in-time", "repeated-tick"],
+    ids=[
+        "infinite-bite", "overlapping-bites", "tick-back-in-time", "repeated-tick",
+        "tick-before-the-start", "tick-at-the-end", "negative-distance",
+    ],
 )
 def test_session_log_names_the_line_of_a_bite_or_tick_out_of_order(tmp_path, records, lineno, message):
     path = tmp_path / "log.jsonl"
@@ -901,7 +918,8 @@ def test_session_log_mutations_load_or_name_the_file(log_dir, data):
     lines = (log_dir / "base.jsonl").read_text().splitlines()
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     records = [json.loads(line) for line in lines]
-    mutate_json(data, records[index])
+    # Besides JUNK, a time or distance past every tick and below 0.
+    mutate_json(data, records[index], JUNK + (1e9, -0.5))
     path = log_dir / "mutated.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     try:
@@ -915,6 +933,61 @@ def test_session_log_mutations_load_or_name_the_file(log_dir, data):
         assert same_json([json.loads(line) for line in rewritten], records)
         for tick in log.ticks:
             assert type(tick.t) in (int, float)
+
+
+# Values the format refuses where a log holds a number (NaN, infinity, an
+# int too large for a float, a bool, a numpy scalar), and 0 and -1, which are
+# not durations.
+ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), 10**400, True, np.float64(1.0), 0, -1])
+
+
+@st.composite
+def drawn_logs(draw):
+    """Session logs: many valid, the rest off by a value, an order or a range."""
+
+    def maybe_odd(value):
+        return draw(ODD_NUMBERS) if draw(st.integers(0, 9)) == 0 else value
+
+    times = sorted(draw(st.lists(st.floats(0, 100), max_size=9, unique=True)))
+    bites = [BiteEvent(*times[i : i + 3]) for i in range(0, len(times) - 2, 3)]
+    if draw(st.booleans()):
+        bites.reverse()  # two bites or more then overlap
+    t = draw(st.integers(0, 1) | st.floats(0, 1))
+    ticks = []
+    for _ in range(draw(st.integers(0, 6))):
+        distance = draw(st.integers(0, 10) | st.floats(0, 1e6))
+        y_hat = draw(st.none() | st.floats(allow_nan=False))
+        ticks.append(
+            TickLog(maybe_odd(t), draw(st.sampled_from(Command)), maybe_odd(distance), draw(st.sampled_from(Phase)), y_hat)
+        )
+        t += draw(st.floats(0.01, 2))
+    return SessionLog(
+        policy_name=draw(st.sampled_from([*POLICY_NAMES, "oracle", "nobody"])),
+        participant_id=draw(st.text()),
+        scenario=draw(st.sampled_from([*SCENARIOS, "group"])),
+        duration=maybe_odd(draw(st.floats(0.5, 20))),
+        ticks=ticks,
+        bites=bites,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=drawn_logs())
+def test_the_log_writer_writes_only_what_reads_back(tmp_path_factory, log):
+    # Either the writer refuses the log with a package error and writes no
+    # file, or the file reads back as the log, each number with its type.
+    path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+    path.unlink(missing_ok=True)
+    try:
+        write_session_log(log, path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert not path.exists()
+    else:
+        again = read_session_log(path)
+        assert again == log
+        types = [[(type(k.t), type(k.distance_to_mouth)) for k in x.ticks] for x in (again, log)]
+        assert types[0] == types[1]
 
 
 def test_generate_dataset_layout(tmp_path):
@@ -943,12 +1016,12 @@ def test_generate_dataset_layout(tmp_path):
 def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
     # An integer t only comes from a file, so read one back first.
     source = tmp_path / "int.jsonl"
-    source.write_text(json.dumps(LOG_HEADER) + "\n" + json.dumps(LOG_TICK | {"t": 3}) + "\n")
+    source.write_text(json.dumps(LOG_HEADER | {"duration": 10.0}) + "\n" + json.dumps(LOG_TICK | {"t": 3}) + "\n")
     log = read_session_log(source)
     assert type(log.ticks[0].t) is int
     cases = [(0.1 + 0.2, None), (1e16, 1.25), (5e-324, float("nan")), (1e-7, float("inf")), (123.5, float("-inf")), (7.0, -0.0)]
-    for t, y_hat in cases:
-        log.ticks.append(TickLog(t, Command.STOP, t / 3, Phase.APPROACHING, y_hat))
+    for k, (distance, y_hat) in enumerate(cases, 1):
+        log.ticks.append(TickLog(3 + k / 2, Command.STOP, distance, Phase.APPROACHING, y_hat))
     path = tmp_path / "log.jsonl"
     write_session_log(log, path)
     # The reference: the record each tick line was once encoded from.
@@ -973,6 +1046,26 @@ def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
         message = "unknown track None" if key == "track" else f"'policy' line is missing field {key!r}"
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             read_session_log(path)
+    # The writer refuses what the reader would: these were once written, and
+    # then either refused on reading or written as a line that is not JSON.
+    last = log.ticks[-1]
+    refused = [
+        ({"t": float("nan")}, ParseError, "'policy' field 't' is not finite: nan"),
+        ({"t": np.float64(9.0)}, ParseError, f"'policy' field 't' is not a number: {np.float64(9.0)!r}"),
+        ({"t": 10.0}, TrackValidationError, "policy tick at t=10.0 is outside [0, 10.0)"),
+        ({"t": 9.0, "distance_to_mouth": -3.0}, TrackValidationError, "policy distance at t=9.0 is -3.0, below 0"),
+    ]
+    refused = [({"ticks": [*log.ticks, dataclasses.replace(last, **tick)]}, *rest) for tick, *rest in refused]
+    refused += [
+        ({"policy_name": "nobody"}, ParseError, "unknown policy 'nobody', expected one of"),
+        ({"scenario": "group"}, ParseError, "unknown scenario 'group', expected one of"),
+        ({"duration": -1}, ParseError, "'header' field 'duration' is not positive: -1"),
+    ]
+    path = tmp_path / "refused.jsonl"
+    for changes, error, message in refused:
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            write_session_log(dataclasses.replace(log, **changes), path)
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")
