@@ -30,8 +30,10 @@ control tick, in time order:
     {"track": "policy", "t": 0.5, "command": "stop", "y_hat": null,
      "distance": 0.381, "phase": "acquiring"}
 
-``y_hat`` is null on a tick without a prediction. ``validate_log`` holds the
-format's rules, and the writer and the reader apply the same ones.
+``y_hat`` is null on a tick without a prediction. Each format's rules are
+stated once, and each writer runs its reader's rules before it opens the
+file: it refuses what the reader would, with the reader's message less
+``path:line``, and writes no file.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ LOG_SCHEMA = "waffle-log/2"
 
 SCENARIOS = ("individual", "social")
 
+# An hour, six times the longest session anything here runs (600 s). A track
+# may span a second more: a synthesized one runs a jittered sample past the duration.
+MAX_SESSION_SECONDS = 3600.0
+
 # The columns of each sensor track.
 _FIELDS = {
     "imu": ("t", "ax", "ay", "az"),
@@ -73,8 +79,10 @@ class BiteEvent:
     bite_complete_t: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _check_number(getattr(self, f.name), "bite", f.name, finite=False)
         times = (self.staging_arrival_t, self.feeding_arrival_t, self.bite_complete_t)
-        if not (all(map(_finite, times)) and times[0] < times[1] < times[2]):
+        if not (all(map(math.isfinite, times)) and times[0] < times[1] < times[2]):
             raise TrackValidationError(
                 f"bite timestamps must be finite and strictly ordered, got {times}"
             )
@@ -88,12 +96,23 @@ class BiteEvent:
             )
 
 
-def _finite(value) -> bool:
-    """Whether a number is finite; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
+def _check_number(value, what: str, key: str, finite: bool = True) -> None:
+    """Refuse ``value`` unless it is an int or float that fits a float, finite if ``finite``."""
+    # type(), not isinstance(): a bool is an int, and the repr of a numpy
+    # scalar, which a tick line would hold, is not JSON.
+    if type(value) not in (int, float):
+        raise ParseError(f"{what!r} field {key!r} is not a number: {value!r}")
+    try:  # isfinite raises OverflowError for an int too large for a float
+        if not math.isfinite(value) and finite:
+            raise ParseError(f"{what!r} field {key!r} is not finite: {value!r}")
     except OverflowError:
-        return False
+        raise ParseError(f"{what!r} field {key!r} does not fit a float") from None
+
+
+def _check_strings(**values) -> None:
+    for key, value in values.items():
+        if type(value) is not str:
+            raise ParseError(f"'header' field {key!r} is not a string: {value!r}")
 
 
 @dataclass
@@ -137,15 +156,17 @@ def _require_finite(values: np.ndarray, track: str, what: str) -> None:
         )
 
 
-def validate_session(session: SessionRecord) -> None:
-    """Check finiteness, ordering, shape and range constraints on every track.
+def _check_header(participant, scenario) -> None:
+    _check_strings(participant=participant, scenario=scenario)
+    if scenario not in SCENARIOS:
+        raise TrackValidationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    Raises TrackValidationError naming the offending track and sample index.
-    """
-    if session.scenario not in SCENARIOS:
-        raise TrackValidationError(
-            f"scenario must be one of {SCENARIOS}, got {session.scenario!r}"
-        )
+
+def validate_session(session: SessionRecord) -> None:
+    """Check the header, and finiteness, ordering, span, shape and range
+    constraints on every track. Raises ParseError for a header field that is
+    not a string, else TrackValidationError naming the track and sample index."""
+    _check_header(session.participant_id, session.scenario)
     imu_t, mic_t, motion_t = session.imu_t, session.mic_t, session.motion_t
     tracks = (
         ("imu", imu_t, session.imu_accel, (imu_t.size, 3), "accel", "acceleration"),
@@ -156,6 +177,10 @@ def validate_session(session: SessionRecord) -> None:
     for track, t, values, shape, key, noun in tracks:
         _require_finite(t, track, "timestamp")
         _require_increasing(t, track)
+        # Compared, not subtracted: t[-1] - t[0] can overflow.
+        if t.size and t[-1] > t[0] + (MAX_SESSION_SECONDS + 1.0):
+            span = f"{t[[0, -1]].tolist()} span more than {MAX_SESSION_SECONDS + 1:g} s"
+            raise TrackValidationError(f"{track} timestamps {span}")
         if values.shape != shape:
             raise TrackValidationError(
                 f"{track} {key} shape {values.shape} does not match {t.size} timestamps"
@@ -166,8 +191,7 @@ def validate_session(session: SessionRecord) -> None:
     if bad.size:
         i = int(bad[0])
         raise TrackValidationError(
-            f"mic amplitude at sample {i} is {session.mic_amp[i]!r}, "
-            f"outside [-1, 1]"
+            f"mic amplitude at sample {i} is {session.mic_amp[i]!r}, outside [-1, 1]"
         )
     for i, (prev, bite) in enumerate(zip(session.bites, session.bites[1:]), 1):
         bite.check_follows(prev, i)
@@ -175,8 +199,7 @@ def validate_session(session: SessionRecord) -> None:
     if bad.size:
         i = int(bad[0])
         raise TrackValidationError(
-            f"motion label at sample {i} is {session.motion_moving[i]}, "
-            f"expected 0 or 1"
+            f"motion label at sample {i} is {session.motion_moving[i]}, expected 0 or 1"
         )
 
 
@@ -279,34 +302,6 @@ def _field(path: Path, lineno: int, rec: dict, key: str) -> float:
         ) from None
 
 
-def _typed(path: Path, lineno: int, rec: dict, key: str, types: tuple, what: str):
-    """``rec[key]`` if its type is one of ``types``."""
-    value = _field(path, lineno, rec, key)
-    # type(), not isinstance(): a JSON true is a bool, which is an int.
-    if type(value) not in types:
-        raise ParseError(
-            f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            f"is not {what}: {value!r}"
-        )
-    return value
-
-
-def _number(path: Path, lineno: int, rec: dict, key: str) -> float:
-    value = _typed(path, lineno, rec, key, (int, float), "a number")
-    try:
-        float(value)
-    except OverflowError:
-        raise ParseError(
-            f"{path}:{lineno}: {rec.get('track', 'header')!r} field {key!r} "
-            "does not fit a float"
-        ) from None
-    return value
-
-
-def _string(path: Path, lineno: int, rec: dict, key: str) -> str:
-    return _typed(path, lineno, rec, key, (str,), "a string")
-
-
 def _enum(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
     """The member of ``enum`` whose value ``rec[key]`` is."""
     value = _field(path, lineno, rec, key)
@@ -316,16 +311,17 @@ def _enum(path: Path, lineno: int, rec: dict, key: str, enum: type[Enum]):
         raise ParseError(f"{path}:{lineno}: unknown {key} {value!r}") from None
 
 
-def _at(path: Path, lineno: int, check, *args):
-    """``check(*args)``; a package error it raises names ``path:lineno``."""
+def _at(path: Path, lineno: int | None, check, *args):
+    """``check(*args)``; a package error it raises names ``path:lineno``, or
+    ``path`` if ``lineno`` is None."""
     try:
         return check(*args)
     except (ParseError, TrackValidationError) as e:
-        raise type(e)(f"{path}:{lineno}: {e}") from None
+        raise type(e)(f"{path}{'' if lineno is None else f':{lineno}'}: {e}") from None
 
 
 def _bite(path: Path, lineno: int, rec: dict) -> BiteEvent:
-    times = [_number(path, lineno, rec, f.name) for f in fields(BiteEvent)]
+    times = [_field(path, lineno, rec, f.name) for f in fields(BiteEvent)]
     return _at(path, lineno, BiteEvent, *times)
 
 
@@ -352,21 +348,18 @@ def f8_from_base64(value, where: str, size: int | None = None) -> np.ndarray:
 def read_session(path: str | Path) -> SessionRecord:
     """Read and validate one ``waffle/3`` session file.
 
-    Raises:
-        ParseError: bytes that are not UTF-8, malformed JSON, a missing
-            field, a bite value that is not a number or does not fit a
-            float, a line that is not the next column or follows the last,
-            a column that is not a string, not valid base64, not a whole
-            number of float64 values or differs in length from its track's
-            first; with the line number.
-        SchemaVersionError: the header declares another schema.
-        TrackValidationError: parsed tracks violate format invariants, with
-            the path.
+    Raises ParseError naming ``path:line`` for bytes that are not UTF-8,
+    malformed JSON, a missing field, a line that is not the next column or
+    follows the last, and a column that is not the base64 of its track's
+    number of float64 values; SchemaVersionError for another schema; and
+    validate_session's errors, naming ``path:line`` for the header and a
+    bite, and ``path`` for the tracks.
     """
     path = Path(path)
     header, records = _records(path, SESSION_SCHEMA)
-    participant = _string(path, 1, header, "participant")
-    scenario = _string(path, 1, header, "scenario")
+    participant = _field(path, 1, header, "participant")
+    scenario = _field(path, 1, header, "scenario")
+    _at(path, 1, _check_header, participant, scenario)
 
     # The lines in the writer's order: the bites, the columns, then the end.
     bites, tracks = [], []
@@ -406,10 +399,7 @@ def read_session(path: str | Path) -> SessionRecord:
         motion_t=motion[0],
         motion_moving=motion[1],
     )
-    try:
-        validate_session(session)
-    except TrackValidationError as e:
-        raise TrackValidationError(f"{path}: {e}") from None
+    _at(path, None, validate_session, session)
     # Validated as floats first, so a label such as 0.7 is rejected rather
     # than truncated to 0.
     session.motion_moving = session.motion_moving.astype(np.int64)
@@ -439,19 +429,16 @@ class SessionLog:
     bites: list[BiteEvent] = field(default_factory=list)
 
 
-def _check_number(value, what: str, key: str) -> None:
-    # type(), not isinstance(): a bool is an int, and the repr of a numpy
-    # scalar, which a tick line would hold, is not JSON.
-    if type(value) not in (int, float):
-        raise ParseError(f"{what!r} field {key!r} is not a number: {value!r}")
-    if not _finite(value):
-        raise ParseError(f"{what!r} field {key!r} is not finite: {value!r}")
-
-
 def _check_tick(tick: TickLog, prev: TickLog | None, duration: float) -> None:
     """Refuse ``tick`` of a log of ``duration`` seconds, after ``prev``."""
     _check_number(tick.t, "policy", "t")
     _check_number(tick.distance_to_mouth, "policy", "distance")
+    if tick.y_hat is not None:  # NaN and infinity are predictions too
+        _check_number(tick.y_hat, "policy", "y_hat", finite=False)
+    if not isinstance(tick.command, Command):
+        raise ParseError(f"'policy' field 'command' is not a Command: {tick.command!r}")
+    if not isinstance(tick.phase, Phase):
+        raise ParseError(f"'policy' field 'phase' is not a Phase: {tick.phase!r}")
     if prev is not None and tick.t <= prev.t:
         raise TrackValidationError(
             f"policy timestamps must be strictly increasing, got t={tick.t!r} after t={prev.t!r}"
@@ -465,16 +452,18 @@ def _check_tick(tick: TickLog, prev: TickLog | None, duration: float) -> None:
 
 
 def validate_log(log: SessionLog) -> None:
-    """Check a closed-loop log against the rules of its format, which
-    read_session_log applies line by line: the scenario is one of SCENARIOS,
-    the policy one of POLICY_NAMES or the oracle's, and the duration finite
-    and above 0; each bite follows the one before; each tick's ``t`` and
-    distance are finite ints or floats, ``t`` increases within [0, duration)
-    and the distance is at least 0.
+    """Check a closed-loop log against its format's rules, which
+    read_session_log applies line by line: the participant, scenario and
+    policy are strings, the scenario in SCENARIOS, the policy in POLICY_NAMES
+    or the oracle's, and the duration a finite number above 0; each bite
+    follows the one before; each tick's ``t`` and distance are finite
+    numbers, ``t`` increasing within [0, duration) and the distance at least
+    0, its ``y_hat`` None or a number, its command a Command, its phase a Phase.
 
-    Raises ParseError for an unknown name or a value that is not a finite
-    number, TrackValidationError for bites or ticks out of order or range.
+    Raises ParseError for a value of the wrong type or an unknown name,
+    TrackValidationError for bites or ticks out of order or range.
     """
+    _check_strings(participant=log.participant_id, scenario=log.scenario, policy=log.policy_name)
     if log.scenario not in SCENARIOS:
         raise ParseError(f"unknown scenario {log.scenario!r}, expected one of {SCENARIOS}")
     policies = (*POLICY_NAMES, ORACLE_NAME)
@@ -532,10 +521,10 @@ def read_session_log(path: str | Path) -> SessionLog:
     path = Path(path)
     header, records = _records(path, LOG_SCHEMA)
     log = SessionLog(
-        policy_name=_string(path, 1, header, "policy"),
-        participant_id=_string(path, 1, header, "participant"),
-        scenario=_string(path, 1, header, "scenario"),
-        duration=_number(path, 1, header, "duration"),
+        policy_name=_field(path, 1, header, "policy"),
+        participant_id=_field(path, 1, header, "participant"),
+        scenario=_field(path, 1, header, "scenario"),
+        duration=_field(path, 1, header, "duration"),
     )
     _at(path, 1, validate_log, log)  # the header: the log has no lines yet
     for lineno, rec in records:
@@ -546,13 +535,12 @@ def read_session_log(path: str | Path) -> SessionLog:
                 _at(path, lineno, bite.check_follows, log.bites[-1], len(log.bites))
             log.bites.append(bite)
         elif track == "policy":
-            y_hat = _field(path, lineno, rec, "y_hat")
             tick = TickLog(
-                t=_number(path, lineno, rec, "t"),
+                t=_field(path, lineno, rec, "t"),
                 command=_enum(path, lineno, rec, "command", Command),
-                distance_to_mouth=_number(path, lineno, rec, "distance"),
+                distance_to_mouth=_field(path, lineno, rec, "distance"),
                 phase=_enum(path, lineno, rec, "phase", Phase),
-                y_hat=None if y_hat is None else _number(path, lineno, rec, "y_hat"),
+                y_hat=_field(path, lineno, rec, "y_hat"),
             )
             prev = log.ticks[-1] if log.ticks else None
             _at(path, lineno, _check_tick, tick, prev, log.duration)
@@ -583,11 +571,28 @@ def read_document(path: Path, schema: str, error: type[ValueError]) -> tuple[str
     return text, doc
 
 
+def _check_manifest(manifest_path: Path, doc: dict) -> list[str]:
+    """A manifest's ``sessions``: a list of path strings that names no file
+    twice. Raises ParseError naming the manifest otherwise."""
+    rels = doc.get("sessions")
+    # A NUL cannot be in a path: the OS call would raise a bare ValueError.
+    if type(rels) is not list or not all(type(r) is str and "\0" not in r for r in rels):
+        raise ParseError(f"{manifest_path}: 'sessions' must be a list of path strings")
+    seen = set()
+    for rel in rels:
+        path = (manifest_path.parent / rel).resolve()
+        if path in seen:
+            raise ParseError(f"{manifest_path}: session {rel!r} is listed twice")
+        seen.add(path)
+    return rels
+
+
 def write_manifest(session_paths: list[str | Path], path: str | Path) -> None:
-    """Write a dataset manifest listing session files relative to it."""
+    """Write a dataset manifest listing session files relative to it, as load_dataset reads one."""
     path = Path(path)
     rel = [str(Path(p).resolve().relative_to(path.resolve().parent)) for p in session_paths]
     doc = {"schema": MANIFEST_SCHEMA, "sessions": rel}
+    _check_manifest(path, doc)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
@@ -601,16 +606,7 @@ def load_dataset(manifest_path: str | Path) -> list[SessionRecord]:
     """
     manifest_path = Path(manifest_path)
     _, doc = read_document(manifest_path, MANIFEST_SCHEMA, ParseError)
-    rels = doc.get("sessions")
-    # A NUL cannot be in a path: the OS call would raise a bare ValueError.
-    if type(rels) is not list or not all(type(r) is str and "\0" not in r for r in rels):
-        raise ParseError(f"{manifest_path}: 'sessions' must be a list of path strings")
-    seen = set()
-    for rel in rels:
-        path = (manifest_path.parent / rel).resolve()
-        if path in seen:
-            raise ParseError(f"{manifest_path}: session {rel!r} is listed twice")
-        seen.add(path)
+    rels = _check_manifest(manifest_path, doc)
     listed = [(rel, read_session(manifest_path.parent / rel)) for rel in rels]
     listed.sort(key=lambda item: (item[1].participant_id, item[1].scenario, item[0]))
     return [session for _, session in listed]

@@ -356,9 +356,9 @@ def _model_payload(model: MlpModel) -> dict:
     }
 
 
-def _canonical(model: MlpModel) -> str:
-    """The payload as json's C encoder writes it: keys sorted, no spaces."""
-    return json.dumps(_model_payload(model), sort_keys=True, separators=(",", ":"))
+def _canonical(payload: dict) -> str:
+    """A payload as json's C encoder writes it: keys sorted, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _sha256(text: str) -> str:
@@ -369,9 +369,12 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     """Write a model as one self-describing JSON document.
 
     The file is ``{"checksum":"<digest>",`` then the canonical text that
-    ``model_digest`` hashes, less its opening brace, then a newline.
+    ``model_digest`` hashes, less its opening brace, then a newline. A model
+    that load_model would refuse raises its IntegrityError, and is not written.
     """
-    canonical = _canonical(model)
+    payload = _model_payload(model)
+    _checked(payload, "")
+    canonical = _canonical(payload)
     text = f'{{"checksum":"{_sha256(canonical)}",{canonical[1:]}\n'
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
@@ -472,12 +475,17 @@ def load_model(path: str | Path) -> MlpModel:
             f"{doc.get('feature_order_id')!r}, this build produces "
             f"{FEATURE_ORDER_ID!r}"
         )
+    return _checked(doc, f"{path}: ")
+
+
+def _checked(doc: dict, where: str) -> MlpModel:
+    """_model_from_doc(doc); an error it raises is an IntegrityError after ``where``."""
     try:
         return _model_from_doc(doc)
     except KeyError as e:
-        raise IntegrityError(f"{path}: missing field {e}") from None
+        raise IntegrityError(f"{where}missing field {e}") from None
     except (TypeError, ValueError, OverflowError) as e:
-        raise IntegrityError(f"{path}: {e}") from None
+        raise IntegrityError(f"{where}{e}") from None
 
 
 def model_digest(model: MlpModel) -> str:
@@ -486,4 +494,4 @@ def model_digest(model: MlpModel) -> str:
     It covers the schema, parameters, normalization and training config,
     and equals the checksum ``save_model`` stores for the model.
     """
-    return _sha256(_canonical(model))
+    return _sha256(_canonical(_model_payload(model)))

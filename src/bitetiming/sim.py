@@ -34,6 +34,7 @@ import numpy as np
 
 from . import dataio
 from .dataio import (
+    MAX_SESSION_SECONDS,
     SCENARIOS,
     BiteEvent,
     SessionLog,
@@ -321,12 +322,7 @@ _DURATION_RANGES = {
 _LEAD_IN_RANGE = (11.5, 14.0)
 
 
-# An hour: six times the longest session anything in the repository runs
-# (600 s). The behavior script grows by a segment every ~10 s, so a huge
-# duration would run until memory ran out rather than fail.
-MAX_SESSION_SECONDS = 3600.0
-
-
+# A huge duration would grow the behavior script until memory ran out.
 def check_duration(duration: float) -> None:
     if not 30.0 <= duration < np.inf:
         raise ValueError(f"sessions must last at least 30 s, got {duration}")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import JSON_LIMITS, time_limit, write_old_model, write_signed_model
+from conftest import JSON_LIMITS, b64, time_limit, write_old_model, write_signed_model
 
 from bitetiming import cli
 from bitetiming.cli import main
@@ -240,6 +240,27 @@ def test_train_rejects_a_last_bite_that_is_not_a_finite_float(dataset_dir, tmp_p
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert re.fullmatch("error: " + message.format(session=re.escape(str(session)), lineno=lineno), err[0])
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_refuses_a_track_that_spans_more_than_an_hour(tmp_path, capsys):
+    # Two imu samples, at -1e308 and 1e308 s: resampling that span once died
+    # with an OverflowError traceback.
+    columns = {"imu": ("t", "ax", "ay", "az"), "mic": ("t", "amp"), "motion": ("t", "moving")}
+    records = [{"schema": "waffle/3", "participant": "p01", "scenario": "individual"}]
+    records += [
+        {"track": track, key: b64([-1e308, 1e308] if (track, key) == ("imu", "t") else [0.0, 1.0])}
+        for track, keys in columns.items()
+        for key in keys
+    ]
+    session = tmp_path / "p01_individual.jsonl"
+    session.write_text("".join(json.dumps(r) + "\n" for r in records))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": [session.name]}))
+    rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {session}: imu timestamps [-1e+308, 1e+308] span more than 3601 s"]
     assert not (tmp_path / "m.json").exists()
 
 

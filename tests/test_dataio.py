@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import JSON_LIMITS, b64, mutate_json, unb64
 
 from bitetiming.dataio import (
+    MAX_SESSION_SECONDS,
     BiteEvent,
     SessionRecord,
     _parse_line,
@@ -58,11 +59,19 @@ def test_bite_event_requires_ordered_timestamps():
         BiteEvent(staging_arrival_t=2.0, feeding_arrival_t=1.0, bite_complete_t=3.0)
     with pytest.raises(TrackValidationError):
         BiteEvent(staging_arrival_t=1.0, feeding_arrival_t=2.0, bite_complete_t=2.0)
-    # Not finite, or an int too large for a float, which would be written but
-    # not read back.
-    for times in [(2.0, 3.0, float("inf")), (float("nan"), 3.0, 4.0), (2.0, 10**399, 10**400)]:
+    for times in [(2.0, 3.0, float("inf")), (float("nan"), 3.0, 4.0)]:
         message = f"bite timestamps must be finite and strictly ordered, got ({times[0]}, {times[1]}, {times[2]})"
         with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
+            BiteEvent(*times)
+    # Not a number as a file holds one, or an int too large for a float:
+    # either would be written but not read back.
+    for times, message in [
+        ((2.0, 10**399, 10**400), "'bite' field 'feeding_arrival_t' does not fit a float"),
+        ((True, 2.0, 3.0), "'bite' field 'staging_arrival_t' is not a number: True"),
+        ((1.0, np.float64(2.0), 3.0), f"'bite' field 'feeding_arrival_t' is not a number: {np.float64(2.0)!r}"),
+        ((1.0, 2.0, "3.0"), "'bite' field 'bite_complete_t' is not a number: '3.0'"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             BiteEvent(*times)
 
 
@@ -223,13 +232,39 @@ def test_validation_rejects_non_finite(tmp_path, column, index, value, message):
         write_session(session, tmp_path / "nf.jsonl")
 
 
-def test_validation_accepts_timestamps_whose_difference_overflows(tmp_path):
+def test_validation_refuses_a_span_whose_difference_overflows(tmp_path):
     # 1e308 - (-1e308) overflows a float; pytest turns numpy's overflow
-    # warning into an error.
+    # warning into an error, so neither the order nor the span check may
+    # subtract. Resampling such a span once died with an OverflowError.
     session = small_session()
     session.motion_t = np.array([-1e308, 1e308, 1.5e308])
-    write_session(session, tmp_path / "s.jsonl")
-    assert_sessions_equal(read_session(tmp_path / "s.jsonl"), session)
+    message = "motion timestamps [-1e+308, 1.5e+308] span more than 3601 s"
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
+        write_session(session, tmp_path / "s.jsonl")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("track", ["imu", "mic", "motion"])
+def test_a_track_spans_at_most_an_hour_and_a_second(tmp_path, track):
+    # Two samples each: a track that spans the bound exactly loads, and one a
+    # float step longer is refused by the writer and by the reader.
+    longest = [-5.0, -5.0 + MAX_SESSION_SECONDS + 1.0]
+    two = {
+        "imu_t": np.array([0.0, 1.0]), "imu_accel": np.zeros((2, 3)), "mic_t": np.array([0.0, 1.0]),
+        "mic_amp": np.zeros(2), "motion_t": np.array([0.0, 1.0]), "motion_moving": np.array([0, 1]),
+    }
+    session = dataclasses.replace(small_session(), **(two | {f"{track}_t": np.array(longest)}))
+    path = tmp_path / "s.jsonl"
+    write_session(session, path)
+    assert_sessions_equal(read_session(path), session)
+    too_long = [longest[0], float(np.nextafter(longest[1], np.inf))]
+    message = f"{track} timestamps {too_long} span more than 3601 s"
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(message)}$"):
+        write_session(dataclasses.replace(session, **{f"{track}_t": np.array(too_long)}), tmp_path / "no.jsonl")
+    assert not (tmp_path / "no.jsonl").exists()
+    rewrite_column(path, track, "t", lambda rec: rec.__setitem__("t", too_long))
+    with pytest.raises(TrackValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_session(path)
 
 
 def test_read_session_rejects_non_finite(tmp_path):
@@ -478,15 +513,47 @@ def test_read_session_rejects_a_bite_that_is_not_finite(tmp_path, writer, lineno
         read_session(path)
 
 
-@pytest.mark.parametrize("bite", [(2.0, 3.0, float("inf")), (2.0, 10**399, 10**400)])
-def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite):
+@pytest.mark.parametrize(
+    "bite, error, message",
+    [
+        ((2.0, 3.0, float("inf")), TrackValidationError, "bite timestamps must be finite"),
+        ((2.0, 10**399, 10**400), ParseError, "'bite' field 'feeding_arrival_t' does not fit a float"),
+    ],
+    ids=["bite0", "bite1"],
+)
+def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite, error, message):
     # An int too large for a float would be written but not read back. Such a
     # bite is refused when it is built, before write_session starts a file.
     session = small_session()
-    with pytest.raises(TrackValidationError, match="^bite timestamps must be finite"):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
         session.bites = [BiteEvent(0.5, 1.0, 1.5), BiteEvent(*bite)]
         write_session(session, tmp_path / "s.jsonl")
     assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda s: setattr(s, "participant_id", 7), "'header' field 'participant' is not a string: 7"),
+        (lambda s: setattr(s, "scenario", ["social"]), "'header' field 'scenario' is not a string: ['social']"),
+        (lambda s: s.bites.append(BiteEvent(True, 2.0, 3.0)), "'bite' field 'staging_arrival_t' is not a number: True"),
+        (
+            lambda s: s.bites.append(BiteEvent(np.int64(1), 2.0, 3.0)),
+            f"'bite' field 'staging_arrival_t' is not a number: {np.int64(1)!r}",
+        ),
+    ],
+    ids=["participant", "scenario", "bool-bite", "numpy-bite"],
+)
+def test_write_session_refuses_a_value_read_session_refuses(tmp_path, change, message):
+    # These were once written, and then refused on reading or, for the numpy
+    # scalar, left a half-written file behind a TypeError. The writer raises
+    # the reader's message, less the file's path and line, and writes nothing.
+    session = small_session()
+    path = tmp_path / "s.jsonl"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        change(session)
+        write_session(session, path)
+    assert not path.exists()
 
 
 @pytest.fixture(scope="module")
@@ -687,7 +754,11 @@ AMPLITUDES = st.one_of(
 
 
 def timestamps(max_size=12):
-    return st.lists(FINITE, unique=True, max_size=max_size).map(sorted)
+    """Up to ``max_size`` sorted times: any finite start, then the rest within
+    the longest span a track may have after it."""
+    offsets = st.lists(st.floats(0, MAX_SESSION_SECONDS + 1), max_size=max_size - 1)
+    spans = st.tuples(FINITE, offsets).map(lambda d: sorted({d[0], *(d[0] + x for x in d[1])}))
+    return st.just([]) | spans
 
 
 @st.composite
@@ -737,6 +808,56 @@ def documented_layout(session):
     ]
 
 
+# Refused where a session holds a bite time: not finite, an int too large
+# for a float, a bool, a numpy scalar or text.
+ODD_TIMES = st.sampled_from([float("nan"), float("inf"), 10**400, True, np.float64(1.0), "1.0"])
+# Refused where a session holds a participant or ("group" only) a scenario.
+ODD_NAMES = st.sampled_from([7, None, ["social"], b"p01", "group"])
+
+
+@st.composite
+def drawn_sessions(draw):
+    """A session and the times of its bites: many valid, the rest off by a
+    value, a type, an order or a span. The bites are built by the test, as
+    building one is where a bite's own rules apply."""
+
+    def maybe_odd(value, odd):
+        return draw(odd) if draw(st.integers(0, 9)) == 0 else value
+
+    session = draw(finite_sessions(max_size=4))
+    session.participant_id = maybe_odd(session.participant_id, ODD_NAMES)
+    session.scenario = maybe_odd(session.scenario, ODD_NAMES)
+    if session.mic_t.size and draw(st.integers(0, 9)) == 0:  # a span past the bound
+        session.mic_t[-1] = float(session.mic_t[0]) + draw(st.sampled_from((3601.5, 1e9, 1e308)))
+    times = sorted(draw(st.lists(st.floats(0, 100), max_size=6, unique=True)))
+    bites = [[maybe_odd(t, ODD_TIMES) for t in times[i : i + 3]] for i in range(0, len(times) - 2, 3)]
+    if draw(st.booleans()):
+        bites.reverse()  # two bites then overlap
+    return session, bites
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=drawn_sessions())
+def test_the_session_writer_writes_only_what_reads_back(write_dir, drawn):
+    # Either building the bites or the writer refuses the session with a
+    # package error and writes no file, or the file reads back as the session.
+    session, bite_times = drawn
+    path = write_dir / "drawn.jsonl"
+    path.unlink(missing_ok=True)
+    try:
+        session.bites = [BiteEvent(*times) for times in bite_times]
+        write_session(session, path)
+    except ValueError as e:
+        assert type(e).__module__ == "bitetiming.errors"
+        assert not path.exists()
+    else:
+        again = read_session(path)
+        assert_sessions_equal(again, session)
+        assert [type(t) for b in again.bites for t in dataclasses.astuple(b)] == [
+            type(t) for b in session.bites for t in dataclasses.astuple(b)
+        ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(session=finite_sessions())
 def test_write_session_matches_the_json_encoder(write_dir, session):
@@ -774,9 +895,10 @@ def test_read_session_ignores_keys_it_does_not_read(write_dir, session, data):
 
 
 def extreme_session():
-    """A session whose every column holds -0.0, subnormals or the largest
-    finite floats."""
-    t = np.array(sorted(EXTREME_FLOATS))
+    """A session whose value columns hold -0.0, subnormals or the largest
+    finite floats, and whose tracks hold -0.0 and subnormals and span the
+    longest a track may."""
+    t = np.array([-5e-324, -0.0, 5e-324, 2.225073858507201e-308, 1.0, MAX_SESSION_SECONDS + 1.0])
     accel = np.array([EXTREME_FLOATS, EXTREME_FLOATS[::-1], EXTREME_FLOATS[1:] + EXTREME_FLOATS[:1]]).T
     return SessionRecord(
         participant_id="p01",
@@ -846,6 +968,16 @@ def test_load_dataset_rejects_a_session_listed_twice(tmp_path, second):
     manifest.write_text(json.dumps({"schema": "waffle-manifest/1", "sessions": ["x.jsonl", second]}))
     with pytest.raises(ParseError, match=f"{manifest}: session '{re.escape(second)}' is listed twice"):
         load_dataset(manifest)
+
+
+@pytest.mark.parametrize("second", ["x.jsonl", "./x.jsonl", "sub/../x.jsonl"])
+def test_write_manifest_refuses_a_session_listed_twice(tmp_path, second):
+    # Such a manifest was once written, then refused on loading.
+    write_session(small_session(), tmp_path / "x.jsonl")
+    manifest = tmp_path / "manifest.json"
+    with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}: session 'x.jsonl' is listed twice$"):
+        write_manifest([tmp_path / "x.jsonl", tmp_path / second], manifest)
+    assert not manifest.exists()
 
 
 def test_load_dataset_orders_sessions_with_one_key_by_path(tmp_path):

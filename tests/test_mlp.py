@@ -481,6 +481,33 @@ def test_saved_text_is_the_digest_then_the_canonical_payload(tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def untrained():
+    return init_mlp((48, 4, 1), 0)
+
+
+def with_nan_weight():
+    model = trained_toy_model()
+    model.weights[0][0, 0] = np.nan
+    return model
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (untrained, "normalization is not an object with mean and std"),
+        (with_nan_weight, "weights, biases and normalization must be finite"),
+    ],
+    ids=["untrained", "nan-weight"],
+)
+def test_save_model_refuses_what_load_model_refuses(tmp_path, make, message):
+    # Each was once written, then refused on loading. The writer raises the
+    # loader's message, less the path, and writes no file.
+    path = tmp_path / "model.json"
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        save_model(make(), path)
+    assert not path.exists()
+
+
 def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)

@@ -840,6 +840,8 @@ LOG_TICK = {
         (0, "participant", {"a": 1}, "a string"),
         (0, "scenario", 3, "a string"),
         (0, "policy", None, "a string"),
+        (1, "y_hat", True, "a number"),
+        (1, "y_hat", "1.5", "a number"),
     ],
 )
 def test_session_log_names_the_line_of_a_wrongly_typed_field(
@@ -939,14 +941,18 @@ def test_session_log_mutations_load_or_name_the_file(log_dir, data):
 # int too large for a float, a bool, a numpy scalar), and 0 and -1, which are
 # not durations.
 ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), 10**400, True, np.float64(1.0), 0, -1])
+# Refused where a log holds a prediction, a participant, or a command or phase.
+ODD_PREDICTIONS = st.sampled_from([True, "1.5", np.float64(1.0), np.float32(2.5), 10**400])
+ODD_NAMES = st.sampled_from([None, 7, b"p01"])
+ODD_MEMBERS = st.sampled_from(["stop", "at_staging", None, 7])
 
 
 @st.composite
 def drawn_logs(draw):
     """Session logs: many valid, the rest off by a value, an order or a range."""
 
-    def maybe_odd(value):
-        return draw(ODD_NUMBERS) if draw(st.integers(0, 9)) == 0 else value
+    def maybe_odd(value, odd=ODD_NUMBERS):
+        return draw(odd) if draw(st.integers(0, 9)) == 0 else value
 
     times = sorted(draw(st.lists(st.floats(0, 100), max_size=9, unique=True)))
     bites = [BiteEvent(*times[i : i + 3]) for i in range(0, len(times) - 2, 3)]
@@ -956,14 +962,14 @@ def drawn_logs(draw):
     ticks = []
     for _ in range(draw(st.integers(0, 6))):
         distance = draw(st.integers(0, 10) | st.floats(0, 1e6))
-        y_hat = draw(st.none() | st.floats(allow_nan=False))
-        ticks.append(
-            TickLog(maybe_odd(t), draw(st.sampled_from(Command)), maybe_odd(distance), draw(st.sampled_from(Phase)), y_hat)
-        )
+        y_hat = maybe_odd(draw(st.none() | st.floats(allow_nan=False) | st.integers(-5, 5)), ODD_PREDICTIONS)
+        command = maybe_odd(draw(st.sampled_from(Command)), ODD_MEMBERS)
+        phase = maybe_odd(draw(st.sampled_from(Phase)), ODD_MEMBERS)
+        ticks.append(TickLog(maybe_odd(t), command, maybe_odd(distance), phase, y_hat))
         t += draw(st.floats(0.01, 2))
     return SessionLog(
         policy_name=draw(st.sampled_from([*POLICY_NAMES, "oracle", "nobody"])),
-        participant_id=draw(st.text()),
+        participant_id=maybe_odd(draw(st.text()), ODD_NAMES),
         scenario=draw(st.sampled_from([*SCENARIOS, "group"])),
         duration=maybe_odd(draw(st.floats(0.5, 20))),
         ticks=ticks,
@@ -986,7 +992,7 @@ def test_the_log_writer_writes_only_what_reads_back(tmp_path_factory, log):
     else:
         again = read_session_log(path)
         assert again == log
-        types = [[(type(k.t), type(k.distance_to_mouth)) for k in x.ticks] for x in (again, log)]
+        types = [[(type(k.t), type(k.distance_to_mouth), type(k.y_hat)) for k in x.ticks] for x in (again, log)]
         assert types[0] == types[1]
 
 
@@ -1054,12 +1060,19 @@ def test_session_log_tick_lines_are_the_json_of_each_tick(tmp_path):
         ({"t": np.float64(9.0)}, ParseError, f"'policy' field 't' is not a number: {np.float64(9.0)!r}"),
         ({"t": 10.0}, TrackValidationError, "policy tick at t=10.0 is outside [0, 10.0)"),
         ({"t": 9.0, "distance_to_mouth": -3.0}, TrackValidationError, "policy distance at t=9.0 is -3.0, below 0"),
+        # The numpy scalar once stopped the writer with a TypeError mid-file,
+        # and the string command with an AttributeError after the header.
+        ({"t": 9.0, "y_hat": True}, ParseError, "'policy' field 'y_hat' is not a number: True"),
+        ({"t": 9.0, "y_hat": np.float32(2.5)}, ParseError, f"'policy' field 'y_hat' is not a number: {np.float32(2.5)!r}"),
+        ({"t": 9.0, "command": "stop"}, ParseError, "'policy' field 'command' is not a Command: 'stop'"),
+        ({"t": 9.0, "phase": "approaching"}, ParseError, "'policy' field 'phase' is not a Phase: 'approaching'"),
     ]
     refused = [({"ticks": [*log.ticks, dataclasses.replace(last, **tick)]}, *rest) for tick, *rest in refused]
     refused += [
         ({"policy_name": "nobody"}, ParseError, "unknown policy 'nobody', expected one of"),
         ({"scenario": "group"}, ParseError, "unknown scenario 'group', expected one of"),
         ({"duration": -1}, ParseError, "'header' field 'duration' is not positive: -1"),
+        ({"participant_id": 7}, ParseError, "'header' field 'participant' is not a string: 7"),
     ]
     path = tmp_path / "refused.jsonl"
     for changes, error, message in refused:
