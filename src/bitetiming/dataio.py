@@ -20,7 +20,7 @@ the columns of a track have equal lengths. Keys a line does not read are
 ignored. No other session schema is read: a file of an older one is refused,
 and ``bitetiming synth`` with its seed writes the same dataset again. A
 dataset manifest is ``{"schema": "waffle-manifest/1", "sessions": [paths...]}``
-with paths relative to the manifest's directory.
+with paths relative to the manifest's directory (``..`` climbs out of it).
 
 A ``waffle-log/2`` closed-loop log is line-delimited JSON too: a header
 ``{"schema": "waffle-log/2", "participant": ..., "scenario": ..., "policy":
@@ -41,6 +41,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -159,13 +160,14 @@ def _require_finite(values: np.ndarray, track: str, what: str) -> None:
 def _check_header(participant, scenario) -> None:
     _check_strings(participant=participant, scenario=scenario)
     if scenario not in SCENARIOS:
-        raise TrackValidationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+        raise ParseError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
 
 
 def validate_session(session: SessionRecord) -> None:
     """Check the header, and finiteness, ordering, span, shape and range
     constraints on every track. Raises ParseError for a header field that is
-    not a string, else TrackValidationError naming the track and sample index."""
+    not a string or an unknown scenario, else TrackValidationError naming the
+    track and sample index."""
     _check_header(session.participant_id, session.scenario)
     imu_t, mic_t, motion_t = session.imu_t, session.mic_t, session.motion_t
     tracks = (
@@ -463,9 +465,8 @@ def validate_log(log: SessionLog) -> None:
     Raises ParseError for a value of the wrong type or an unknown name,
     TrackValidationError for bites or ticks out of order or range.
     """
-    _check_strings(participant=log.participant_id, scenario=log.scenario, policy=log.policy_name)
-    if log.scenario not in SCENARIOS:
-        raise ParseError(f"unknown scenario {log.scenario!r}, expected one of {SCENARIOS}")
+    _check_header(log.participant_id, log.scenario)
+    _check_strings(policy=log.policy_name)
     policies = (*POLICY_NAMES, ORACLE_NAME)
     if log.policy_name not in policies:
         raise ParseError(f"unknown policy {log.policy_name!r}, expected one of {policies}")
@@ -588,9 +589,10 @@ def _check_manifest(manifest_path: Path, doc: dict) -> list[str]:
 
 
 def write_manifest(session_paths: list[str | Path], path: str | Path) -> None:
-    """Write a dataset manifest listing session files relative to it, as load_dataset reads one."""
+    """Write a dataset manifest listing each session file by its path from the
+    manifest's directory, ``..`` included, which load_dataset joins back."""
     path = Path(path)
-    rel = [str(Path(p).resolve().relative_to(path.resolve().parent)) for p in session_paths]
+    rel = [os.path.relpath(Path(p).resolve(), path.parent.resolve()) for p in session_paths]
     doc = {"schema": MANIFEST_SCHEMA, "sessions": rel}
     _check_manifest(path, doc)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -382,20 +382,13 @@ def write_report_files(evaluations: list[LosoEvaluation], out_dir: str | Path) -
                     f"  tau={tau:g}s accuracy={ev.macro_accuracy(tau):.6f} "
                     f"nmcc={ev.macro_nmcc(tau):.6f}\n"
                 )
-            f.write(
-                f"fixed tau={DEFAULT_TAU:g}s: "
-                f"macro accuracy={ev.macro_accuracy(DEFAULT_TAU):.6f} "
-                f"nmcc={ev.macro_nmcc(DEFAULT_TAU):.6f} | "
-                f"micro accuracy={ev.micro_accuracy(DEFAULT_TAU):.6f} "
-                f"nmcc={ev.micro_nmcc(DEFAULT_TAU):.6f}\n"
-            )
-            f.write(
-                f"swept optimum: "
-                f"macro accuracy={ev.macro_accuracy(None):.6f} "
-                f"nmcc={ev.macro_nmcc(None):.6f} | "
-                f"micro accuracy={ev.micro_accuracy(None):.6f} "
-                f"nmcc={ev.micro_nmcc(None):.6f}\n"
-            )
+            fixed = (f"fixed tau={DEFAULT_TAU:g}s", DEFAULT_TAU)
+            for label, tau in (fixed, ("swept optimum", None)):
+                f.write(
+                    f"{label}: macro accuracy={ev.macro_accuracy(tau):.6f} "
+                    f"nmcc={ev.macro_nmcc(tau):.6f} | micro accuracy="
+                    f"{ev.micro_accuracy(tau):.6f} nmcc={ev.micro_nmcc(tau):.6f}\n"
+                )
             best = ", ".join(
                 f"{fold.participant_id}:{fold.best_tau:g}" for fold in ev.folds
             )

@@ -63,11 +63,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "batch_size", "epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # Refuse what a model file cannot hold: each field's type, then its
+        # finiteness, then its range. A bool or a numpy scalar is no JSON number.
+        for f in fields(self):
+            name, v, real = f.name, getattr(self, f.name), f.type == "float"
+            if type(v) not in ((int, float) if real else (int,)):
+                raise ValueError(f"{name} {v!r} is not {'a number' if real else 'an integer'}")
+            try:
+                finite = not real or math.isfinite(v)
+            except OverflowError:  # an int too large for a float
+                raise ValueError(f"{name} does not fit a float") from None
+            if not finite:
+                raise ValueError(f"{name} {v!r} is not finite")
+            if not (v >= 0 if name == "seed" else v > 0):
+                floor = "non-negative" if name == "seed" else "positive"
+                raise ValueError(f"{name} must be {floor}, got {v}")
 
 
 @dataclass
@@ -427,25 +437,15 @@ def _model_from_doc(doc: dict) -> MlpModel:
 
 
 def _train_config_from(cfg) -> TrainConfig:
-    """The TrainConfig a model file stores: every field, each of its JSON type."""
-    if type(cfg) is not dict:
-        raise ValueError("invalid train_config: not an object")
-    for f in fields(TrainConfig):
-        v = cfg.get(f.name, 0)  # a missing field is named below
-        if type(v) is not int and not (
-            f.type == "float" and type(v) is float and math.isfinite(v)
-        ):
-            kind = "an integer" if f.type == "int" else "a finite number"
-            raise ValueError(f"invalid train_config: {f.name} {v!r} is not {kind}")
+    """The TrainConfig a model file stores: an object holding every field."""
     try:
-        config = TrainConfig(**cfg)
+        if type(cfg) is not dict:
+            raise ValueError("not an object")
+        if missing := sorted({f.name for f in fields(TrainConfig)} - cfg.keys()):
+            raise ValueError(f"missing {missing}")
+        return TrainConfig(**cfg)
     except (TypeError, ValueError) as e:
         raise ValueError(f"invalid train_config: {e}") from None
-    if asdict(config).keys() != cfg.keys():
-        raise ValueError(
-            f"invalid train_config: missing {sorted(asdict(config).keys() - cfg.keys())}"
-        )
-    return config
 
 
 def load_model(path: str | Path) -> MlpModel:
@@ -461,7 +461,7 @@ def load_model(path: str | Path) -> MlpModel:
             that do not fit the ablation, a parameter array that is not a
             string, not canonical base64 or not the byte count of its shape,
             a parameter that is not finite, a normalization std that is not
-            positive, or a ``train_config`` value of the wrong type.
+            positive, or a ``train_config`` that TrainConfig refuses.
     """
     path = Path(path)
     text, doc = read_document(path, MODEL_SCHEMA, IntegrityError)

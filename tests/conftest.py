@@ -15,10 +15,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from bitetiming.features import build_feature_vector
 from bitetiming.pipeline import WindowTable
+
+# Every property test prints the @reproduce_failure line of a failing example,
+# so a rare failure can be replayed.
+settings.register_profile("bitetiming", print_blob=True)
+settings.load_profile("bitetiming")
 
 
 @contextlib.contextmanager

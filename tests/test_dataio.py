@@ -536,13 +536,14 @@ def test_write_session_rejects_a_bite_that_is_not_finite(tmp_path, bite, error, 
     [
         (lambda s: setattr(s, "participant_id", 7), "'header' field 'participant' is not a string: 7"),
         (lambda s: setattr(s, "scenario", ["social"]), "'header' field 'scenario' is not a string: ['social']"),
+        (lambda s: setattr(s, "scenario", "group"), "unknown scenario 'group', expected one of ('individual', 'social')"),
         (lambda s: s.bites.append(BiteEvent(True, 2.0, 3.0)), "'bite' field 'staging_arrival_t' is not a number: True"),
         (
             lambda s: s.bites.append(BiteEvent(np.int64(1), 2.0, 3.0)),
             f"'bite' field 'staging_arrival_t' is not a number: {np.int64(1)!r}",
         ),
     ],
-    ids=["participant", "scenario", "bool-bite", "numpy-bite"],
+    ids=["participant", "scenario", "unknown-scenario", "bool-bite", "numpy-bite"],
 )
 def test_write_session_refuses_a_value_read_session_refuses(tmp_path, change, message):
     # These were once written, and then refused on reading or, for the numpy
@@ -978,6 +979,26 @@ def test_write_manifest_refuses_a_session_listed_twice(tmp_path, second):
     with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}: session 'x.jsonl' is listed twice$"):
         write_manifest([tmp_path / "x.jsonl", tmp_path / second], manifest)
     assert not manifest.exists()
+
+
+def test_write_manifest_lists_a_session_outside_its_directory(tmp_path, monkeypatch):
+    # Sessions in data/, next to sets/manifest.json: the writer lists the
+    # path load_dataset joins back, and refuses one file under two spellings
+    # with the reader's message.
+    monkeypatch.chdir(tmp_path)
+    Path("data").mkdir()
+    Path("sets").mkdir()
+    write_session(small_session(participant="p02"), "data/a.jsonl")
+    write_session(small_session(participant="p01"), "data/b.jsonl")
+    manifest = Path("sets/manifest.json")
+    write_manifest(["data/a.jsonl", "data/b.jsonl"], manifest)
+    assert json.loads(manifest.read_text())["sessions"] == ["../data/a.jsonl", "../data/b.jsonl"]
+    assert [s.participant_id for s in load_dataset(manifest)] == ["p01", "p02"]
+    written = manifest.read_bytes()
+    twice = "^" + re.escape(f"{manifest}: session '../data/a.jsonl' is listed twice") + "$"
+    with pytest.raises(ParseError, match=twice):
+        write_manifest(["data/a.jsonl", "sets/../data/a.jsonl"], manifest)
+    assert manifest.read_bytes() == written
 
 
 def test_load_dataset_orders_sessions_with_one_key_by_path(tmp_path):

@@ -308,6 +308,84 @@ def test_train_config_rejects_a_negative_seed():
     assert TrainConfig(seed=0).seed == 0
 
 
+# JSON values a train_config field might hold: counts at, below and far above
+# the floor (an int past every float too), bools, the non-finite and zero
+# floats, strings and null; and the values each field may take.
+JSON_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400)]),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5]),
+    st.text(max_size=3),
+    st.none(),
+)
+VALID_CONFIG_VALUES = {
+    "learning_rate": st.floats(min_value=5e-324, max_value=1e308) | st.integers(1, 10**400),
+    "batch_size": st.integers(1, 10**400),
+    "epochs": st.integers(1, 10**400),
+    "seed": st.integers(0, 10**400),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cfg=st.fixed_dictionaries(VALID_CONFIG_VALUES),
+    junk=st.dictionaries(st.sampled_from(list(VALID_CONFIG_VALUES)), JSON_CONFIG_VALUES),
+)
+def test_train_config_refuses_what_the_model_file_refuses(tmp_path_factory, cfg, junk):
+    # TrainConfig and load_model agree on every JSON train_config, in one
+    # message; a config TrainConfig builds saves and loads back unchanged.
+    # Any other exception than these fails the test.
+    cfg |= junk
+    model = trained_toy_model()
+    path = tmp_path_factory.mktemp("cfg") / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["train_config"] = cfg
+    write_signed_model(path, doc)
+    try:
+        config, refused = TrainConfig(**cfg), None
+    except ValueError as e:
+        config, refused = None, str(e)
+    try:
+        load_model(path)
+        assert refused is None
+    except IntegrityError as e:
+        assert str(e) == f"{path}: invalid train_config: {refused}"
+    if config is not None:
+        model.train_config = config
+        save_model(model, path)
+        loaded = dataclasses.asdict(load_model(path).train_config)
+        assert {k: (type(v), v) for k, v in loaded.items()} == {
+            k: (type(v), v) for k, v in cfg.items()
+        }
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("learning_rate", np.float64(1e-4)),
+        ("learning_rate", np.float32(1e-4)),
+        ("learning_rate", np.int64(1)),
+        ("batch_size", np.int64(8)),
+        ("epochs", np.int64(2)),
+        ("seed", np.int64(0)),
+    ],
+    ids=lambda v: v if type(v) is str else type(v).__name__,
+)
+def test_train_config_refuses_numpy_scalars(name, value):
+    # A model file cannot hold one: refused when built, not when saved.
+    kind = "a number" if name == "learning_rate" else "an integer"
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} is not {kind}$"):
+        TrainConfig(**{name: value})
+
+
+def test_every_property_test_prints_its_reproduction_blob():
+    # conftest loads a profile that does, so a rare failure comes with its
+    # @reproduce_failure line.
+    assert settings.default.print_blob is True
+
+
 def test_train_requires_rows_and_full_layout():
     with pytest.raises(ValueError):
         train([], TrainConfig(epochs=1))
@@ -647,12 +725,19 @@ def test_load_model_gives_the_parent_verdict_on_unusual_files(model_dir, mutate,
         ("seed", None, "seed None is not an integer"),
         ("epochs", True, "epochs True is not an integer"),
         ("batch_size", 2.5, "batch_size 2.5 is not an integer"),
-        ("learning_rate", "0.1", "learning_rate '0.1' is not a finite number"),
-        ("learning_rate", math.inf, "learning_rate inf is not a finite number"),
+        ("learning_rate", "0.1", "learning_rate '0.1' is not a number"),
+        ("learning_rate", math.inf, "learning_rate inf is not finite"),
+        ("learning_rate", math.nan, "learning_rate nan is not finite"),
+        pytest.param(
+            "learning_rate", 10**400, "learning_rate does not fit a float", id="learning_rate-10**400"
+        ),
         ("seed", -1, "seed must be non-negative, got -1"),
     ],
 )
 def test_load_rejects_train_config_values_of_the_wrong_type(tmp_path, key, value, message):
+    # TrainConfig refuses the value when built, in the loader's words.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(**{key: value})
     path = tmp_path / "model.json"
     save_model(trained_toy_model(), path)
     doc = json.loads(path.read_text())
@@ -955,7 +1040,7 @@ def _reference_train(windows, cfg, ablation, hidden_dims):
     return model, loss_history
 
 
-@settings(max_examples=100, deadline=None, print_blob=True)
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     ablation=st.sampled_from(ABLATIONS),
