@@ -27,6 +27,7 @@ from bitetiming.policy import (
 from bitetiming.sim import (
     BehaviorState,
     generate_dataset,
+    log_summary,
     model_predictor,
     run_session,
     synthesize_scenario,
@@ -34,20 +35,14 @@ from bitetiming.sim import (
 
 
 def describe(name, log):
-    proceed = sum(
-        1 for t in log.ticks
-        if t.command in (Command.PROCEED, Command.TRIGGER_FULL_TRAJECTORY)
-    )
-    arrivals = [b.feeding_arrival_t for b in log.bites]
-    gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
-    mean_gap = sum(gaps) / len(gaps) if gaps else float("nan")
+    bites, mean_gap, proceed = log_summary(log)
     committed_stops = sum(
         1 for t in log.ticks
         if t.command is Command.STOP and t.phase is Phase.APPROACHING
         and t.distance_to_mouth <= COMMIT_DISTANCE_M
     )
-    print(f"{name:>22} {len(log.bites):>5} {mean_gap:>9.1f} "
-          f"{proceed / len(log.ticks):>8.2f} {committed_stops:>13}")
+    print(f"{name:>22} {bites:>5} {mean_gap:>9.1f} "
+          f"{proceed:>8.2f} {committed_stops:>13}")
 
 
 def main() -> None:

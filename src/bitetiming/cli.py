@@ -19,13 +19,13 @@ from .policy import (
     DEFAULT_LEVEL,
     DEFAULT_TAU,
     POLICY_NAMES,
-    Command,
     WafflePolicy,
     make_policy,
     map_assertiveness,
 )
 from .sim import (
     check_duration,
+    log_summary,
     model_predictor,
     run_session,
     generate_dataset,
@@ -172,18 +172,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_session_log(log, out)
 
-    arrivals = [b.feeding_arrival_t for b in log.bites]
-    gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
-    mean_gap = sum(gaps) / len(gaps) if gaps else float("nan")
-    proceedish = sum(
-        1
-        for tick in log.ticks
-        if tick.command in (Command.PROCEED, Command.TRIGGER_FULL_TRAJECTORY)
-    )
+    bites, mean_gap, proceed_fraction = log_summary(log)
     print(
-        f"wrote {out} ({len(log.bites)} bites, "
+        f"wrote {out} ({bites} bites, "
         f"mean inter-bite {mean_gap:.1f} s, "
-        f"proceed fraction {proceedish / max(len(log.ticks), 1):.2f})"
+        f"proceed fraction {proceed_fraction:.2f})"
     )
     return 0
 

@@ -79,15 +79,17 @@ class TrajectoryConfig:
 
 @dataclass(slots=True)
 class RobotState:
-    """Robot pose within the feeding cycle at the end of a control tick."""
+    """Robot pose within the feeding cycle at the end of a control tick.
+    ``phase_start`` is the clock at which its phase began (at the mouth, the
+    feeding arrival); clocks are multiples of the 0.5 s tick, so the time in
+    a phase, ``clock - phase_start``, is exact."""
 
     phase: Phase
     distance_to_mouth: float
     clock: float
-    phase_elapsed: float = 0.0
+    phase_start: float = 0.0
     auto_advance: bool = False
     staging_arrival_t: float | None = None
-    feeding_arrival_t: float | None = None
 
 
 def initial_robot_state() -> RobotState:
@@ -121,55 +123,44 @@ def step_robot(
             f"robot is {state.phase.value}"
         )
 
-    dt = CONTROL_TICK_SECONDS
-    clock = state.clock + dt
-    phase = state.phase
-    distance = state.distance_to_mouth
-    elapsed = state.phase_elapsed + dt
-    auto = state.auto_advance
-    staging_t = state.staging_arrival_t
-    feeding_t = state.feeding_arrival_t
-    bite: BiteEvent | None = None
-
-    if phase is Phase.ACQUIRING:
-        if elapsed >= TrajectoryConfig.acquire_duration_s - _EPS:
-            phase = Phase.AT_STAGING
-            distance = TrajectoryConfig.staging_distance_m
-            elapsed = 0.0
-            staging_t = clock
-    elif phase is Phase.AT_STAGING:
-        if command in (Command.PROCEED, Command.TRIGGER_FULL_TRAJECTORY):
-            phase = Phase.APPROACHING
-            elapsed = 0.0
-            auto = command is Command.TRIGGER_FULL_TRAJECTORY
+    clock = state.clock + CONTROL_TICK_SECONDS
+    new = RobotState(
+        state.phase, state.distance_to_mouth, clock, state.phase_start,
+        state.auto_advance, state.staging_arrival_t,
+    )
+    bite = None
+    if new.phase is Phase.ACQUIRING:
+        if clock - state.phase_start >= TrajectoryConfig.acquire_duration_s - _EPS:
+            new.phase = Phase.AT_STAGING
+            new.staging_arrival_t = clock
+    elif new.phase is Phase.AT_STAGING and command is not Command.STOP:
+        new.phase = Phase.APPROACHING
+        new.auto_advance = command is Command.TRIGGER_FULL_TRAJECTORY
     # A robot that leaves staging starts moving within this same tick.
-    if phase is Phase.APPROACHING and (auto or command is Command.PROCEED):
-        distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
-        if distance <= _EPS:
-            distance = 0.0
-            phase = Phase.AT_FEEDING
-            feeding_t = clock
-            elapsed = 0.0
-    elif phase is Phase.AT_FEEDING:
-        if elapsed >= TrajectoryConfig.bite_duration_s - _EPS:
-            assert staging_t is not None and feeding_t is not None
+    if new.phase is Phase.APPROACHING and (new.auto_advance or command is Command.PROCEED):
+        step = TrajectoryConfig.approach_speed_mps * CONTROL_TICK_SECONDS
+        new.distance_to_mouth = max(0.0, new.distance_to_mouth - step)
+        if new.distance_to_mouth <= _EPS:
+            new.phase = Phase.AT_FEEDING
+            new.distance_to_mouth = 0.0
+    elif new.phase is Phase.AT_FEEDING:
+        if clock - state.phase_start >= TrajectoryConfig.bite_duration_s - _EPS:
             bite = BiteEvent(
-                staging_arrival_t=staging_t,
-                feeding_arrival_t=feeding_t,
+                staging_arrival_t=new.staging_arrival_t,
+                feeding_arrival_t=state.phase_start,
                 bite_complete_t=clock,
             )
-            phase = Phase.RETURNING
-            elapsed = 0.0
-            auto = False
-            staging_t = None
-            feeding_t = None
-    elif phase is Phase.RETURNING:
+            new.phase = Phase.RETURNING
+            new.auto_advance = False
+            new.staging_arrival_t = None
+    elif new.phase is Phase.RETURNING:
         # Retraction takes one tick; the arm is back over the plate after it.
-        phase = Phase.ACQUIRING
-        distance = TrajectoryConfig.staging_distance_m
-        elapsed = 0.0
-
-    return RobotState(phase, distance, clock, elapsed, auto, staging_t, feeding_t), bite
+        new.phase = Phase.ACQUIRING
+        new.distance_to_mouth = TrajectoryConfig.staging_distance_m
+    # Whatever phase the robot enters, it enters it at the end of this tick.
+    if new.phase is not state.phase:
+        new.phase_start = clock
+    return new, bite
 
 
 class BehaviorState(Enum):
@@ -442,7 +433,7 @@ class OracleLabeler:
         pass
 
     def step(self, inputs: TickInputs) -> Command:
-        return self.evaluate(inputs.session_clock)[1]
+        return self.command_at(inputs.session_clock)
 
 
 def _irregular_timestamps(
@@ -581,9 +572,10 @@ def synthesize_scenario(
     mic_t = _irregular_timestamps(rng, duration, MIC_SYNTH_RATE_HZ)
     mic_amp = _synth_mic(rng, mic_t, script, style)
 
-    # Ticks run to ``duration``; replay runs to the tracks' ends just past it.
+    # Ticks run to where the tracks end, just past ``duration``, as in replay.
     oracle = OracleLabeler(script, partner)
-    log = SessionLog(oracle.name, participant_id, scenario, duration)
+    end = min(float(imu_t[-1]), float(mic_t[-1]))
+    log = SessionLog(oracle.name, participant_id, scenario, end)
     final = _drive(log, oracle)
 
     session = SessionRecord(
@@ -651,7 +643,7 @@ def model_predictor(model):
     if stats is None:
         raise ValueError("model has no normalization statistics; train or load first")
     columns, mean, std = ablation_indices(model.ablation), stats.mean, stats.std
-    return lambda row, window_end_t: float(
+    return lambda row, t: float(
         _forward_cached(weights, biases, ((row[columns] - mean) / std)[None], None)[0][0]
     )
 
@@ -666,11 +658,11 @@ def run_session(
 
     The policy is stepped once per control tick until the sensors end.
     The waffle policy needs a predictor; any policy run with one gets, on
-    each tick, the prediction ``predictor(feature_row, t)`` of the window
-    that ends nearest the tick, a window halfway between two ticks going to
-    the later one. A tick that no window ends near (the first second, or
-    past sensor coverage) is a gap: the policy sees ``y_hat=None``, and so
-    does the log. The mouth-open baseline needs the ``oracle`` of a
+    the tick at time ``t``, the prediction ``predictor(feature_row, t)`` of
+    the window whose end rounds to that tick, a window halfway between two
+    ticks going to the later one. A tick that no window ends near (the first
+    second, or past sensor coverage) is a gap: the policy sees ``y_hat=None``,
+    and so does the log. The mouth-open baseline needs the ``oracle`` of a
     generative source to produce its events; no other policy reads it.
     """
     if isinstance(policy, WafflePolicy) and predictor is None:
@@ -683,38 +675,32 @@ def run_session(
             raise InsufficientDataError(f"cannot replay a session whose {track} track is empty")
     duration = min(float(source.imu_t[-1]), float(source.mic_t[-1]))
 
-    features = row_of_tick = None
+    rows = None
     if predictor is not None:
-        # Row of the window ending on each tick index; -1 where none does.
-        # Windows hop one tick, so with ties rounded up no two share a tick.
+        # Feature row by tick index. Windows hop one tick, so with ties
+        # rounded up no two share a tick.
         end_t, features = session_features(source)
-        ticks = np.floor(end_t / CONTROL_TICK_SECONDS + 0.5).astype(np.intp)
-        row_of_tick = np.full(ticks[-1] + 1, -1, dtype=np.intp)
-        row_of_tick[ticks] = np.arange(ticks.size)
-        row_of_tick = row_of_tick.tolist()
+        rows = dict(zip(np.floor(end_t / CONTROL_TICK_SECONDS + 0.5).astype(int).tolist(), features))
 
     log = SessionLog(policy.name, source.participant_id, source.scenario, duration)
     # The oracle's per-tick lookup feeds the mouth-open event and nothing else.
     oracle = oracle if isinstance(policy, MouthOpenPolicy) else None
-    _drive(log, policy, oracle, predictor, features, row_of_tick)
+    _drive(log, policy, oracle, predictor, rows)
     return log
 
 
-def _drive(log, policy, oracle=None, predictor=None, features=None, row_of_tick=None):
+def _drive(log, policy, oracle=None, predictor=None, rows=None):
     """Step the robot under ``policy`` once per control tick to ``log.duration``,
     appending each tick and bite to ``log``, and return its final RobotState.
-    ``features`` and ``row_of_tick`` are run_session's predictor row map."""
+    ``rows`` is run_session's map from a tick's index, the number of ticks
+    logged before it, to its feature row."""
     policy.reset()
     state = initial_robot_state()
     bite_just_completed = False
     while state.clock + CONTROL_TICK_SECONDS <= log.duration + _EPS:
         t = state.clock
-        y_hat = None
-        if predictor is not None:
-            tick = round(t / CONTROL_TICK_SECONDS)
-            row = row_of_tick[tick] if tick < len(row_of_tick) else -1
-            if row >= 0:
-                y_hat = float(predictor(features[row], t))
+        row = rows.get(len(log.ticks)) if rows else None
+        y_hat = None if row is None else float(predictor(row, t))
         at_staging = state.phase is Phase.AT_STAGING
         mouth_open = (
             at_staging and oracle is not None and oracle.command_at(t) is Command.PROCEED
@@ -738,6 +724,16 @@ def _advanced(log: SessionLog, final: RobotState) -> np.ndarray:
     the mouth or retracts moves nothing and is 0."""
     d = np.array([tick.distance_to_mouth for tick in log.ticks] + [final.distance_to_mouth])
     return (d[1:] < d[:-1] - 1e-12).astype(np.int64)
+
+
+def log_summary(log: SessionLog) -> tuple[int, float, float]:
+    """(bites, mean seconds between mouth arrivals, fraction of ticks whose
+    command is not Stop); the mean is NaN below two bites."""
+    arrivals = [b.feeding_arrival_t for b in log.bites]
+    gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
+    mean_gap = sum(gaps) / len(gaps) if gaps else float("nan")
+    sent = sum(1 for tick in log.ticks if tick.command is not Command.STOP)
+    return len(log.bites), mean_gap, sent / max(len(log.ticks), 1)
 
 
 # Kept only until perfbench/ imports and traces the log codec from dataio.

@@ -39,6 +39,13 @@ social session of 73 segments, written through ``write_session``, and the
 waffle level-4 log that ``simulate`` writes for the same session with the
 chain's model. Its hashes were recorded before segments were synthesized
 over slices and shared half-windows were reduced once.
+
+``GOLDEN_POLICY_LOGS`` pins the ``simulate`` log of every policy on one 150 s
+social session (seed 11): the three trigger baselines, whose latched
+trajectory no other hash covers, and waffle at levels 1 and 5 with the
+chain's model. They were recorded before the robot state came to keep when
+its phase began instead of two timers. The chain's model predicts below both
+levels' thresholds on this session, so the two waffle logs are the same.
 """
 
 import hashlib
@@ -67,6 +74,14 @@ GOLDEN = {
 GOLDEN_LONG = {
     "session.jsonl": "30da148d803ef68843742749489a88169c3258cb2d652a0fdb53cee5f7986218",
     "sim.jsonl": "5b0b739340abc2e1133d95fb680f9ec59ed96a22ac7113b753e9afdc102e9764",
+}
+
+GOLDEN_POLICY_LOGS = {
+    "always-feed.jsonl": "2f277f8a742e580eb0a020d113a776a5d944b3d98b735fef8d2710a76c343724",
+    "fixed-interval.jsonl": "2d06310e6b5dd8a496ecbbd88bf3ceb168f033873c2fe2d6e87e6363afa2eb07",
+    "mouth-open.jsonl": "e204cee8de99469ed5193083de163b08b0b62aecaf39cdcb0c2dc072ec05d58e",
+    "waffle-1.jsonl": "05a14e95eca2a508ba4d061843278f2224c240a21e685dd6ecec1edad4c6c228",
+    "waffle-5.jsonl": "05a14e95eca2a508ba4d061843278f2224c240a21e685dd6ecec1edad4c6c228",
 }
 
 golden_numpy = pytest.mark.skipif(
@@ -112,3 +127,20 @@ def test_long_social_session_matches_golden_hashes(chain, tmp_path):
          "--duration", "600", "--out", str(tmp_path / "sim.jsonl")]
     ) == 0
     assert sha256_tree(tmp_path) == GOLDEN_LONG
+
+
+@golden_numpy
+def test_every_policy_log_matches_golden_hashes(chain, tmp_path):
+    runs = {
+        "always-feed": ["--policy", "always-feed"],
+        "fixed-interval": ["--policy", "fixed-interval"],
+        "mouth-open": ["--policy", "mouth-open"],
+        "waffle-1": ["--level", "1", "--model", str(chain / "model.json")],
+        "waffle-5": ["--level", "5", "--model", str(chain / "model.json")],
+    }
+    for name, args in runs.items():
+        assert main(
+            ["simulate", *args, "--scenario", "social", "--duration", "150", "--seed", "11",
+             "--out", str(tmp_path / f"{name}.jsonl")]
+        ) == 0
+    assert sha256_tree(tmp_path) == GOLDEN_POLICY_LOGS

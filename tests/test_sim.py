@@ -190,6 +190,118 @@ def test_random_commands_keep_state_legal():
         assert state.clock == pytest.approx(before.clock + 0.5)
 
 
+# The robot as it was written with two float timers and the feeding arrival
+# kept in its state, as the reference for step_robot's behavior.
+_REF_EPS = 1e-9
+
+
+@dataclasses.dataclass(slots=True)
+class _ReferenceRobotState:
+    phase: Phase
+    distance_to_mouth: float
+    clock: float
+    phase_elapsed: float = 0.0
+    auto_advance: bool = False
+    staging_arrival_t: float | None = None
+    feeding_arrival_t: float | None = None
+
+
+def _reference_step_robot(state, command):
+    if (
+        command is Command.TRIGGER_FULL_TRAJECTORY
+        and state.phase is not Phase.AT_STAGING
+    ):
+        raise ProtocolError(
+            f"TriggerFullTrajectory is only valid at staging, "
+            f"robot is {state.phase.value}"
+        )
+
+    dt = 0.5
+    clock = state.clock + dt
+    phase = state.phase
+    distance = state.distance_to_mouth
+    elapsed = state.phase_elapsed + dt
+    auto = state.auto_advance
+    staging_t = state.staging_arrival_t
+    feeding_t = state.feeding_arrival_t
+    bite = None
+
+    if phase is Phase.ACQUIRING:
+        if elapsed >= TrajectoryConfig.acquire_duration_s - _REF_EPS:
+            phase = Phase.AT_STAGING
+            distance = TrajectoryConfig.staging_distance_m
+            elapsed = 0.0
+            staging_t = clock
+    elif phase is Phase.AT_STAGING:
+        if command in (Command.PROCEED, Command.TRIGGER_FULL_TRAJECTORY):
+            phase = Phase.APPROACHING
+            elapsed = 0.0
+            auto = command is Command.TRIGGER_FULL_TRAJECTORY
+    if phase is Phase.APPROACHING and (auto or command is Command.PROCEED):
+        distance = max(0.0, distance - TrajectoryConfig.approach_speed_mps * dt)
+        if distance <= _REF_EPS:
+            distance = 0.0
+            phase = Phase.AT_FEEDING
+            feeding_t = clock
+            elapsed = 0.0
+    elif phase is Phase.AT_FEEDING:
+        if elapsed >= TrajectoryConfig.bite_duration_s - _REF_EPS:
+            assert staging_t is not None and feeding_t is not None
+            bite = BiteEvent(
+                staging_arrival_t=staging_t,
+                feeding_arrival_t=feeding_t,
+                bite_complete_t=clock,
+            )
+            phase = Phase.RETURNING
+            elapsed = 0.0
+            auto = False
+            staging_t = None
+            feeding_t = None
+    elif phase is Phase.RETURNING:
+        phase = Phase.ACQUIRING
+        distance = TrajectoryConfig.staging_distance_m
+        elapsed = 0.0
+
+    return _ReferenceRobotState(phase, distance, clock, elapsed, auto, staging_t, feeding_t), bite
+
+
+def robot_fields(state):
+    return (
+        state.phase,
+        state.distance_to_mouth,
+        state.clock,
+        state.auto_advance,
+        state.staging_arrival_t,
+    )
+
+
+# The length is drawn first: left to itself a list strategy draws a few dozen
+# commands, too few for the robot to reach the mouth.
+up_to_400_commands = st.integers(0, 400).flatmap(
+    lambda n: st.lists(st.sampled_from(Command), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(commands=up_to_400_commands)
+def test_step_robot_matches_the_reference(commands):
+    # A trigger drawn off staging is not sent: both sides must refuse it.
+    state = initial_robot_state()
+    ref = _ReferenceRobotState(Phase.ACQUIRING, TrajectoryConfig.staging_distance_m, 0.0)
+    for command in commands:
+        if command is Command.TRIGGER_FULL_TRAJECTORY and ref.phase is not Phase.AT_STAGING:
+            with pytest.raises(ProtocolError) as got:
+                step_robot(state, command)
+            with pytest.raises(ProtocolError) as want:
+                _reference_step_robot(ref, command)
+            assert str(got.value) == str(want.value)
+            continue
+        state, bite = step_robot(state, command)
+        ref, ref_bite = _reference_step_robot(ref, command)
+        assert robot_fields(state) == robot_fields(ref)
+        assert bite == ref_bite
+
+
 def seg(start, end, state):
     return Segment(start_t=start, end_t=end, state=state)
 
@@ -566,13 +678,19 @@ def test_replaying_the_oracle_reproduces_the_synthesized_labels(seed, scenario, 
     np.testing.assert_array_equal(advanced, session.motion_moving)
 
 
-def test_replay_of_an_off_grid_duration_runs_one_tick_longer():
-    # Synthesis stops at its duration argument, replay where the sensor tracks
-    # end, just past it; off the 0.5 s grid that can fit one more tick.
+def test_synthesis_labels_every_tick_that_replay_of_an_off_grid_duration_runs():
+    # Synthesis and replay both tick to where the sensor tracks end, just past
+    # the duration argument; off the 0.5 s grid that can fit one more tick.
     scn = synthesize_scenario("p91", "individual", 30.499, seed=[0])
     log = run_session(scn.session, scn.oracle)
-    assert (len(scn.session.motion_t), len(log.ticks)) == (60, 61)
-    assert [tick.t for tick in log.ticks[:60]] == scn.session.motion_t.tolist()
+    assert (len(scn.session.motion_t), len(log.ticks)) == (61, 61)
+    assert [tick.t for tick in log.ticks] == scn.session.motion_t.tolist()
+
+
+def test_replay_ticks_once_per_motion_label_at_any_duration():
+    for k in range(201):
+        scn = synthesize_scenario("p90", "individual", 30.0 + 0.4993 * k, seed=[k])
+        assert len(run_session(scn.session, scn.oracle).ticks) == scn.session.motion_t.size
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +713,14 @@ def test_fixed_interval_session_triggers_on_schedule(long_scn):
     assert triggers == [45.0, 90.0, 135.0]
     assert len(log.bites) == 3
     assert all(t.command is not Command.PROCEED for t in log.ticks)
+
+
+def test_log_summary_counts_bites_gaps_and_ticks_that_are_not_stop(long_scn):
+    log = run_session(long_scn.session, FixedIntervalPolicy())
+    assert sim.log_summary(log) == (3, 45.0, 3 / len(log.ticks))
+    del log.bites[1:]
+    bites, mean_gap, _ = sim.log_summary(log)
+    assert bites == 1 and np.isnan(mean_gap)
 
 
 def test_mouth_open_session_triggers_at_staging_only(long_scn):
